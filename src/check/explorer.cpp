@@ -127,8 +127,9 @@ ExploreReport explore_pct(const RunFn& run, const Workload& w,
     // Median of the measured lengths: robust against the odd livelocked
     // run that burnt the whole decision budget. The stall allowance is
     // added on top: a run can extend past its useful work by up to
-    // no_progress_bound verification-round decisions before the livelock
-    // verdict, and change points must be able to land inside that window —
+    // no_progress_bound verification rounds (one decision per live fiber
+    // each) before the livelock verdict, and change points must be able to
+    // land inside that window —
     // strict-priority starvation of a fair lock's spin-waiter is only
     // broken by a change point, so a horizon that stops at the median
     // would turn every late stall into a guaranteed false livelock.

@@ -31,19 +31,11 @@ Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
       spurious_rate_(cfg.spurious_abort_rate),
       table_mask_((1ULL << cfg.table_bits) - 1),
-      table_(1ULL << cfg.table_bits) {
+      table_(1ULL << cfg.table_bits),
+      line_ids_(cfg.table_bits) {
   if (cfg.max_threads <= 0) throw std::invalid_argument("max_threads must be > 0");
   if (cfg.table_bits < 4 || cfg.table_bits > 28)
     throw std::invalid_argument("table_bits out of range [4,28]");
-  // Line-id map capacity: at least 2^15 slots even for the tiny tables the
-  // aliasing tests use (aliasing is modelled by the *table* wrap, not by
-  // running out of ids), at most 2^24; limit insertions to half capacity so
-  // probes always terminate.
-  const int id_bits = std::min(std::max(cfg.table_bits, 14) + 1, 24);
-  id_mask_ = (1ULL << id_bits) - 1;
-  line_id_limit_ = 1u << (id_bits - 1);
-  line_keys_ = std::vector<std::atomic<std::uint64_t>>(1ULL << id_bits);
-  line_ids_ = std::vector<std::atomic<std::uint32_t>>(1ULL << id_bits);
   track_owners_ =
       cfg.track_line_owners || cfg.topology.sockets > 1 || cfg.topology.nodes > 1;
   if (track_owners_) {
@@ -75,6 +67,11 @@ void Engine::set_thread_capacity(int tid, std::uint32_t read_lines,
   Descriptor& d = *descriptors_[static_cast<std::size_t>(tid)];
   d.cap_read_lines.store(read_lines, std::memory_order_relaxed);
   d.cap_write_lines.store(write_lines, std::memory_order_relaxed);
+}
+
+void Engine::plain_access(const void* addr) {
+  if (!track_owners_) return;
+  charge_coherence(line_of(reinterpret_cast<std::uintptr_t>(addr)));
 }
 
 void Engine::syscall(std::uint64_t cost_cycles) {

@@ -60,6 +60,7 @@
 #include "common/platform.h"
 #include "common/rng.h"
 #include "htm/htm.h"
+#include "htm/line_ids.h"
 #include "htm/line_set.h"
 
 namespace sprwl::htm {
@@ -253,11 +254,10 @@ class Engine {
   /// Plain (uninstrumented) access hook, called by Shared<T> for loads that
   /// bypass the transactional machinery while owner tracking is on: charges
   /// the tiered coherence extra for the line owning `addr` and migrates its
-  /// ownership to the calling thread. No-op without tracking.
-  void plain_access(const void* addr) {
-    if (!track_owners_) return;
-    charge_coherence(line_of(reinterpret_cast<std::uintptr_t>(addr)));
-  }
+  /// ownership to the calling thread. No-op without tracking. Out of line:
+  /// callers test tracks_owners() first, and keeping the line-id walk out
+  /// of Shared<T>::load keeps that load small enough to inline.
+  void plain_access(const void* addr);
 
   // --- fault-injection surface (src/fault) --------------------------------
   /// Dynamically overrides EngineConfig::spurious_abort_rate; the fault
@@ -408,48 +408,11 @@ class Engine {
     return *descriptors_[static_cast<std::size_t>(tid)];
   }
 
-  /// Cache-line → version-table index. Indices are dense ids handed out in
-  /// *first-touch order* (lock-free open-addressing map keyed by the line
-  /// address), not an address hash: heap addresses vary run to run (ASLR,
-  /// allocator history), and hashing them made version-table aliasing — and
-  /// therefore abort counts — address-dependent. First-touch order is part
-  /// of the deterministic schedule, so with dense ids two runs of the same
-  /// seeded workload behave identically, across processes and regardless of
-  /// which bench worker thread hosts the point. Ids past the table size
-  /// wrap (deterministic aliasing — tests use tiny tables to force it); if
-  /// the id map itself fills up, later lines deterministically-insertion-
-  /// ordered no more and fall back to the address hash (never hit by the
-  /// shipped workloads; the map holds line_id_limit_ lines).
+  /// Cache-line → version-table index: dense ids handed out in first-touch
+  /// order, wrapped to the table size (see htm/line_ids.h for why ids are
+  /// not an address hash and how the page-local directory stores them).
   std::uint32_t line_of(std::uintptr_t addr) noexcept {
-    const std::uint64_t key = (addr >> 6) + 1;  // +1: 0 marks an empty slot
-    std::size_t s = static_cast<std::size_t>(detail::mix64(key)) & id_mask_;
-    for (;;) {
-      const std::uint64_t k = line_keys_[s].load(std::memory_order_acquire);
-      if (k == key) {
-        std::uint32_t id;
-        // The id is published right after the key CAS; the spin is only
-        // observable from a racing real thread.
-        while ((id = line_ids_[s].load(std::memory_order_acquire)) == 0) {
-        }
-        return (id - 1) & static_cast<std::uint32_t>(table_mask_);
-      }
-      if (k == 0) {
-        if (next_line_id_.load(std::memory_order_relaxed) >= line_id_limit_) {
-          return static_cast<std::uint32_t>(detail::mix64(addr >> 6) &
-                                            table_mask_);
-        }
-        std::uint64_t expected = 0;
-        if (line_keys_[s].compare_exchange_strong(expected, key,
-                                                  std::memory_order_acq_rel)) {
-          const std::uint32_t id =
-              next_line_id_.fetch_add(1, std::memory_order_relaxed);
-          line_ids_[s].store(id + 1, std::memory_order_release);
-          return id & static_cast<std::uint32_t>(table_mask_);
-        }
-        continue;  // lost the claim race: re-inspect the slot
-      }
-      s = (s + 1) & id_mask_;
-    }
+    return line_ids_.line_of(addr);
   }
 
   /// Returns the virtual-cycle coherence premium of accessing `line` and
@@ -532,13 +495,7 @@ class Engine {
   std::atomic<double> spurious_rate_;
   std::uint64_t table_mask_;
   std::vector<std::atomic<std::uint64_t>> table_;
-  // First-touch line-id map (see line_of): open addressing, keys are
-  // (addr >> 6) + 1, values are dense id + 1 (0 = unpublished).
-  std::uint64_t id_mask_ = 0;
-  std::uint32_t line_id_limit_ = 0;
-  std::vector<std::atomic<std::uint64_t>> line_keys_;
-  std::vector<std::atomic<std::uint32_t>> line_ids_;
-  std::atomic<std::uint32_t> next_line_id_{0};
+  LineIdMap line_ids_;  // first-touch line ids (see line_of)
   std::atomic<std::uint64_t> gvc_{0};
   std::atomic<bool> commit_locked_{false};
   std::atomic<int> commit_waiters_{0};

@@ -142,8 +142,9 @@ class McsRWLock {
       }
     }
     platform::advance(g_costs.cas);
-    if (reader_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
+    // seq_cst, paired with start_write's empty-queue path: see there.
+    if (reader_count_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      QNode* w = next_writer_.exchange(nullptr, std::memory_order_seq_cst);
       if (w != nullptr) unblock(*w);
     }
   }
@@ -152,9 +153,15 @@ class McsRWLock {
     platform::advance(g_costs.cas);
     QNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
     if (pred == nullptr) {
-      next_writer_.store(&node, std::memory_order_release);
+      // Store-buffering handshake with the last reader's end_read: we store
+      // next_writer_ then load reader_count_; it decrements reader_count_
+      // then exchanges next_writer_. Under release/acquire both sides may
+      // miss the other's write — we see a reader, it sees no writer — and
+      // nobody ever unblocks us. seq_cst on all four accesses puts them in
+      // one total order, so at least one side sees the other.
+      next_writer_.store(&node, std::memory_order_seq_cst);
       platform::advance(g_costs.cas);
-      if (reader_count_.load(std::memory_order_acquire) == 0 &&
+      if (reader_count_.load(std::memory_order_seq_cst) == 0 &&
           next_writer_.exchange(nullptr, std::memory_order_acq_rel) == &node) {
         unblock(node);
       }

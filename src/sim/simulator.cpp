@@ -65,8 +65,9 @@ namespace {
 // which two pointer-sized words cover on LP64 and ILP32 alike.
 constexpr std::size_t kEhStateBytes = 2 * sizeof(void*);
 
-void eh_switch(unsigned char* save_to, const unsigned char* restore_from) {
-  auto* live = reinterpret_cast<unsigned char*>(abi::__cxa_get_globals());
+// `live` is the OS thread's structure (Simulator::eh_globals_).
+void eh_switch(unsigned char* live, unsigned char* save_to,
+               const unsigned char* restore_from) {
   std::memcpy(save_to, live, kEhStateBytes);
   std::memcpy(live, restore_from, kEhStateBytes);
 }
@@ -134,6 +135,7 @@ struct Simulator::Fiber {
   // Controlled-mode bookkeeping.
   PendingOp pending;               // where this fiber is parked
   std::uint64_t pause_stamp = 0;   // progress_ epoch observed at last pause
+  std::uint64_t recheck_round = 0; // last verification round it was re-run in
   bool started = false;            // body entered at least once
   bool cancelling = false;         // RunCancelled already thrown into it
   // Private __cxa_eh_globals while descheduled (zero = no live exceptions).
@@ -197,77 +199,6 @@ Simulator::~Simulator() {
 #endif
 }
 
-// --- indexed 4-ary min-heap -------------------------------------------------
-//
-// Flat array of (time, id) ordered by less_than; heap_pos_[id] = slot + 1.
-// 4-ary: children of slot i are 4i+1..4i+4 — half the tree height of a
-// binary heap and the four children share one cache line, so a sift-down
-// touches fewer lines than std::priority_queue's binary layout.
-
-void Simulator::heap_push(Entry e) {
-  ++stats_.heap_pushes;
-  heap_.push_back(e);
-  heap_sift_up(heap_.size() - 1);
-}
-
-Simulator::Entry Simulator::heap_pop() {
-  ++stats_.heap_pops;
-  const Entry top = heap_.front();
-  heap_pos_[static_cast<std::size_t>(top.id())] = 0;
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_.front() = last;
-    heap_pos_[static_cast<std::size_t>(last.id())] = 1;
-    heap_sift_down(0);
-  }
-  return top;
-}
-
-Simulator::Entry Simulator::heap_replace_top(Entry e) {
-  ++stats_.heap_pushes;
-  ++stats_.heap_pops;
-  const Entry top = heap_.front();
-  heap_pos_[static_cast<std::size_t>(top.id())] = 0;
-  heap_.front() = e;
-  heap_pos_[static_cast<std::size_t>(e.id())] = 1;
-  heap_sift_down(0);
-  return top;
-}
-
-void Simulator::heap_sift_up(std::size_t i) {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!e.less_than(heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    heap_pos_[static_cast<std::size_t>(heap_[i].id())] = static_cast<std::uint32_t>(i + 1);
-    i = parent;
-  }
-  heap_[i] = e;
-  heap_pos_[static_cast<std::size_t>(e.id())] = static_cast<std::uint32_t>(i + 1);
-}
-
-void Simulator::heap_sift_down(std::size_t i) {
-  const Entry e = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (heap_[c].less_than(heap_[best])) best = c;
-    }
-    if (!heap_[best].less_than(e)) break;
-    heap_[i] = heap_[best];
-    heap_pos_[static_cast<std::size_t>(heap_[i].id())] = static_cast<std::uint32_t>(i + 1);
-    i = best;
-  }
-  heap_[i] = e;
-  heap_pos_[static_cast<std::size_t>(e.id())] = static_cast<std::uint32_t>(i + 1);
-}
-
 // --- context switching ------------------------------------------------------
 
 void Simulator::fiber_body(Fiber& f) {
@@ -301,7 +232,7 @@ void Simulator::fiber_body(Fiber& f) {
 void Simulator::switch_to_fiber(Fiber& f) {
   t_entering_fiber = &f;  // consumed only on a fiber's first activation
   from_scheduler_ = true;
-  eh_switch(sched_eh_state_, f.eh_state);
+  eh_switch(eh_globals_, sched_eh_state_, f.eh_state);
 #if SPRWL_ASAN_FIBERS
   __sanitizer_start_switch_fiber(&sched_fake_stack_, f.stack.get(),
                                  cfg_.stack_bytes);
@@ -313,7 +244,7 @@ void Simulator::switch_to_fiber(Fiber& f) {
 }
 
 void Simulator::yield_to_scheduler(Fiber& f) {
-  eh_switch(f.eh_state, sched_eh_state_);
+  eh_switch(eh_globals_, f.eh_state, sched_eh_state_);
 #if SPRWL_ASAN_FIBERS
   __sanitizer_start_switch_fiber(&f.fake_stack, sched_stack_bottom_,
                                  sched_stack_size_);
@@ -327,7 +258,7 @@ void Simulator::yield_to_scheduler(Fiber& f) {
 
 void Simulator::exit_fiber(Fiber& f) {
   // Permanently hand control back to the scheduler; the save slot is dead.
-  eh_switch(f.eh_state, f.sim->sched_eh_state_);
+  eh_switch(f.sim->eh_globals_, f.eh_state, f.sim->sched_eh_state_);
 #if SPRWL_ASAN_FIBERS
   // Null save slot: the fiber is dying, let ASan destroy its fake stack.
   __sanitizer_start_switch_fiber(nullptr, f.sim->sched_stack_bottom_,
@@ -353,7 +284,7 @@ void Simulator::prepare_fiber(Fiber& f) {
 void Simulator::switch_to_fiber(Fiber& f) {
   t_entering_fiber = &f;
   from_scheduler_ = true;
-  eh_switch(sched_eh_state_, f.eh_state);
+  eh_switch(eh_globals_, sched_eh_state_, f.eh_state);
 #if SPRWL_ASAN_FIBERS
   __sanitizer_start_switch_fiber(&sched_fake_stack_, f.stack.get(),
                                  cfg_.stack_bytes);
@@ -365,7 +296,7 @@ void Simulator::switch_to_fiber(Fiber& f) {
 }
 
 void Simulator::yield_to_scheduler(Fiber& f) {
-  eh_switch(f.eh_state, sched_eh_state_);
+  eh_switch(eh_globals_, f.eh_state, sched_eh_state_);
 #if SPRWL_ASAN_FIBERS
   __sanitizer_start_switch_fiber(&f.fake_stack, sched_stack_bottom_,
                                  sched_stack_size_);
@@ -380,7 +311,7 @@ void Simulator::exit_fiber(Fiber& f) {
   // The actual switch happens via uc_link when the trampoline falls off;
   // restore the scheduler's exception state (and tell ASan the fiber's
   // stack is dying) just before that.
-  eh_switch(f.eh_state, f.sim->sched_eh_state_);
+  eh_switch(f.sim->eh_globals_, f.eh_state, f.sim->sched_eh_state_);
 #if SPRWL_ASAN_FIBERS
   __sanitizer_start_switch_fiber(nullptr, f.sim->sched_stack_bottom_,
                                  f.sim->sched_stack_size_);
@@ -408,24 +339,24 @@ void Simulator::prepare_fiber(Fiber& f) {
 #endif
 
 // Fiber→fiber handoff: the yielding fiber f re-queues itself, takes the
-// heap minimum m and switches straight to m's stack — the scheduler stack
-// is not touched, halving the context switches of a yield. Schedule
+// ready-set minimum m and switches straight to m's stack — the scheduler
+// stack is not touched, halving the context switches of a yield. Schedule
 // equivalence with the trampoline: f yields only because f.time >
-// next_wake_ (the heap minimum's time), so push-self-then-extract-min
-// selects exactly the entry the trampoline's pop would have returned (and
-// never f itself — strict inequality). The push+pop pair is fused into one
-// heap_replace_top: identical result, one sift instead of three.
+// next_wake_ (the minimum's time), so f's key exceeds the minimum, and
+// taking the minimum before inserting f selects exactly the entry the
+// trampoline's insert-then-pop would have returned (never f itself).
 void Simulator::direct_switch_from(Fiber& f) {
-  const Entry e = heap_replace_top(Entry::make(f.time, f.id));
-  Fiber& m = *fibers_[static_cast<std::size_t>(e.id())];
-  next_wake_ = heap_top().time();  // non-empty: f itself is queued
+  const std::uint64_t e = ready_pop();
+  ready_push(ReadySet::key(f.time, f.id));
+  Fiber& m = *fibers_[static_cast<std::size_t>(ReadySet::id_of(e))];
+  next_wake_ = ReadySet::time_of(ready_.top());  // non-empty: f is queued
   running_ = &m;
   platform::set_context(&m.exec_ctx);
   ++stats_.switches;
   ++stats_.direct_switches;
   t_entering_fiber = &m;  // consumed only on m's first activation
   from_scheduler_ = false;
-  eh_switch(f.eh_state, m.eh_state);
+  eh_switch(eh_globals_, f.eh_state, m.eh_state);
 #if SPRWL_ASAN_FIBERS
   __sanitizer_start_switch_fiber(&f.fake_stack, m.stack.get(),
                                  cfg_.stack_bytes);
@@ -457,11 +388,11 @@ void Simulator::deschedule_current_until(std::uint64_t until) {
 
 void Simulator::run(int nthreads, const std::function<void(int)>& body) {
   if (nthreads <= 0) return;
-  // Packed ready-set keys (see Entry) bound the fiber count and the
+  // Packed ready-set keys (see ReadySet) bound the fiber count and the
   // representable virtual time; both limits are far beyond every use.
-  if (nthreads > (1 << Entry::kIdBits))
+  if (nthreads > (1 << ReadySet::kIdBits))
     throw std::invalid_argument("Simulator: more than 1024 fibers");
-  if (cfg_.max_virtual_time >= (1ULL << (64 - Entry::kIdBits)))
+  if (cfg_.max_virtual_time >= (1ULL << (64 - ReadySet::kIdBits)))
     throw std::invalid_argument("Simulator: max_virtual_time >= 2^54");
   if (cfg_.policy != nullptr && cfg_.legacy_ready_queue)
     throw std::invalid_argument(
@@ -480,9 +411,8 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
   progress_ = 0;
   trace_.clear();
   obj_table_.clear();
-  heap_.clear();
-  heap_pos_.assign(static_cast<std::size_t>(nthreads), 0);
-  heap_.reserve(static_cast<std::size_t>(nthreads));
+  ready_.reset(static_cast<std::size_t>(nthreads));
+  eh_globals_ = reinterpret_cast<unsigned char*>(abi::__cxa_get_globals());
   fibers_.clear();
   fibers_.reserve(static_cast<std::size_t>(nthreads));
 
@@ -501,7 +431,7 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
     f->exec_ctx.enable_sched_points(controlled_);
     f->pending = PendingOp{i, SchedKind::kStart, 0};
     prepare_fiber(*f);
-    if (!cfg_.legacy_ready_queue && !controlled_) heap_push(Entry::make(0, i));
+    if (!cfg_.legacy_ready_queue && !controlled_) ready_push(ReadySet::key(0, i));
     fibers_.push_back(std::move(f));
   }
 
@@ -531,10 +461,10 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
 }
 
 void Simulator::schedule_loop() {
-  while (!heap_empty()) {
-    const Entry e = heap_pop();
-    Fiber& f = *fibers_[static_cast<std::size_t>(e.id())];
-    next_wake_ = heap_empty() ? ~0ULL : heap_top().time();
+  while (!ready_.empty()) {
+    const std::uint64_t e = ready_pop();
+    Fiber& f = *fibers_[static_cast<std::size_t>(ReadySet::id_of(e))];
+    next_wake_ = ready_.empty() ? ~0ULL : ReadySet::time_of(ready_.top());
     platform::set_context(&f.exec_ctx);
     running_ = &f;
     ++stats_.switches;
@@ -546,7 +476,7 @@ void Simulator::schedule_loop() {
     Fiber& ran = *running_;
     running_ = nullptr;
     platform::set_context(nullptr);
-    if (!ran.done) heap_push(Entry::make(ran.time, ran.id));
+    if (!ran.done) ready_push(ReadySet::key(ran.time, ran.id));
     // If a fiber errored out, the remaining ones either finish or hit the
     // virtual-time limit deterministically; run() reports the earliest error.
   }
@@ -559,7 +489,7 @@ void Simulator::schedule_loop() {
 // just slower — perf_pipeline quantifies by how much.
 void Simulator::schedule_loop_legacy() {
   // The original two-field entry with a field-wise comparator, not the
-  // packed key the new heap uses — the baseline must not inherit the
+  // packed key the ready set uses — the baseline must not inherit the
   // overhaul's representation wins.
   struct LegacyEntry {
     std::uint64_t time;
@@ -595,7 +525,7 @@ void Simulator::schedule_loop_legacy() {
 
 // --- controlled-scheduler mode ---------------------------------------------
 //
-// The ready heap is unused: every live fiber is "parked" at its last
+// The ready set is unused: every live fiber is "parked" at its last
 // decision point (pause / timed wait / fault::checkpoint / sched_point)
 // and the policy picks which one to resume. next_wake_ is pinned to ~0 so
 // virtual time never forces a yield — parking is explicit and exhaustive,
@@ -608,11 +538,15 @@ void Simulator::schedule_loop_legacy() {
 // *non*-pause point (it executed real instrumented work) or completes; a
 // pause-parked fiber that already observed the current epoch
 // (pause_stamp == progress_) is ineligible until the epoch moves. When
-// that empties the eligible set, a "verification round" makes every live
-// fiber eligible again — covering state changes that happen between
-// pauses without an instrumented point in between — and
-// no_progress_bound such rounds without progress is the livelock/deadlock
-// verdict.
+// that empties the eligible set, a "verification round" gives every live
+// fiber one re-check — covering state changes that happen between pauses
+// without an instrumented point in between: each decision of the round
+// offers only the fibers not yet re-checked in it, and the round counts
+// as a stall once all of them re-parked without progress. Offering every
+// fiber at every decision instead let a policy that favours one blocked
+// spinner (a PCT priority, replay's default pick) re-run it until the
+// bound while a peer whose wait was over never ran — a false livelock.
+// no_progress_bound stalled rounds is the livelock/deadlock verdict.
 
 void Simulator::schedule_loop_controlled() {
   SchedulePolicy& policy = *cfg_.policy;
@@ -622,6 +556,7 @@ void Simulator::schedule_loop_controlled() {
   const int no_progress_bound =
       cfg_.resolved_no_progress_bound(static_cast<int>(fibers_.size()));
   int stall_rounds = 0;
+  std::uint64_t round = 1;  // verification round; Fiber::recheck_round
   std::uint64_t last_progress = progress_;
   std::vector<PendingOp> ops;
   ops.reserve(fibers_.size());
@@ -629,6 +564,7 @@ void Simulator::schedule_loop_controlled() {
     if (progress_ != last_progress) {
       last_progress = progress_;
       stall_rounds = 0;
+      ++round;
     }
     ops.clear();
     for (auto& fp : fibers_) {
@@ -638,13 +574,20 @@ void Simulator::schedule_loop_controlled() {
         continue;  // would spin again without new information
       ops.push_back(f.pending);
     }
-    if (ops.empty()) {
+    const bool verifying = ops.empty();
+    if (verifying) {
       for (auto& fp : fibers_) {
-        if (!fp->done) ops.push_back(fp->pending);
+        if (!fp->done && fp->recheck_round != round) ops.push_back(fp->pending);
       }
+    }
+    if (verifying && ops.empty()) {  // everyone re-checked: a stalled round
       if (++stall_rounds > no_progress_bound) {
         livelocked_ = true;
         break;
+      }
+      ++round;
+      for (auto& fp : fibers_) {
+        if (!fp->done) ops.push_back(fp->pending);
       }
     }
     if (trace_.size() >= cfg_.max_decisions) {
@@ -669,6 +612,7 @@ void Simulator::schedule_loop_controlled() {
           "SchedulePolicy::pick returned an ineligible fiber");
     }
     trace_.push_back(chosen->pending);
+    if (verifying) chosen->recheck_round = round;
     activate_fiber(*chosen);
     if (chosen->done) {
       --alive;

@@ -28,25 +28,28 @@
 // configurable virtual-time limit converts livelock bugs into test failures.
 //
 // Scheduler hot path (this is the inner loop of every benchmark, so its
-// wall-clock cost gates the whole evaluation pipeline):
+// wall-clock cost gates the whole evaluation pipeline; in the long-reader
+// regime nearly every simulated access yields):
 //
-//  * the ready set is an indexed 4-ary min-heap of (time, id) — flatter
-//    than a binary heap (half the levels for the same fiber count, and the
-//    four children of a node share a cache line), with a fiber-id → slot
-//    index maintained alongside for O(1) membership;
-//  * when a yielding fiber already knows the next runnable fiber (the heap
-//    minimum), it switches to it *directly* instead of bouncing through the
-//    scheduler stack — one context switch per handoff instead of two, which
-//    halves switches on ping-pong workloads (SimConfig::direct_switch;
-//    disable to get the classic trampoline, kept as the measurable
-//    baseline for bench/perf_pipeline). The schedule is identical either
-//    way: a fiber yields only when its clock passed the heap minimum, so
-//    push-self-then-pop-min selects exactly the fiber the trampoline's
-//    pop would have selected;
+//  * the ready set (sim/ready_set.h) is a sorted run of packed (time, id)
+//    keys. A yielding fiber has just passed the minimum and spinners all
+//    advance by similar amounts, so it almost always re-enters at or near
+//    the back: taking the minimum is a head bump and the re-insert is one
+//    compare plus a few shifts, with no data-dependent tree walk;
+//  * when a yielding fiber already knows the next runnable fiber (the
+//    ready-set minimum), it switches to it *directly* instead of bouncing
+//    through the scheduler stack — one context switch per handoff instead
+//    of two, which halves switches on ping-pong workloads
+//    (SimConfig::direct_switch; disable to get the classic trampoline).
+//    The schedule is identical either way: a fiber yields only when its
+//    clock passed the minimum, so insert-self-then-take-min selects exactly
+//    the fiber the trampoline's pop would have selected;
+//  * the libstdc++ exception globals swapped at every switch are located
+//    once per run(), not per switch;
 //  * fiber stacks are recycled through a thread-local pool instead of being
 //    freshly allocated (and zeroed) for every run() — a 56-fiber run reuses
 //    ~14 MB of stacks that would otherwise be re-touched per data point;
-//  * SimStats counts switches, direct switches and heap traffic so the
+//  * SimStats counts switches, direct switches and ready-set traffic so the
 //    perf trajectory (BENCH_perf.json) can report switches/sec.
 //
 // Context switching uses a ~20ns hand-rolled x86-64 switch (glibc
@@ -62,6 +65,7 @@
 #include <vector>
 
 #include "common/platform.h"
+#include "sim/ready_set.h"
 #include "sim/schedule_policy.h"
 #include "sim/topology.h"
 
@@ -78,11 +82,11 @@ struct SimConfig {
   /// comment). Schedules are bit-identical with it on or off; off costs one
   /// extra context switch per yield and exists as the measurable baseline.
   bool direct_switch = true;
-  /// Faithful reproduction of the original scheduler for perf baselines
-  /// (bench/perf_pipeline's "serial_old" mode): ready set in a binary
-  /// std::priority_queue, a fresh zero-initialized stack per fiber per
-  /// run() (no pooling), always through the trampoline (direct_switch is
-  /// ignored). The schedule — and therefore every virtual-time result — is
+  /// Faithful reproduction of the original scheduler, kept as the oracle
+  /// the scheduler tests compare against and as bench/perf_pipeline's
+  /// "serial_old" baseline: ready set in a binary std::priority_queue, a
+  /// fresh zero-initialized stack per fiber per run() (no pooling), always
+  /// through the trampoline (direct_switch is ignored). The schedule — and therefore every virtual-time result — is
   /// bit-identical to the default scheduler; only wall-clock cost differs.
   bool legacy_ready_queue = false;
   /// Controlled-scheduler mode (systematic testing, src/check/): when set,
@@ -125,6 +129,9 @@ struct SimConfig {
 struct SimStats {
   std::uint64_t switches = 0;         ///< activations: control entered a fiber
   std::uint64_t direct_switches = 0;  ///< activations done fiber→fiber
+  /// Ready-set insertions and minimum removals (a direct switch counts one
+  /// of each). The names predate the sorted run; the counts are a property
+  /// of the schedule, identical for every ready-set structure.
   std::uint64_t heap_pushes = 0;
   std::uint64_t heap_pops = 0;
 };
@@ -209,24 +216,6 @@ class Simulator {
  private:
   struct FiberContext;
 
-  // Ready-set key, packed as (time << kIdBits) | id so the scheduling
-  // order (time, then id) is a single integer compare and four heap
-  // children fit in half a cache line. Capacity bounds enforced at run()
-  // entry: at most 2^kIdBits fibers, virtual times below 2^(64 - kIdBits)
-  // (the default 20e9-cycle limit is ~2^20 below that ceiling).
-  struct Entry {
-    std::uint64_t key;
-    static constexpr int kIdBits = 10;
-    static Entry make(std::uint64_t time, int id) noexcept {
-      return Entry{(time << kIdBits) | static_cast<std::uint64_t>(id)};
-    }
-    std::uint64_t time() const noexcept { return key >> kIdBits; }
-    int id() const noexcept {
-      return static_cast<int>(key & ((1u << kIdBits) - 1));
-    }
-    bool less_than(const Entry& o) const noexcept { return key < o.key; }
-  };
-
   void schedule_loop();
   void schedule_loop_legacy();
   void schedule_loop_controlled();
@@ -247,25 +236,19 @@ class Simulator {
   void switch_to_fiber(Fiber& f);
   void prepare_fiber(Fiber& f);
 
-  // Indexed 4-ary min-heap over (time, id); heap_pos_[id] is slot+1 (0 =
-  // not queued). See the header comment for why not std::priority_queue.
-  bool heap_empty() const noexcept { return heap_.empty(); }
-  const Entry& heap_top() const noexcept { return heap_.front(); }
-  void heap_push(Entry e);
-  Entry heap_pop();
-  /// Pops the minimum and inserts `e` in one sift (classic heap replace).
-  /// The direct-switch path uses it with e = the yielding fiber, whose time
-  /// only just passed the old minimum — the sift usually exits after one
-  /// level, where pop-then-push would sink the array tail down the whole
-  /// tree and then bubble `e` up again.
-  Entry heap_replace_top(Entry e);
-  void heap_sift_up(std::size_t i);
-  void heap_sift_down(std::size_t i);
+  // Ready-set wrappers that keep SimStats' heap_pushes/heap_pops current.
+  void ready_push(std::uint64_t key) {
+    ++stats_.heap_pushes;
+    ready_.push(key);
+  }
+  std::uint64_t ready_pop() {
+    ++stats_.heap_pops;
+    return ready_.pop();
+  }
 
   SimConfig cfg_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  std::vector<Entry> heap_;
-  std::vector<std::uint32_t> heap_pos_;
+  ReadySet ready_;
   const std::function<void(int)>* body_ = nullptr;
   void* sched_rsp_ = nullptr;  // x86-64 fast path save slot
   void* main_ctx_ = nullptr;   // ucontext fallback
@@ -274,8 +257,11 @@ class Simulator {
   // share one OS thread, so the libstdc++ per-thread exception bookkeeping
   // must be swapped at every context switch — otherwise two fibers that
   // yield inside catch handlers pop each other's in-flight exception
-  // objects (see simulator.cpp).
+  // objects (see simulator.cpp). eh_globals_ is the live structure,
+  // located once at run() entry (it is per OS thread, and a run never
+  // leaves its thread).
   unsigned char sched_eh_state_[2 * sizeof(void*)] = {};
+  unsigned char* eh_globals_ = nullptr;
   // AddressSanitizer fiber bookkeeping; unused outside ASan builds. A
   // fiber's first activation may now come from another fiber (direct
   // switch), so fiber_body only records the origin stack as the scheduler's

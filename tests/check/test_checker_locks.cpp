@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "check/artifact.h"
 #include "check/explorer.h"
@@ -424,6 +425,46 @@ TEST(CheckerLocks, PctCalibrationReplacesStaticHeuristic) {
   EXPECT_EQ(a.calibrated_decisions, b.calibrated_decisions);
   EXPECT_EQ(a.schedules, on.max_runs);
   EXPECT_FALSE(a.found_violation);
+}
+
+// Regression for false livelock verdicts on the queue/phase locks: these
+// artifacts were written when a verification round offered every fiber at
+// every decision, so PCT (and replay's default pick) re-ran one blocked
+// spinner until the no-progress bound while a peer whose wait was over
+// never ran. With one re-check per live fiber per round they replay clean.
+TEST(CheckerLocks, FalseLivelockArtifactsReplayClean) {
+  for (const char* file :
+       {"mcs_rw_false_livelock.json", "phase_fair_false_livelock.json"}) {
+    SCOPED_TRACE(file);
+    ReproArtifact a;
+    ASSERT_TRUE(read_artifact(std::string(SPRWL_CHECK_DATA_DIR) + "/" + file, &a));
+    EXPECT_EQ(a.violation.rfind("livelock", 0), 0u) << a.violation;
+    const Verdict v = replay_trace(make_runner(a.lock, a.workload), a.choices);
+    EXPECT_EQ(v.kind, Verdict::kOk) << to_string(v.kind) << ": " << v.detail;
+  }
+}
+
+// The multi-op shapes that produced those artifacts, explored under PCT:
+// 3 threads / 1 writer and 4 threads / 2 writers, 3 ops each.
+TEST(CheckerLocks, QueueAndPhaseLocksPassMultiOpPct) {
+  const std::uint64_t seed = fault::env_seed(1);
+  for (const char* lock : {"MCS-RW", "PhaseFair"}) {
+    for (const auto& [threads, writers] : {std::pair{3, 1}, std::pair{4, 2}}) {
+      Workload w;
+      w.threads = threads;
+      w.writers = writers;
+      w.ops_per_thread = 3;
+      ExploreOptions opt;
+      opt.seed = seed;
+      opt.max_runs = 100;
+      SCOPED_TRACE(std::string(lock) + " threads=" + std::to_string(threads) +
+                   "; " + testutil::seed_replay(seed));
+      const ExploreReport rep = explore_pct(make_runner(lock, w), w, opt);
+      EXPECT_EQ(rep.schedules, opt.max_runs);
+      EXPECT_FALSE(rep.found_violation)
+          << to_string(rep.verdict.kind) << ": " << rep.verdict.detail;
+    }
+  }
 }
 
 }  // namespace
