@@ -113,12 +113,7 @@ void numa_run(Runner& runner, const Machine& m, HashmapFigParams p,
             core::Config::variant(core::SchedulingVariant::kFull, n);
         c.topology = ec.topology;
         c.socket_sharded_tracking = sharded;
-        // Cache-aligned for the same reason workload pools use
-        // aligned_vector (common/aligned.h): Shared<> words embedded in
-        // the lock are charged by address, and a stack frame's offset
-        // mod 64 varies with ASLR — unaligned, the run would not be
-        // reproducible.
-        alignas(kCacheLineSize) core::SpRWLock lock(c);
+        core::SpRWLock lock(c);
         workloads::DriverConfig dc;
         dc.threads = n;
         dc.update_ratio = p.update_ratio;
@@ -182,11 +177,7 @@ void bravo_run(Runner& runner, const Machine& m, HashmapFigParams p,
         c.reader_htm_first = false;
         c.bravo_bias = true;
         c.bravo_table = table;
-        // Cache-aligned (see numa_run): the bias fast path charges the
-        // lock's embedded bias word on every read, so an ASLR-shifted
-        // stack frame would perturb line grouping and break run-to-run
-        // bit determinism.
-        alignas(kCacheLineSize) core::SpRWLock lock(c);
+        core::SpRWLock lock(c);
         workloads::DriverConfig dc;
         dc.threads = n;
         dc.update_ratio = p.update_ratio;

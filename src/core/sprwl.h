@@ -250,7 +250,7 @@ struct Config {
   }
 };
 
-class SpRWLock {
+class alignas(kCacheLineSize) SpRWLock {
  public:
   /// Explicit-abort codes (Intel _xabort-style).
   static constexpr std::uint8_t kCodeLockBusy = 0x01;
@@ -972,7 +972,9 @@ class SpRWLock {
     std::vector<CacheLinePadded<std::uint64_t>> reader_aborts_;
     std::vector<CacheLinePadded<ScanStat>> scan_stats_;
     std::unique_ptr<snzi::Snzi> snzi_;
-    htm::Shared<std::uint64_t> mode_;        ///< current tracking structure
+    // Line-aligned (so the Plane is allocated line-aligned): no Shared<>
+    // word of another object can share their line.
+    alignas(kCacheLineSize) htm::Shared<std::uint64_t> mode_;  ///< current tracking structure
     htm::Shared<std::uint64_t> transition_;  ///< nonzero: writers check both
     std::unique_ptr<DurationEma> read_ema_[kEmaSlots];
     std::unique_ptr<DurationEma> write_ema_[kEmaSlots];
@@ -1663,8 +1665,14 @@ class SpRWLock {
     }
   }
 
-  Config cfg_;
+  // Line 0 of the (line-aligned) shell holds every word the engine sees:
+  // the SGL, the bias word and the plane-publish word. Nothing else in
+  // the shell is a Shared<> cell, so no other object's words can share
+  // their line and virtual time does not depend on where the shell sits.
   locks::SglLock gl_;
+  htm::Shared<std::uint64_t> bias_;             ///< kBiasOff/On/Revoking
+  htm::Shared<std::uint64_t> plane_published_;  ///< 1 once plane_ is set (bravo)
+  Config cfg_;
   // Sharding geometry, resolved once from cfg_ (declared before use).
   // socket_stride_ is the flag-slot count each socket's shard occupies,
   // rounded to line granularity so shards never share a line.
@@ -1673,8 +1681,6 @@ class SpRWLock {
   std::size_t socket_stride_;
   // --- BRAVO shell (the O(1)-word cold-lock state) ------------------------
   std::uint32_t lock_id_ = 0;
-  htm::Shared<std::uint64_t> bias_;             ///< kBiasOff/On/Revoking
-  htm::Shared<std::uint64_t> plane_published_;  ///< 1 once plane_ is set (bravo)
   std::atomic<Plane*> plane_{nullptr};
   std::atomic<std::uint64_t> reader_streak_{0};
   std::atomic<std::uint64_t> last_revoke_end_{0};
