@@ -13,7 +13,7 @@ namespace sprwl::bench {
 namespace {
 
 double run_point(const Machine& m, const HashmapFigParams& p, int threads,
-                 int variant /*0=flags 1=snzi 2=adaptive*/) {
+                 core::Tracking tracking) {
   htm::EngineConfig ec;
   ec.capacity = m.capacity_at(threads);
   ec.max_threads = threads;
@@ -22,8 +22,7 @@ double run_point(const Machine& m, const HashmapFigParams& p, int threads,
   workloads::HashMap map = make_figure_map(p, threads);
   core::Config lc = core::Config::variant(core::SchedulingVariant::kFull, threads);
   lc.reader_htm_first = false;
-  lc.use_snzi = variant == 1;
-  lc.adaptive_tracking = variant == 2;
+  lc.tracking = tracking;
   core::SpRWLock lock{lc};
   workloads::DriverConfig dc;
   dc.threads = threads;
@@ -60,10 +59,16 @@ void run(const Args& args) {
     // The three variants of one size are independent points; the row prints
     // once all three computed, in size order.
     auto res = std::make_shared<std::array<double, 3>>();
-    runner.submit([res, m, p, threads] { (*res)[0] = run_point(m, p, threads, 0); });
-    runner.submit([res, m, p, threads] { (*res)[1] = run_point(m, p, threads, 1); });
+    runner.submit([res, m, p, threads] {
+      (*res)[0] = run_point(m, p, threads, core::Tracking::kFlags);
+    });
+    runner.submit([res, m, p, threads] {
+      (*res)[1] = run_point(m, p, threads, core::Tracking::kSnzi);
+    });
     runner.submit(
-        [res, m, p, threads] { (*res)[2] = run_point(m, p, threads, 2); },
+        [res, m, p, threads] {
+          (*res)[2] = run_point(m, p, threads, core::Tracking::kAdaptive);
+        },
         [res, size] {
           const double flags = (*res)[0], snzi = (*res)[1], adaptive = (*res)[2];
           const double best = flags > snzi ? flags : snzi;

@@ -34,7 +34,7 @@ VariantResult run_variant(const Machine& m, const HashmapFigParams& p,
   htm::Engine engine(ec);
   workloads::HashMap map = make_figure_map(p, threads);
   core::Config lc = core::Config::variant(core::SchedulingVariant::kFull, threads);
-  lc.use_snzi = use_snzi;
+  lc.tracking = use_snzi ? core::Tracking::kSnzi : core::Tracking::kFlags;
   lc.reader_htm_first = reader_htm_first;
   // The paper's prototype uses a shallow SNZI tree: queries stay one
   // word, but short readers contend on the few leaves — the very

@@ -111,7 +111,7 @@ void run_machine(Runner& runner, const Machine& m, const Args& args) {
   });
   tpcc_series(runner, "SNZI", m, args, threads, warehouses, [](int n) {
     core::Config c = core::Config::variant(core::SchedulingVariant::kFull, n);
-    c.use_snzi = true;
+    c.tracking = core::Tracking::kSnzi;
     return std::make_unique<core::SpRWLock>(c);
   });
 }

@@ -7,7 +7,7 @@
 //             O(1)-word shell, lazily allocated tracking plane;
 //   flat      default SpRWL (lazy plane, per-thread flag scan);
 //   sharded   Config::socket_sharded_tracking (per-socket summaries);
-//   snzi      Config::use_snzi (tree-tracked readers).
+//   snzi      Config::tracking = kSnzi (tree-tracked readers).
 //
 // All variants run with reader_htm_first=false: the comparison is the cost
 // of reader REGISTRATION, and the HTM fast path would bypass registration
@@ -83,7 +83,7 @@ core::Config variant_cfg(const std::string& name, int threads) {
     c.socket_sharded_tracking = true;
     c.topology = sim::Topology::split(threads, 2);
   } else if (name == "snzi") {
-    c.use_snzi = true;
+    c.tracking = core::Tracking::kSnzi;
   }  // "flat": defaults
   return c;
 }

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
                             dc));
   {
     core::Config c = core::Config::variant(core::SchedulingVariant::kFull, threads);
-    c.use_snzi = true;
+    c.tracking = core::Tracking::kSnzi;
     results.push_back(
         measure("SpRWL+SNZI", std::make_unique<core::SpRWLock>(c), dc));
   }

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "check/mutants.h"
 #include "core/sprwl.h"
 #include "dist/lock_service.h"
 #include "locks/brlock.h"
@@ -29,6 +30,7 @@ core::Config sharded_cfg(const Workload& w) {
   return c;
 }
 
+template <class Table = bravo::ReaderTable>
 core::Config bravo_cfg(const Workload& w, std::size_t slots) {
   core::Config c = sprwl_cfg(w);
   c.bravo_bias = true;
@@ -40,10 +42,11 @@ core::Config bravo_cfg(const Workload& w, std::size_t slots) {
   bravo::ReaderTable::Config tc;
   tc.max_threads = w.threads;
   tc.slots = slots;
-  c.bravo_table = std::make_shared<bravo::ReaderTable>(tc);
+  c.bravo_table = std::make_shared<Table>(tc);
   return c;
 }
 
+template <class Table = bravo::ReaderTable>
 core::Config bravo_numa_cfg(const Workload& w, std::size_t per_shard_slots) {
   core::Config c = sprwl_cfg(w);
   c.bravo_bias = true;
@@ -61,7 +64,7 @@ core::Config bravo_numa_cfg(const Workload& w, std::size_t per_shard_slots) {
   tc.slots = per_shard_slots;
   tc.shard_by_socket = true;
   tc.topology = sim::Topology::split(w.threads, 2);
-  c.bravo_table = std::make_shared<bravo::ReaderTable>(tc);
+  c.bravo_table = std::make_shared<Table>(tc);
   return c;
 }
 
@@ -146,7 +149,7 @@ RunFn make_runner(const std::string& name, const Workload& w) {
   if (name == "SpRWL-snzi") {
     return bind(w, [w] {
       core::Config c = sprwl_cfg(w);
-      c.use_snzi = true;
+      c.tracking = core::Tracking::kSnzi;
       return core::SpRWLock(c);
     });
   }
@@ -161,15 +164,14 @@ RunFn make_runner(const std::string& name, const Workload& w) {
   }
   if (name == "SpRWL-bravo-broken") {
     // Revocation-drain self-validation: a ONE-slot table plus a drain that
-    // skips the table's last slot means revocation drains nothing at all —
-    // a fast-path reader parked in slot 0 survives it and a writer commits
-    // over the reader's snapshot. Uninstrumented readers (no HTM-first) so
-    // the fast path is actually taken. Accepted by make_runner only, never
-    // listed as healthy.
+    // skips the table's last slot (SkipLastSlotTable) means revocation
+    // drains nothing at all — a fast-path reader parked in slot 0 survives
+    // it and a writer commits over the reader's snapshot. Uninstrumented
+    // readers (no HTM-first) so the fast path is actually taken. Accepted
+    // by make_runner only, never listed as healthy.
     return bind(w, [w] {
-      core::Config c = bravo_cfg(w, 1);
+      core::Config c = bravo_cfg<SkipLastSlotTable>(w, 1);
       c.reader_htm_first = false;
-      c.broken_revoke_skip_last_slot = true;
       return core::SpRWLock(c);
     });
   }
@@ -181,15 +183,14 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     return bind(w, [w] { return core::SpRWLock(bravo_numa_cfg(w, 4)); });
   }
   if (name == "SpRWL-bravo-numa-broken") {
-    // Sharded-drain self-validation: the revocation drain skips shard 0 —
-    // summary and slots — so the socket-0 reader's fast-path registration
-    // survives revocation and a writer commits over its snapshot (the
-    // workload keeps tid 0 a reader; split(threads, 2) homes it on socket
-    // 0). Accepted by make_runner only, never listed as healthy.
+    // Sharded-drain self-validation: the revocation drain skips shard 0
+    // (SkipShardTable) — summary and slots — so the socket-0 reader's
+    // fast-path registration survives revocation and a writer commits over
+    // its snapshot (the workload keeps tid 0 a reader; split(threads, 2)
+    // homes it on socket 0). Accepted by make_runner only, never listed as
+    // healthy.
     return bind(w, [w] {
-      core::Config c = bravo_numa_cfg(w, 1);
-      c.broken_revoke_skip_shard = 0;
-      return core::SpRWLock(c);
+      return core::SpRWLock(bravo_numa_cfg<SkipShardTable>(w, 1));
     });
   }
   if (name == "SpRWL-timeout") {
@@ -211,7 +212,7 @@ RunFn make_runner(const std::string& name, const Workload& w) {
   }
   if (name == "SpRWL-timeout-broken") {
     // Cancellation-unwind self-validation: the timed bias read's timeout
-    // path skips the ReaderTable slot release, leaking the slot. The next
+    // path leaks its ReaderTable slot (LeakOnCancelTable). The next
     // writer's revocation drain waits on the ghost forever — caught as a
     // livelock verdict. One slot + an immediately expiring budget make the
     // leak unconditional. Accepted by make_runner only, never listed as
@@ -220,9 +221,8 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     tw.timed_reads = true;
     tw.read_deadlines = {1};
     return bind(tw, [tw] {
-      core::Config c = bravo_cfg(tw, 1);
+      core::Config c = bravo_cfg<LeakOnCancelTable>(tw, 1);
       c.reader_htm_first = false;
-      c.broken_timeout_skip_slot_release = true;
       return core::SpRWLock(c);
     });
   }
@@ -262,25 +262,25 @@ RunFn make_runner(const std::string& name, const Workload& w) {
   }
   if (name == "SpRWL-sharded-broken") {
     // The broken-scan self-validation under the hierarchical layout: the
-    // writer's commit scan skips the socket summary owning reader tid 0,
-    // so it can commit over that whole socket's live readers. Accepted by
-    // make_runner only (like SpRWL-broken); never listed as healthy.
+    // writer's commit scan (BlindScanFlags) skips the socket count owning
+    // reader tid 0, so it can commit over that whole socket's live readers.
+    // Accepted by make_runner only (like SpRWL-broken); never listed as
+    // healthy.
     return bind(w, [w] {
       core::Config c = sharded_cfg(w);
       c.reader_htm_first = false;
-      c.broken_scan_skip_tid = 0;
-      return core::SpRWLock(c);
+      return core::SpRWLock(c, &core::make_tracker<BlindScanFlags>);
     });
   }
   if (name == broken_lock_name()) {
-    // Uninstrumented readers + a commit scan that skips reader tid 0: a
-    // writer can commit all cells while that reader is mid-snapshot. The
-    // workload keeps tid 0 a reader for any writers < threads.
+    // Uninstrumented readers + a commit scan that skips reader tid 0
+    // (BlindScanFlags): a writer can commit all cells while that reader is
+    // mid-snapshot. The workload keeps tid 0 a reader for any writers <
+    // threads.
     return bind(w, [w] {
       core::Config c = sprwl_cfg(w);
       c.reader_htm_first = false;
-      c.broken_scan_skip_tid = 0;
-      return core::SpRWLock(c);
+      return core::SpRWLock(c, &core::make_tracker<BlindScanFlags>);
     });
   }
   if (name == "TLE") {

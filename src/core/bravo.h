@@ -54,6 +54,7 @@
 // section.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -170,6 +171,7 @@ class ReaderTable {
   }
 
   ReaderTable() : ReaderTable(Config{}) {}
+  virtual ~ReaderTable() = default;
 
   /// Hands out the next dense lock id. Locks register at construction;
   /// construction is a single-threaded phase (population / per-run setup),
@@ -272,21 +274,12 @@ class ReaderTable {
   /// to 8 resident threads) — the drain is O(sockets) when remote shards
   /// are clean.
   ///
-  /// `skip_last_slot` is the deliberately broken variant the DFS checker
-  /// must catch (ISSUE 6): the drain ignores the table's last slot, so a
-  /// fast-path reader parked there survives revocation and a writer can
-  /// commit over it. Global-table layout only.
-  ///
-  /// `broken_skip_shard` is the sharded-table analogue (ISSUE 10): the
-  /// drain skips that shard's summary — and with it the whole shard — so a
-  /// reader parked on that (remote) socket survives revocation. -1 = off.
-  ///
   /// `deadline` is an absolute virtual time (~0 = none): the drain gives
   /// up and returns false the moment it passes, leaving whatever slots it
-  /// already drained drained. The caller (SpRWLock::revoke_bias) must NOT
-  /// treat a false return as "no readers" — it re-arms the bias instead.
-  /// With the default deadline the charge sequence is identical to the
-  /// pre-timeout drain (the expiry check reads the clock for free).
+  /// already drained drained. The caller (core::BiasFront::revoke) must
+  /// NOT treat a false return as "no readers" — it re-arms the bias
+  /// instead. With the default deadline the charge sequence is identical
+  /// to an untimed drain (the expiry check reads the clock for free).
   ///
   /// `shard_cycles`, when non-null, receives the virtual cycles the drain
   /// spent in each shard — the per-shard revocation EMA the lock's re-bias
@@ -294,49 +287,26 @@ class ReaderTable {
   /// shard_cycles[sh * shard_cycles_stride] (in units of std::uint64_t):
   /// the stride lets the caller keep its per-shard scratch interleaved
   /// with other per-shard telemetry in one allocation.
-  bool wait_for_readers_of(std::uint32_t lock_id, bool skip_last_slot = false,
-                           std::uint64_t deadline = ~std::uint64_t{0},
-                           int broken_skip_shard = -1,
-                           std::uint64_t* shard_cycles = nullptr,
-                           std::size_t shard_cycles_stride = 1) {
+  virtual bool wait_for_readers_of(std::uint32_t lock_id,
+                                   std::uint64_t deadline = ~std::uint64_t{0},
+                                   std::uint64_t* shard_cycles = nullptr,
+                                   std::size_t shard_cycles_stride = 1) {
     const std::uint64_t tag = tag_of(lock_id);
-    if (cfg_.shard_by_socket) {
-      for (int sh = 0; sh < shards_; ++sh) {
-        std::uint64_t* cyc =
-            shard_cycles == nullptr
-                ? nullptr
-                : shard_cycles + static_cast<std::size_t>(sh) *
-                                     shard_cycles_stride;
-        if (cyc != nullptr) *cyc = 0;
-        if (sh == broken_skip_shard) continue;  // checker-only blindness
-        const std::uint64_t t0 = platform::now();
-        const std::size_t base = static_cast<std::size_t>(sh) * shard_stride_;
-        // Line-OR the shard's occupancy summary — one load per summary
-        // line (typically one line total). All-zero means no reader of
-        // ANY lock is registered here (see the header comment for why a
-        // late-arriving reader is safe to skip).
-        const std::size_t sb = static_cast<std::size_t>(sh) * summary_stride_;
-        std::uint64_t occupied = 0;
-        for (std::size_t b = 0; b < summary_stride_; b += kSlotsPerLine) {
-          const std::size_t count = summary_stride_ - b < kSlotsPerLine
-                                        ? summary_stride_ - b
-                                        : kSlotsPerLine;
-          occupied |= htm::line_or_plain(&summary_[sb + b], count);
-          if (occupied != 0) break;
-        }
-        if (occupied != 0) {
-          if (!drain_range(base, base + shard_slots_, tag, deadline)) {
-            if (cyc != nullptr) *cyc = platform::now() - t0;
-            return false;
-          }
-        }
-        if (cyc != nullptr) *cyc = platform::now() - t0;
-      }
-      return true;
+    if (!cfg_.shard_by_socket) return drain_range(0, slots_.size(), tag, deadline);
+    for (int sh = 0; sh < shards_; ++sh) {
+      std::uint64_t* cyc =
+          shard_cycles == nullptr
+              ? nullptr
+              : shard_cycles + static_cast<std::size_t>(sh) * shard_cycles_stride;
+      if (!drain_shard(sh, tag, deadline, cyc)) return false;
     }
-    const std::size_t limit = slots_.size() - (skip_last_slot ? 1 : 0);
-    return drain_range(0, limit, tag, deadline);
+    return true;
   }
+
+  /// Retracts a registration whose timed acquisition expired after the
+  /// slot was published: the section never runs and the acquisition
+  /// returns a timeout. Same effect as release().
+  virtual void cancel(std::size_t slot, int tid) { release(slot, tid); }
 
   /// Raw view: true iff no slot holds any lock's tag (chaos tests assert
   /// this at quiesce — a slot leaked by an abandoned timed acquisition
@@ -383,7 +353,31 @@ class ReaderTable {
 
   const Config& config() const noexcept { return cfg_; }
 
- private:
+ protected:
+  /// One shard of a sharded drain, writing its cycles to `*cyc` when
+  /// non-null. The shard's occupancy summary is line-ORed first — one load
+  /// per summary line (typically one line total); all-zero means no reader
+  /// of ANY lock is registered there (see the header comment for why a
+  /// late-arriving reader is safe to skip).
+  bool drain_shard(int sh, std::uint64_t tag, std::uint64_t deadline,
+                   std::uint64_t* cyc) {
+    if (cyc != nullptr) *cyc = 0;
+    const std::uint64_t t0 = platform::now();
+    const std::size_t sb = static_cast<std::size_t>(sh) * summary_stride_;
+    std::uint64_t occupied = 0;
+    for (std::size_t b = 0; b < summary_stride_ && occupied == 0;
+         b += kSlotsPerLine) {
+      const std::size_t count =
+          std::min(kSlotsPerLine, summary_stride_ - b);
+      occupied |= htm::line_or_plain(&summary_[sb + b], count);
+    }
+    const std::size_t base = static_cast<std::size_t>(sh) * shard_stride_;
+    const bool drained =
+        occupied == 0 || drain_range(base, base + shard_slots_, tag, deadline);
+    if (cyc != nullptr) *cyc = platform::now() - t0;
+    return drained;
+  }
+
   /// Per-slot drain over [first, limit): line-OR summary per line, per-slot
   /// spin only where the line is non-empty. Shared by both layouts.
   bool drain_range(std::size_t first, std::size_t limit, std::uint64_t tag,
@@ -404,6 +398,7 @@ class ReaderTable {
     return true;
   }
 
+ private:
   /// Dense index of `tid` within its socket's summary block: with
   /// socket_of(t) = (t / cores_per_socket) % sockets, the socket-s tids
   /// are t = (m*sockets + s)*cps + j (j < cps), and m*cps + j enumerates

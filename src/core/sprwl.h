@@ -20,21 +20,22 @@
 //    ends (Config::writer_sync, delta_fraction);
 //  * reader-HTM-first (§3.4): readers optimistically try one-shot HTM and
 //    fall back to the uninstrumented path on capacity/exhaustion;
-//  * SNZI reader tracking (§3.4): writers check one root word instead of
-//    scanning the O(threads) state array (Config::use_snzi);
+//  * a choice of reader tracker (Config::tracking, core/tracker.h): the
+//    flags, SNZI (§3.4: writers check one root word instead of scanning
+//    the O(threads) state array), or an adaptive switch between the two;
 //  * timed waits on the timestamp counter instead of spinning (§3.4);
 //  * the versioned-SGL reader-starvation fix sketched in §3.3
 //    (Config::versioned_sgl, off by default as in the paper);
-//  * BRAVO-style global reader bias (Config::bravo_bias, DESIGN.md §12):
-//    readers under a biased lock publish into a process-global
-//    bravo::ReaderTable and skip the per-lock flag plane entirely;
+//  * BRAVO-style global reader bias (Config::bravo_bias, core/bias.h,
+//    DESIGN.md §12): readers under a biased lock publish into a
+//    process-global bravo::ReaderTable and skip the per-lock tracker;
 //    writers revoke the bias and drain the table before using the
-//    per-lock scan. Combined with the lazily allocated tracking plane
-//    below, a cold lock costs O(1) words — the property the million-lock
+//    tracker. Combined with the lazily allocated tracking plane below, a
+//    cold lock costs O(1) words — the property the million-lock
 //    lock-table workload (workloads/lock_table.h) depends on.
 //
-// Per-lock tracking state (flag plane, SNZI tree, scheduling clocks, EMAs,
-// stats) lives in a lazily allocated Plane: it is built on the first
+// Per-lock tracking state (state array, reader tracker, scheduling clocks,
+// EMAs, stats) lives in a lazily allocated Plane: it is built on the first
 // operation that needs it and never for locks that only ever see bias-path
 // or HTM-path readers. Plane construction charges no virtual time and
 // engine line ids are assigned on first *access*, so lazy allocation is
@@ -56,199 +57,22 @@
 #include <utility>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/cacheline.h"
 #include "common/ema.h"
 #include "common/platform.h"
 #include "common/scope_exit.h"
 #include "common/trace.h"
-#include "core/bravo.h"
+#include "core/bias.h"
+#include "core/config.h"
+#include "core/tracker.h"
 #include "fault/fault.h"
 #include "htm/engine.h"
 #include "htm/shared.h"
 #include "locks/deadline.h"
 #include "locks/sgl.h"
 #include "locks/stats.h"
-#include "sim/topology.h"
-#include "snzi/snzi.h"
 
 namespace sprwl::core {
-
-/// Named scheduling configurations matching the ablation of Fig. 5.
-enum class SchedulingVariant {
-  kNoSched,  ///< base algorithm only (Section 3.1)
-  kRWait,    ///< readers wait for the last active writer
-  kRSync,    ///< RWait + readers join already-waiting readers
-  kFull,     ///< RSync + writer synchronization (the default SpRWL)
-};
-
-struct Config {
-  int max_threads = 64;
-  /// HTM attempts for writers before the SGL fallback (capacity aborts
-  /// activate the fallback immediately, as in the paper's retry policy).
-  int max_retries = 10;
-  /// HTM attempts for the optimistic reader path.
-  int reader_htm_retries = 10;
-  bool reader_sync = true;
-  bool reader_join = true;
-  bool writer_sync = true;
-  bool reader_htm_first = true;
-  bool use_snzi = false;
-  /// Self-tuning reader tracking (the paper's Section 5 future work):
-  /// readers register through per-thread flags while the sampled reader
-  /// duration is short and through SNZI once it exceeds
-  /// adaptive_threshold_cycles, with a drain-based two-phase transition so
-  /// writers always observe every active reader. Overrides use_snzi.
-  bool adaptive_tracking = false;
-  std::uint64_t adaptive_threshold_cycles = 20'000;
-  bool versioned_sgl = false;
-  /// Commit-time reader scan granularity (non-SNZI path): batched reads the
-  /// 64-byte-aligned state array one cache line (8 flags) at a time with an
-  /// OR-summary early exit, so a writer's commit check costs ceil(T/8)
-  /// transactional line reads instead of T word reads. Conflict detection
-  /// is line-granular either way, so the strong-isolation store/abort
-  /// contract is unchanged; false restores the linear per-word scan (the
-  /// ablation baseline in bench/ablation_cost_model).
-  bool batched_reader_scan = true;
-  /// δ as a fraction of the writer's expected duration (paper default 1/2).
-  double delta_fraction = 0.5;
-  double ema_alpha = 0.125;
-  /// Thread that samples critical-section durations (§3.2.1).
-  int sampler_tid = 0;
-  /// SNZI tree depth; 0 = auto-size so there are roughly max_threads/2
-  /// leaves (bounded contention per leaf, logarithmic update cost).
-  int snzi_levels = 0;
-  /// Topology-aware hierarchical reader tracking (DESIGN.md §11): shard the
-  /// flags plane per socket. Readers keep their per-thread flag but the
-  /// flag slots are laid out socket-major with per-socket line padding (a
-  /// reader's flag store only ever touches a socket-local line), and each
-  /// socket additionally maintains a one-word reader count on its own cache
-  /// line. The writer's commit-time scan then transactionally reads the S
-  /// socket summaries instead of ceil(T/8) flag lines — a smaller
-  /// transactional read set AND fewer cross-socket line pulls per commit
-  /// attempt. Any reader arrival still bumps a subscribed summary line, so
-  /// the scan aborts on exactly the same interleavings as the flat layouts
-  /// (the safety argument is unchanged; the checker registers this as the
-  /// "SpRWL-sharded" variant). When use_snzi is also set the SNZI tree goes
-  /// socket-major instead (snzi::Snzi::Config). Off = today's flat layouts.
-  bool socket_sharded_tracking = false;
-  /// The machine shape the sharding follows (socket-major dense tids, like
-  /// sim::SimConfig::topology). The 1-socket default degenerates to one
-  /// shard: a single summary word in front of the flat flags.
-  sim::Topology topology{};
-  /// RSync-aligned reader batching (DESIGN.md §16): the reader-scheduling
-  /// scans visit per-socket state first and descend into a socket's flag
-  /// shard only when that socket can matter. writer_wait (Alg. 3) reads
-  /// each socket's one-word reader count and skips sockets whose count is
-  /// 0 — an idle remote socket costs one line read instead of
-  /// cores_per_socket flag reads. readers_wait (Alg. 2) reads each shard
-  /// line with one OR-summary load and scans per-word only where the OR
-  /// carries a writer bit (the reader-count summary cannot gate it:
-  /// writers advertise flags but are deliberately invisible to the reader
-  /// counts). Scheduling heuristics only — the waits target the same
-  /// writer/reader either way; the commit-time safety scan is unchanged.
-  /// Requires socket_sharded_tracking (the summaries and the socket-major
-  /// flag layout are what it batches over).
-  bool socket_batched_rsync = false;
-  /// Expected duration, in cycles, used before the first sample arrives.
-  std::uint64_t bootstrap_estimate = 500;
-
-  // --- BRAVO global reader bias (DESIGN.md §12) ---------------------------
-  /// Route readers through the process-global bravo_table while this lock's
-  /// bias is on: the reader CASes its hashed slot there and never touches
-  /// the per-lock flag plane. Writers revoke the bias (kBiasRevoking →
-  /// table drain → kBiasOff) before attempting, and their commit scan
-  /// transactionally subscribes the bias word, so a concurrent re-bias
-  /// aborts them. Requires bravo_table.
-  bool bravo_bias = false;
-  /// The shared visible-readers table. One table serves every lock of the
-  /// workload; locks register for a dense id at construction.
-  std::shared_ptr<bravo::ReaderTable> bravo_table;
-  /// Consecutive reader-only acquisitions (streak, reset by any writer)
-  /// before a reader tries to re-arm a revoked bias.
-  int bravo_rebias_reads = 16;
-  /// Revocation-cost-proportional inhibition (the BRAVO paper's rule): a
-  /// re-bias is additionally suppressed until the bias has been off for
-  /// this multiple of the sampled revocation latency.
-  double bravo_rebias_cooldown = 8.0;
-
-  // --- MVCC snapshot readers (DESIGN.md §14) ------------------------------
-  /// Third acquisition mode: read_snapshot() pins the engine's global
-  /// version clock at entry and serves every Shared<T> load inside the
-  /// section from that snapshot (current memory when the line is unchanged
-  /// since the pin, the retained prior version otherwise). The reader
-  /// registers NOTHING — no flag plane, no SNZI arrival, no bravo slot —
-  /// so writers' commit-time scans and the deferral heuristics never
-  /// observe snapshot readers and writer latency is independent of how
-  /// long the scan runs. Requires an installed engine with
-  /// EngineConfig::retain_versions > 0; without one (or with this flag
-  /// off) read_snapshot() degrades to a plain read().
-  bool snapshot_readers = false;
-
-  // --- graceful degradation under adverse schedules (DESIGN.md §8) --------
-  /// Exponential backoff between retries after conflict/spurious aborts
-  /// (abort storms): first delay, doubling up to the cap. Reader aborts use
-  /// writer_wait (Alg. 3) instead; lock-busy aborts wait for the SGL.
-  /// base = 0 disables backoff.
-  std::uint64_t backoff_base_cycles = 120;
-  std::uint64_t backoff_max_cycles = 8'192;
-  /// Total virtual time a writer may spend retrying HTM (attempts, waits
-  /// and backoffs) before escalating to the SGL. 0 = unbounded. Far above
-  /// any healthy retry sequence; bounds pathological abort storms.
-  std::uint64_t writer_retry_budget_cycles = 8'000'000;
-  /// Stalled-reader watchdog: a writer continuously aborted by readers for
-  /// longer than max(slack, multiplier * sampled reader EMA) stops burning
-  /// transactions and escalates to the (versioned) SGL — the reader is
-  /// presumed descheduled with its flag raised. multiplier <= 0 disables.
-  double reader_stall_multiplier = 16.0;
-  std::uint64_t reader_stall_slack_cycles = 64'000;
-  /// Lemming-effect avoidance: aborts caused purely by the busy fallback
-  /// lock do not consume retry attempts, so one writer on the SGL cannot
-  /// cascade the whole writer population onto it.
-  bool lemming_avoidance = true;
-
-  /// Checker self-validation ONLY (tests/check): when >= 0, the writer's
-  /// commit-time reader scan falls back to the per-word loop and skips this
-  /// tid in addition to the writer's own — a deliberately broken scan that
-  /// lets a writer commit over a live reader. The systematic checker must
-  /// catch the resulting atomicity violation; never set in production.
-  int broken_scan_skip_tid = -1;
-  /// Checker self-validation ONLY: the bravo revocation drain ignores the
-  /// global table's last slot, so a fast-path reader parked there survives
-  /// revocation and a writer can commit over it. Never set in production.
-  bool broken_revoke_skip_last_slot = false;
-  /// Checker self-validation ONLY: a timed fast-path reader that expires
-  /// after occupying its bravo slot "forgets" to release it — the leaked
-  /// slot makes every later revocation drain spin forever, which the
-  /// checker must report as livelock. Never set in production.
-  bool broken_timeout_skip_slot_release = false;
-  /// Checker self-validation ONLY (socket-sharded bravo tables): the
-  /// revocation drain skips this shard entirely — summary and slots — so a
-  /// fast-path reader registered on that (remote) socket survives
-  /// revocation and a writer can commit over it. The systematic checker
-  /// must catch the resulting atomicity violation. -1 = off; never set in
-  /// production.
-  int broken_revoke_skip_shard = -1;
-
-  static Config variant(SchedulingVariant v, int max_threads) {
-    Config c;
-    c.max_threads = max_threads;
-    switch (v) {
-      case SchedulingVariant::kNoSched:
-        c.reader_sync = c.reader_join = c.writer_sync = false;
-        break;
-      case SchedulingVariant::kRWait:
-        c.reader_join = c.writer_sync = false;
-        break;
-      case SchedulingVariant::kRSync:
-        c.writer_sync = false;
-        break;
-      case SchedulingVariant::kFull:
-        break;
-    }
-    return c;
-  }
-};
 
 class alignas(kCacheLineSize) SpRWLock {
  public:
@@ -256,73 +80,34 @@ class alignas(kCacheLineSize) SpRWLock {
   static constexpr std::uint8_t kCodeLockBusy = 0x01;
   static constexpr std::uint8_t kCodeReader = 0x02;
 
-  explicit SpRWLock(Config cfg)
-      : cfg_(std::move(cfg)),
-        sharded_(cfg_.socket_sharded_tracking),
-        sockets_(sharded_ ? std::max(cfg_.topology.sockets, 1) : 1),
-        socket_stride_(sharded_ ? round_to_line(slots_per_socket(cfg_))
-                                : static_cast<std::size_t>(cfg_.max_threads)) {
-    if (sharded_ && sockets_ > 1 &&
-        (cfg_.topology.cores_per_socket <= 0 ||
-         sockets_ * cfg_.topology.cores_per_socket < cfg_.max_threads)) {
-      // An undersized topology would wrap two tids onto one flag slot.
-      throw std::invalid_argument(
-          "SpRWLock: socket_sharded_tracking needs sockets * "
-          "cores_per_socket >= max_threads (see sim::Topology::split)");
-    }
-    if (cfg_.socket_batched_rsync && !cfg_.socket_sharded_tracking) {
-      throw std::invalid_argument(
-          "SpRWLock: Config::socket_batched_rsync requires "
-          "socket_sharded_tracking (it batches over the socket-major "
-          "flag shards and their summaries)");
-    }
-    if (cfg_.adaptive_tracking) cfg_.use_snzi = false;  // mode_ decides
-    if (cfg_.bravo_bias) {
-      if (cfg_.bravo_table == nullptr) {
-        throw std::invalid_argument(
-            "SpRWLock: Config::bravo_bias requires a shared "
-            "Config::bravo_table");
-      }
-      lock_id_ = cfg_.bravo_table->register_lock();
-      bias_.raw_store(kBiasOn);  // read-only cold locks never build a plane
-      if (cfg_.bravo_table->sharded()) {
-        // Per-shard revocation telemetry (DESIGN.md §16): EMA and cooldown
-        // anchor per table shard, so a saturated remote socket throttles
-        // only its own readers' re-bias, not the whole process. One lazily
-        // allocated block behind one pointer: only sharded-bravo locks
-        // pay, and a cold lock's shell carries a single null word for the
-        // million-lock footprint bench. The scratch member is the drain's
-        // per-shard cycle scratch — safe unsynchronized because the
-        // kBiasOn→kBiasRevoking CAS admits one drainer per lock at a time.
-        shard_revoke_ = std::make_unique<ShardRevoke[]>(
-            static_cast<std::size_t>(cfg_.bravo_table->shard_count()));
-      }
-    }
-  }
+  /// `make_tracker` replaces the tracker Config::tracking names (the
+  /// checker builds its mutants this way); null keeps the named one.
+  explicit SpRWLock(Config cfg, TrackerFactory make_tracker = nullptr)
+      : bias_(checked(cfg)),
+        cfg_(std::move(cfg)),
+        make_tracker_(make_tracker != nullptr ? make_tracker
+                                              : tracker_for(cfg_.tracking)) {}
 
   ~SpRWLock() { delete plane_.load(std::memory_order_acquire); }
   SpRWLock(const SpRWLock&) = delete;
   SpRWLock& operator=(const SpRWLock&) = delete;
 
-  /// Current reader-tracking mode (for tests and introspection):
+  /// Current reader-tracking structure (for tests and introspection):
   /// true = SNZI, false = per-thread flags.
   bool tracking_with_snzi() const {
     const Plane* p = plane_peek();
-    return p != nullptr ? p->mode_.raw_load() == kModeSnzi : cfg_.use_snzi;
+    return p != nullptr ? p->tracker_->uses_snzi()
+                        : cfg_.tracking == Tracking::kSnzi;
   }
   bool tracking_transition_active() const {
     const Plane* p = plane_peek();
-    return p != nullptr && p->transition_.raw_load() != 0;
+    return p != nullptr && p->tracker_->in_transition();
   }
 
   /// Leaf count of the SNZI tree, if one exists (tests pin the auto-sizing
   /// here); 0 when tracking is flags-only. Forces the lazy plane: callers
   /// asking about tree geometry want the tree the lock *would* use.
-  std::size_t snzi_leaf_count() {
-    if (!cfg_.use_snzi && !cfg_.adaptive_tracking) return 0;
-    Plane& p = plane();
-    return p.snzi_ != nullptr ? p.snzi_->leaf_count() : 0;
-  }
+  std::size_t snzi_leaf_count() { return plane().tracker_->snzi_leaves(); }
 
   /// Virtual cycles spent in commit-time reader scans that ran to
   /// completion without finding a reader (an abort unwinds before the
@@ -442,28 +227,27 @@ class alignas(kCacheLineSize) SpRWLock {
   locks::AcquireResult read_impl(int cs_id, std::uint64_t deadline, F&& f) {
     const int tid = checked_tid();
 
-    if (cfg_.bravo_bias) {
-      switch (try_bias_read(tid, deadline, f)) {
-        case BiasRead::kDone: return locks::AcquireResult::kAcquired;
-        case BiasRead::kTimeout:
-          trace::emit(trace::Event::kReadTimeout);
-          return locks::AcquireResult::kTimeout;
-        case BiasRead::kSlow: break;
-      }
+    switch (bias_.try_read(tid, deadline, gl_, this, f)) {
+      case BiasFront::Read::kDone: return locks::AcquireResult::kAcquired;
+      case BiasFront::Read::kTimeout:
+        trace::emit(trace::Event::kReadTimeout);
+        return locks::AcquireResult::kTimeout;
+      case BiasFront::Read::kSlow: break;
     }
 
     if (cfg_.reader_htm_first && try_reader_htm(f)) {
       trace::emit(trace::Event::kReadHtmCommit);
       htm_reads_.fetch_add(1, std::memory_order_relaxed);
-      if (cfg_.bravo_bias) maybe_rebias(tid);
+      bias_.after_read(tid);
       return locks::AcquireResult::kAcquired;
     }
 
     // Uninstrumented path.
     Plane& p = plane();
+    ReaderTracker& tracker = *p.tracker_;
     bool have_pass = false;       // versioned-SGL bypass (§3.3)
     std::uint64_t pass_below = 0;
-    std::uint64_t track_mode = kModeFlags;
+    int token = 0;                // which structure took the arrival
     for (;;) {
       // Between iterations nothing is advertised, so expiry needs no
       // unwind here (waiting_ver_ is cleared before each defer exit).
@@ -482,7 +266,7 @@ class alignas(kCacheLineSize) SpRWLock {
             platform::now() + read_estimate(p, cs_id),
             std::memory_order_relaxed);
       }
-      track_mode = advertise_reader(p, tid);
+      token = tracker.arrive(tid);
       if (cfg_.versioned_sgl) {
         p.waiting_ver_[static_cast<std::size_t>(tid)]->store(
             0, std::memory_order_release);
@@ -491,7 +275,7 @@ class alignas(kCacheLineSize) SpRWLock {
       if (have_pass && gl_.version() > pass_below) break;  // reader priority
       // Defer to the SGL holder (Alg. 1, reader_gl_sync).
       trace::emit(trace::Event::kReaderDeferSgl);
-      unadvertise_reader(p, tid, track_mode);
+      tracker.depart(tid, token);
       if (cfg_.versioned_sgl) {
         const std::uint64_t v0 = gl_.version();
         p.waiting_ver_[static_cast<std::size_t>(tid)]->store(
@@ -532,20 +316,20 @@ class alignas(kCacheLineSize) SpRWLock {
     {
       ScopeExit release([&] {
         htm::memory_fence();  // reads must complete before the flag clears
-        unadvertise_reader(p, tid, track_mode);
+        tracker.depart(tid, token);
         trace::emit(trace::Event::kReadUninsExit);
       });
       std::forward<F>(f)();
       fault::checkpoint(fault::InjectPoint::kReadExit, this);
     }
-    if (tid == cfg_.sampler_tid) {
+    if (tid == kSamplerTid) {
       p.read_ema_[ema_slot(cs_id)]->record(platform::now() - cs_start);
       read_estimate_hint_.store(p.read_ema_[ema_slot(cs_id)]->estimate(),
                                 std::memory_order_relaxed);
-      if (cfg_.adaptive_tracking) maybe_adapt(p, cs_id);
+      tracker.adapt(read_estimate(p, cs_id));
     }
     p.modes_.record_read(locks::CommitMode::kUnins);
-    if (cfg_.bravo_bias) maybe_rebias(tid);
+    bias_.after_read(tid);
     return locks::AcquireResult::kAcquired;
   }
 
@@ -564,27 +348,25 @@ class alignas(kCacheLineSize) SpRWLock {
     htm::Engine* engine = htm::Engine::current();
     assert(engine != nullptr && "SpRWL requires an installed htm::Engine");
 
-    if (cfg_.bravo_bias) {
-      reader_streak_.store(0, std::memory_order_relaxed);
-    }
+    bias_.before_write();
 
-    // Advertise through the flag plane only when one exists (or bravo is
-    // off, which allocates it here as before): under bravo a cold lock has
-    // no plane and therefore no slow-path readers to schedule against —
-    // forcing a plane here would defeat the O(1)-word cold footprint.
+    // Advertise in the plane only when one exists or the lock builds it
+    // eagerly: under bias a cold lock has no plane and therefore no
+    // slow-path readers to schedule against — forcing a plane here would
+    // defeat the O(1)-word cold footprint.
     const bool flagged =
-        cfg_.reader_sync && !(cfg_.bravo_bias && plane_peek() == nullptr);
+        cfg_.reader_sync && !(bias_.defers_plane() && plane_peek() == nullptr);
     Plane* wp = flagged ? &plane() : plane_peek();
     if (flagged) {
       // Advertise the writer and its expected end time (Alg. 2).
       wp->clock_w_[static_cast<std::size_t>(tid)]->store(
           platform::now() + write_estimate(*wp, cs_id),
           std::memory_order_relaxed);
-      wp->state_[state_slot(tid)].store(kWriter);
+      wp->state_[tid].store(StateArray::kWriter);
       htm::memory_fence();
     }
     ScopeExit clear_flag([&] {
-      if (flagged) wp->state_[state_slot(tid)].store(kIdle);
+      if (flagged) wp->state_[tid].store(StateArray::kIdle);
     });
     fault::checkpoint(fault::InjectPoint::kWriteEnter, this);
 
@@ -626,7 +408,7 @@ class alignas(kCacheLineSize) SpRWLock {
       // fast-path reader is live, and the in-transaction bias subscription
       // below catches any re-bias that slips in after it (DESIGN.md §12).
       // A drain abandoned on deadline re-arms the bias (see revoke_bias).
-      if (cfg_.bravo_bias && !revoke_bias(deadline)) return timed_out();
+      if (!bias_.revoke(deadline)) return timed_out();
       ++attempts;
       const std::uint64_t attempt_start = platform::now();
       if (!retrying) {
@@ -643,7 +425,7 @@ class alignas(kCacheLineSize) SpRWLock {
         // overwrites last_commit_version() (the SI checker needs the
         // version that stamped the section's lines, not the metadata's).
         engine->note_section_version();
-        if (tid == cfg_.sampler_tid) {
+        if (tid == kSamplerTid) {
           if (Plane* p = plane_peek()) {
             p->write_ema_[ema_slot(cs_id)]->record(platform::now() -
                                                    attempt_start);
@@ -731,7 +513,7 @@ class alignas(kCacheLineSize) SpRWLock {
           backoff = backoff == 0
                         ? cfg_.backoff_base_cycles
                         : std::min<std::uint64_t>(backoff * 2,
-                                                  cfg_.backoff_max_cycles);
+                                                  kBackoffMaxCycles);
           trace::emit(trace::Event::kWriterBackoff,
                       static_cast<std::uint32_t>(backoff));
           const std::uint64_t target =
@@ -750,7 +532,7 @@ class alignas(kCacheLineSize) SpRWLock {
     locks::LockStats s;
     if (const Plane* p = plane_peek()) s = p->modes_.snapshot();
     s.reads.htm += htm_reads_.load(std::memory_order_relaxed);
-    s.reads.unins += bias_reads_.load(std::memory_order_relaxed);
+    s.reads.unins += bias_.reads();
     s.writes.htm += htm_writes_.load(std::memory_order_relaxed);
     return s;
   }
@@ -773,42 +555,27 @@ class alignas(kCacheLineSize) SpRWLock {
     }
     htm_reads_.store(0, std::memory_order_relaxed);
     htm_writes_.store(0, std::memory_order_relaxed);
-    bias_reads_.store(0, std::memory_order_relaxed);
     snapshot_reads_.store(0, std::memory_order_relaxed);
     snapshot_fallbacks_.store(0, std::memory_order_relaxed);
     cold_reader_aborts_.store(0, std::memory_order_relaxed);
-    revocations_.store(0, std::memory_order_relaxed);
-    revoke_cycles_.store(0, std::memory_order_relaxed);
-    rebias_count_.store(0, std::memory_order_relaxed);
+    bias_.reset_stats();
   }
 
   // --- BRAVO introspection (tests and the lock-table bench) ---------------
 
   /// Raw view of the bias word (no virtual-time charge).
-  bool bias_is_on() const { return bias_.raw_load() == kBiasOn; }
-  std::uint64_t bias_read_count() const {
-    return bias_reads_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t revocation_count() const {
-    return revocations_.load(std::memory_order_relaxed);
-  }
+  bool bias_is_on() const { return bias_.is_on(); }
+  std::uint64_t bias_read_count() const { return bias_.reads(); }
+  std::uint64_t revocation_count() const { return bias_.revocations(); }
   /// Total virtual cycles writers spent in revocation drains.
-  std::uint64_t revocation_cycles() const {
-    return revoke_cycles_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t rebias_count() const {
-    return rebias_count_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t revocation_cycles() const { return bias_.revoke_cycles(); }
+  std::uint64_t rebias_count() const { return bias_.rebiases(); }
   /// Per-shard revocation-latency EMA (socket-sharded bravo tables only;
   /// 0 = no sample yet, or the table is not sharded). The re-bias cooldown
   /// a reader on `shard`'s socket observes is bravo_rebias_cooldown times
   /// this.
   std::uint64_t shard_revoke_ema(int shard) const {
-    if (shard_revoke_ == nullptr || shard < 0 ||
-        shard >= cfg_.bravo_table->shard_count()) {
-      return 0;
-    }
-    return shard_revoke_[shard].ema.load(std::memory_order_relaxed);
+    return bias_.shard_revoke_ema(shard);
   }
   /// Snapshot sections that completed against their pinned version.
   std::uint64_t snapshot_read_count() const {
@@ -820,7 +587,7 @@ class alignas(kCacheLineSize) SpRWLock {
     return snapshot_fallbacks_.load(std::memory_order_relaxed);
   }
   /// Dense id in the shared reader table (bravo only; 0 otherwise).
-  std::uint32_t lock_id() const noexcept { return lock_id_; }
+  std::uint32_t lock_id() const noexcept { return bias_.lock_id(); }
   bool has_plane() const noexcept { return plane_peek() != nullptr; }
 
   /// Raw (uncharged) view of every per-lock reader-tracking structure at
@@ -831,15 +598,8 @@ class alignas(kCacheLineSize) SpRWLock {
   /// slots are global state; assert those through ReaderTable directly.
   bool tracking_quiescent() const {
     const Plane* p = plane_peek();
-    if (p == nullptr) return true;
-    if (p->snzi_ != nullptr && p->snzi_->root_count_raw() != 0) return false;
-    for (const auto& s : p->state_) {
-      if (s.raw_load() == kReader) return false;
-    }
-    for (const auto& c : p->socket_count_) {
-      if (c.raw_load() != 0) return false;
-    }
-    return true;
+    return p == nullptr ||
+           (p->tracker_->quiescent_raw() && !p->state_.any_reader_raw());
   }
 
   /// Bytes this lock owns: the O(1)-word shell plus, if some operation
@@ -847,11 +607,7 @@ class alignas(kCacheLineSize) SpRWLock {
   /// table is *not* included — it amortizes over every registered lock
   /// (workloads report it separately).
   std::size_t footprint_bytes() const {
-    std::size_t b = sizeof(*this);
-    if (shard_revoke_ != nullptr) {
-      b += static_cast<std::size_t>(cfg_.bravo_table->shard_count()) *
-           sizeof(ShardRevoke);
-    }
+    std::size_t b = sizeof(*this) + bias_.bytes();
     if (const Plane* p = plane_peek()) b += p->bytes();
     return b;
   }
@@ -860,40 +616,33 @@ class alignas(kCacheLineSize) SpRWLock {
   static const char* name() noexcept { return "SpRWL"; }
 
  private:
-  static constexpr std::uint64_t kIdle = 0;
-  static constexpr std::uint64_t kReader = 1;  // bit 0: OR-summary early exit
-  static constexpr std::uint64_t kWriter = 2;  // bit 1: invisible to the scan
-  /// 8-byte flags per 64-byte cache line (batched commit scan granularity).
-  static constexpr std::size_t kFlagsPerLine = 8;
-  static constexpr std::uint64_t kModeFlags = 0;
-  static constexpr std::uint64_t kModeSnzi = 1;
   static constexpr std::size_t kEmaSlots = 256;
-  // Bias word states (DESIGN.md §12). Writers treat anything != kBiasOff as
-  // "fast readers may exist": kBiasRevoking keeps a second writer out of
-  // the section until the first writer's drain completes and publishes
-  // kBiasOff — the two-writer revocation race.
-  static constexpr std::uint64_t kBiasOff = 0;
-  static constexpr std::uint64_t kBiasOn = 1;
-  static constexpr std::uint64_t kBiasRevoking = 2;
+  /// Thread that samples critical-section durations (§3.2.1).
+  static constexpr int kSamplerTid = 0;
+  /// Expected duration, in cycles, used before the first sample arrives.
+  static constexpr std::uint64_t kBootstrapEstimate = 500;
+  /// HTM attempts for the optimistic reader path (§3.4).
+  static constexpr int kReaderHtmRetries = 10;
+  /// Cap of the writers' exponential retry backoff.
+  static constexpr std::uint64_t kBackoffMaxCycles = 8'192;
+  /// Floor of the stalled-reader watchdog's threshold.
+  static constexpr std::uint64_t kReaderStallSlackCycles = 64'000;
 
   struct ScanStat {
     std::uint64_t cycles = 0;
     std::uint64_t scans = 0;
   };
 
-  /// Everything whose size scales with max_threads (or holds a tree):
-  /// reader flags, scheduling clocks, EMAs, SNZI, stats. Built on first
-  /// need; cold locks never pay for it. Construction does plain
-  /// allocation + raw stores only — no engine access, no virtual time —
-  /// and the engine assigns line ids on first *access*, so lazy
+  /// Everything whose size scales with max_threads (or holds a tree): the
+  /// state array, the reader tracker, scheduling clocks, EMAs, stats.
+  /// Built on first need; cold locks never pay for it. Construction does
+  /// plain allocation + raw stores only — no engine access, no virtual
+  /// time — and the engine assigns line ids on first *access*, so lazy
   /// allocation is bit-identical to eager allocation.
   struct Plane {
-    Plane(const Config& cfg, bool sharded, int sockets, std::size_t stride)
-        : state_(sharded ? static_cast<std::size_t>(sockets) * stride
-                         : static_cast<std::size_t>(cfg.max_threads)),
-          socket_count_(sharded
-                            ? static_cast<std::size_t>(sockets) * kFlagsPerLine
-                            : 0),
+    Plane(const Config& cfg, TrackerFactory make_tracker)
+        : state_(cfg),
+          tracker_(make_tracker(cfg, state_)),
           clock_w_(static_cast<std::size_t>(cfg.max_threads)),
           clock_r_(static_cast<std::size_t>(cfg.max_threads)),
           waiting_for_(static_cast<std::size_t>(cfg.max_threads)),
@@ -908,38 +657,11 @@ class alignas(kCacheLineSize) SpRWLock {
       for (auto& e : write_ema_) {
         e = std::make_unique<DurationEma>(cfg.ema_alpha);
       }
-      if (cfg.use_snzi || cfg.adaptive_tracking) {
-        int levels = cfg.snzi_levels;
-        if (levels == 0) {
-          levels = 1;
-          // The cap follows max_threads (clamped only by the tree's own
-          // limit): a hard `levels < 8` clamp here used to silently
-          // under-size the tree past 256 threads — 128 leaves for 1024
-          // threads, quadrupling per-leaf contention.
-          while ((1 << (levels - 1)) * 2 < cfg.max_threads &&
-                 levels < snzi::Snzi::kMaxLevels) {
-            ++levels;
-          }
-        }
-        snzi::Snzi::Config sc;
-        sc.levels = levels;
-        if (sharded) {
-          // Socket-major leaves: same-socket slots share a contiguous leaf
-          // block, so reader arrive/depart traffic stays socket-local.
-          sc.sockets = cfg.topology.sockets;
-          sc.cores_per_socket = cfg.topology.cores_per_socket;
-        }
-        snzi_ = std::make_unique<snzi::Snzi>(sc);
-      }
-      mode_.raw_store(cfg.use_snzi ? kModeSnzi : kModeFlags);
-      transition_.raw_store(0);
     }
 
     /// Heap bytes of the plane (per-lock footprint accounting).
     std::size_t bytes() const {
-      std::size_t b = sizeof(Plane);
-      b += state_.capacity() * sizeof(htm::Shared<std::uint64_t>);
-      b += socket_count_.capacity() * sizeof(htm::Shared<std::uint64_t>);
+      std::size_t b = sizeof(Plane) + state_.bytes() + tracker_->bytes();
       b += clock_w_.capacity() *
            sizeof(CacheLinePadded<std::atomic<std::uint64_t>>);
       b += clock_r_.capacity() *
@@ -949,33 +671,19 @@ class alignas(kCacheLineSize) SpRWLock {
            sizeof(CacheLinePadded<std::atomic<std::uint64_t>>);
       b += reader_aborts_.capacity() * sizeof(CacheLinePadded<std::uint64_t>);
       b += scan_stats_.capacity() * sizeof(CacheLinePadded<ScanStat>);
-      if (snzi_ != nullptr) b += snzi_->footprint_bytes();
       b += kEmaSlots * 2 * sizeof(DurationEma);
       b += modes_.footprint_bytes();
       return b;
     }
 
-    // Packed like the paper's state[N] array: a writer's commit-time scan
-    // touches ~N/8 lines (it must fit HTM capacity), at the price that one
-    // reader's flag store invalidates the whole line of 8 flags — the
-    // trade-off the SNZI variant (one root word) removes. In sharded mode
-    // the slots are laid out socket-major with per-socket line padding (see
-    // state_slot) and the scan moves to socket_count_.
-    aligned_vector<htm::Shared<std::uint64_t>> state_;
-    // Sharded mode: per-socket reader counts, one line (kFlagsPerLine
-    // words) per socket, count in word 0. Empty in flat mode.
-    aligned_vector<htm::Shared<std::uint64_t>> socket_count_;
+    StateArray state_;
+    std::unique_ptr<ReaderTracker> tracker_;
     std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> clock_w_;
     std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> clock_r_;
     std::vector<CacheLinePadded<std::atomic<int>>> waiting_for_;
     std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> waiting_ver_;
     std::vector<CacheLinePadded<std::uint64_t>> reader_aborts_;
     std::vector<CacheLinePadded<ScanStat>> scan_stats_;
-    std::unique_ptr<snzi::Snzi> snzi_;
-    // Line-aligned (so the Plane is allocated line-aligned): no Shared<>
-    // word of another object can share their line.
-    alignas(kCacheLineSize) htm::Shared<std::uint64_t> mode_;  ///< current tracking structure
-    htm::Shared<std::uint64_t> transition_;  ///< nonzero: writers check both
     std::unique_ptr<DurationEma> read_ema_[kEmaSlots];
     std::unique_ptr<DurationEma> write_ema_[kEmaSlots];
     locks::ModeRecorder modes_;
@@ -985,18 +693,19 @@ class alignas(kCacheLineSize) SpRWLock {
     return static_cast<std::size_t>(cs_id) % kEmaSlots;
   }
 
-  static std::size_t round_to_line(std::size_t slots) noexcept {
-    return (slots + kFlagsPerLine - 1) / kFlagsPerLine * kFlagsPerLine;
-  }
-
-  /// Flag slots one socket's shard needs. A topology without an explicit
-  /// cores_per_socket puts every thread on socket 0, so the single shard
-  /// must hold them all.
-  static std::size_t slots_per_socket(const Config& cfg) noexcept {
-    const int cps = cfg.topology.cores_per_socket;
-    if (cfg.topology.sockets <= 1 || cps <= 0)
-      return static_cast<std::size_t>(cfg.max_threads);
-    return static_cast<std::size_t>(cps);
+  /// Construction-time validation, ahead of every member that could
+  /// register with shared state.
+  static const Config& checked(const Config& cfg) {
+    const sim::Topology& t = cfg.topology;
+    if (cfg.socket_sharded_tracking && t.sockets > 1 &&
+        (t.cores_per_socket <= 0 ||
+         t.sockets * t.cores_per_socket < cfg.max_threads)) {
+      // An undersized topology would wrap two tids onto one state slot.
+      throw std::invalid_argument(
+          "SpRWLock: socket_sharded_tracking needs sockets * "
+          "cores_per_socket >= max_threads (see sim::Topology::split)");
+    }
+    return cfg;
   }
 
   Plane* plane_peek() const noexcept {
@@ -1010,23 +719,13 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
   Plane& install_plane() {
-    auto fresh =
-        std::make_unique<Plane>(cfg_, sharded_, sockets_, socket_stride_);
+    auto fresh = std::make_unique<Plane>(cfg_, make_tracker_);
     Plane* expected = nullptr;
     if (plane_.compare_exchange_strong(expected, fresh.get(),
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
-      Plane* p = fresh.release();
-      if (cfg_.bravo_bias) {
-        // Strong-isolation publish: a writer's commit scan subscribes this
-        // word to short-circuit when no plane exists, so the install must
-        // bump its line version (and thereby abort such a writer) exactly
-        // like a reader flag store would. Never reached inside a
-        // transaction: the bravo scan only dereferences the plane *after*
-        // reading 1 here. Bravo-off locks never touch the word at all.
-        plane_published_.store(1);
-      }
-      return *p;
+      bias_.plane_installed();
+      return *fresh.release();
     }
     return *expected;  // lost the install race; `fresh` frees itself
   }
@@ -1048,59 +747,13 @@ class alignas(kCacheLineSize) SpRWLock {
     return tid;
   }
 
-  /// Flag-slot index of `tid`. Flat: the dense tid. Sharded: socket-major
-  /// with each socket's shard padded to cache-line granularity, so a
-  /// reader's flag store never touches another socket's line.
-  std::size_t state_slot(int tid) const noexcept {
-    if (!sharded_) return static_cast<std::size_t>(tid);
-    const int cps = cfg_.topology.cores_per_socket;
-    const std::size_t local =
-        cps > 0 ? static_cast<std::size_t>(tid % cps) : static_cast<std::size_t>(tid);
-    return static_cast<std::size_t>(cfg_.topology.socket_of(tid)) *
-               socket_stride_ +
-           local;
-  }
-
-  /// Index of socket `s`'s summary word (each summary owns a full line).
-  std::size_t socket_word(int s) const noexcept {
-    return static_cast<std::size_t>(s) * kFlagsPerLine;
-  }
-
-  /// Inverse of state_slot: the tid owning a flag slot, or -1 for shard
-  /// padding (the batched scheduling scans walk slots line-wise and must
-  /// map hits back to threads). Verified against state_slot so the two
-  /// can never disagree on a layout corner case.
-  int tid_of_slot(std::size_t slot) const noexcept {
-    const int s = static_cast<int>(slot / socket_stride_);
-    const std::size_t local = slot % socket_stride_;
-    const int cps = cfg_.topology.cores_per_socket;
-    const int t = sockets_ > 1 && cps > 0
-                      ? s * cps + static_cast<int>(local)
-                      : static_cast<int>(local);
-    return t < cfg_.max_threads && state_slot(t) == slot ? t : -1;
-  }
-
-  /// SNZI-style per-socket reader count: the zero/non-zero state of socket
-  /// s's readers in one word on socket s's own line. A strong-isolation CAS
-  /// loop — the arrival's version bump on this line is what aborts any
-  /// writer whose commit scan already subscribed it.
-  void socket_count_update(Plane& p, int tid, std::int64_t delta) {
-    htm::Shared<std::uint64_t>& c =
-        p.socket_count_[socket_word(cfg_.topology.socket_of(tid))];
-    for (;;) {
-      const std::uint64_t v = c.load();
-      if (c.cas(v, v + static_cast<std::uint64_t>(delta))) return;
-      platform::pause();
-    }
-  }
-
   std::uint64_t read_estimate(Plane& p, int cs_id) const {
     const std::uint64_t e = p.read_ema_[ema_slot(cs_id)]->estimate();
-    return e != 0 ? e : cfg_.bootstrap_estimate;
+    return e != 0 ? e : kBootstrapEstimate;
   }
   std::uint64_t write_estimate(Plane& p, int cs_id) const {
     const std::uint64_t e = p.write_ema_[ema_slot(cs_id)]->estimate();
-    return e != 0 ? e : cfg_.bootstrap_estimate;
+    return e != 0 ? e : kBootstrapEstimate;
   }
 
   /// How long a writer tolerates consecutive reader aborts before presuming
@@ -1113,152 +766,7 @@ class alignas(kCacheLineSize) SpRWLock {
     const auto scaled = static_cast<std::uint64_t>(
         cfg_.reader_stall_multiplier *
         static_cast<double>(read_estimate_hint_.load(std::memory_order_relaxed)));
-    return std::max(cfg_.reader_stall_slack_cycles, scaled);
-  }
-
-  // --- BRAVO fast path / revocation / re-bias (DESIGN.md §12) -------------
-
-  /// Outcome of the biased fast path: section ran, deadline expired (slot
-  /// already unwound), or "take the slow path" (bias off, slot collision,
-  /// or a concurrent revocation/SGL writer won the race).
-  enum class BiasRead { kDone, kTimeout, kSlow };
-
-  /// Biased reader fast path: publish (lock, tid) in the global table and
-  /// run the section without ever touching the per-lock plane.
-  template <class F>
-  BiasRead try_bias_read(int tid, std::uint64_t deadline, F&& f) {
-    if (bias_.load() != kBiasOn) return BiasRead::kSlow;
-    bravo::ReaderTable& table = *cfg_.bravo_table;
-    const std::size_t slot = table.slot_of(lock_id_, tid);
-    if (!table.occupy(slot, lock_id_, tid)) return BiasRead::kSlow;  // collision
-    htm::memory_fence();  // publish the slot before validating bias / SGL
-    if (bias_.load() != kBiasOn || gl_.is_locked()) {
-      // Dekker with the writer (publish-slot/check-bias vs
-      // publish-revoking/scan-slots): losing the race here means the
-      // writer's drain may already have passed our line, so back out and
-      // register where the writer is looking.
-      table.release(slot, tid);
-      return BiasRead::kSlow;
-    }
-    fault::checkpoint(fault::InjectPoint::kReadEnter, this);
-    if (locks::deadline_expired(deadline)) {
-      // Expired while parked at the checkpoint (the chaos preemption
-      // window). The slot is published, so the unwind MUST release it — a
-      // leaked slot wedges every later revocation drain. The broken flag
-      // skips exactly this release for the checker's self-validation.
-      if (!cfg_.broken_timeout_skip_slot_release) table.release(slot, tid);
-      return BiasRead::kTimeout;
-    }
-    trace::emit(trace::Event::kReadBiasEnter);
-    {
-      ScopeExit release([&] {
-        htm::memory_fence();  // reads must complete before the slot clears
-        table.release(slot, tid);
-        trace::emit(trace::Event::kReadBiasExit);
-      });
-      f();
-      fault::checkpoint(fault::InjectPoint::kReadExit, this);
-    }
-    bias_reads_.fetch_add(1, std::memory_order_relaxed);
-    return BiasRead::kDone;
-  }
-
-  /// Writer-side revocation. Three-state protocol: only the writer whose
-  /// CAS moves kBiasOn → kBiasRevoking drains the table; every other
-  /// writer arriving mid-revocation waits for the kBiasOff publish, so no
-  /// writer can enter its section while a fast-path reader might still be
-  /// live (the two-writer revocation race). Returns false iff the deadline
-  /// expired first; a drain abandoned mid-way re-arms the bias
-  /// (kBiasRevoking → kBiasOn, NOT kBiasOff): undrained fast-path readers
-  /// may still be live, so publishing kBiasOff would let the next writer
-  /// commit over them. The next writer simply revokes from scratch.
-  bool revoke_bias(std::uint64_t deadline = locks::kNoDeadline) {
-    for (;;) {
-      const std::uint64_t b = bias_.load();
-      if (b == kBiasOff) return true;
-      if (b == kBiasOn && bias_.cas(kBiasOn, kBiasRevoking)) {
-        htm::memory_fence();  // order the state change before the scan
-        const std::uint64_t t0 = platform::now();
-        // The drain writes each shard's cycles into that shard's scratch
-        // word, striding over the interleaved {ema, last} telemetry.
-        std::uint64_t* cycles =
-            shard_revoke_ != nullptr ? &shard_revoke_[0].scratch : nullptr;
-        if (!cfg_.bravo_table->wait_for_readers_of(
-                lock_id_, cfg_.broken_revoke_skip_last_slot, deadline,
-                cfg_.broken_revoke_skip_shard, cycles,
-                sizeof(ShardRevoke) / sizeof(std::uint64_t))) {
-          bias_.store(kBiasOn);  // re-arm: drain incomplete
-          trace::emit(trace::Event::kBiasRevokeAbandoned);
-          return false;
-        }
-        const std::uint64_t dur = platform::now() - t0;
-        bias_.store(kBiasOff);  // publish: other writers may proceed
-        trace::emit(trace::Event::kBiasRevoke,
-                    static_cast<std::uint32_t>(dur));
-        revocations_.fetch_add(1, std::memory_order_relaxed);
-        revoke_cycles_.fetch_add(dur, std::memory_order_relaxed);
-        const std::uint64_t prev =
-            revoke_ema_hint_.load(std::memory_order_relaxed);
-        revoke_ema_hint_.store(prev == 0 ? dur : prev - prev / 8 + dur / 8,
-                               std::memory_order_relaxed);
-        last_revoke_end_.store(platform::now(), std::memory_order_relaxed);
-        if (cycles != nullptr) {
-          // Attribute the drain per shard: a clean remote shard samples ~one
-          // line read, a saturated one its full spin — so the cooldown each
-          // socket's readers see tracks the cost of revoking *their* shard.
-          const std::uint64_t end = platform::now();
-          const int n = cfg_.bravo_table->shard_count();
-          for (int s = 0; s < n; ++s) {
-            ShardRevoke& sr = shard_revoke_[s];
-            const std::uint64_t d = sr.scratch;
-            const std::uint64_t p = sr.ema.load(std::memory_order_relaxed);
-            sr.ema.store(p == 0 ? d : p - p / 8 + d / 8,
-                         std::memory_order_relaxed);
-            sr.last.store(end, std::memory_order_relaxed);
-          }
-        }
-        return true;
-      }
-      if (locks::deadline_expired(deadline)) return false;
-      // Deadline-keyed pause: expiry mid-drain-wait wakes exactly at the
-      // deadline instead of at the next pause boundary past it.
-      locks::deadline_pause(deadline);
-    }
-  }
-
-  /// Reader-side adaptive re-bias: after bravo_rebias_reads consecutive
-  /// reader-only acquisitions (writers reset the streak) and once the
-  /// revocation-EMA cooldown has passed, re-arm the bias. The decision
-  /// peeks raw state (uncharged heuristics); the flip itself is a charged
-  /// strong-isolation CAS whose version bump aborts any writer whose
-  /// commit scan already subscribed the bias word. With a socket-sharded
-  /// table the cooldown consults the *reader's own shard's* revocation EMA
-  /// (recorded per shard by revoke_bias): a saturated remote socket whose
-  /// drain runs long throttles only its own readers, not this one.
-  void maybe_rebias(int tid) {
-    const std::uint64_t streak =
-        reader_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (streak < static_cast<std::uint64_t>(cfg_.bravo_rebias_reads)) return;
-    if (bias_.raw_load() != kBiasOff) return;
-    std::uint64_t last, ema;
-    if (shard_revoke_ != nullptr) {
-      const int sh = cfg_.bravo_table->shard_of_tid(tid);
-      last = shard_revoke_[sh].last.load(std::memory_order_relaxed);
-      ema = shard_revoke_[sh].ema.load(std::memory_order_relaxed);
-    } else {
-      last = last_revoke_end_.load(std::memory_order_relaxed);
-      ema = revoke_ema_hint_.load(std::memory_order_relaxed);
-    }
-    if (last != 0 && ema != 0) {
-      const auto cool = static_cast<std::uint64_t>(
-          cfg_.bravo_rebias_cooldown * static_cast<double>(ema));
-      if (platform::now() - last < cool) return;
-    }
-    if (bias_.cas(kBiasOff, kBiasOn)) {
-      reader_streak_.store(0, std::memory_order_relaxed);
-      rebias_count_.fetch_add(1, std::memory_order_relaxed);
-      trace::emit(trace::Event::kBiasRebias);
-    }
+    return std::max(kReaderStallSlackCycles, scaled);
   }
 
   /// §3.4: optimistic one-shot HTM execution of a reader.
@@ -1277,89 +785,10 @@ class alignas(kCacheLineSize) SpRWLock {
       if (status.committed()) return true;
       plane().modes_.record_abort(status, kCodeLockBusy, kCodeReader);
       if (status.cause == htm::AbortCause::kCapacity ||
-          attempts >= cfg_.reader_htm_retries) {
+          attempts >= kReaderHtmRetries) {
         return false;
       }
     }
-  }
-
-  void register_reader(Plane& p, int tid, std::uint64_t mode) {
-    if (mode == kModeSnzi) {
-      p.snzi_->arrive(tid);
-    } else {
-      p.state_[state_slot(tid)].store(kReader);  // strong isolation
-      if (sharded_) socket_count_update(p, tid, +1);
-    }
-    htm::memory_fence();  // flag must be visible before the section's reads
-  }
-
-  /// Advertises the reader in the current tracking structure and returns
-  /// the mode used (the reader must deregister from the same structure).
-  /// Under adaptive tracking the mode is re-checked after registration so
-  /// that a reader racing a mode flip can never sit, active, in a
-  /// structure the sampler already declared drained.
-  std::uint64_t advertise_reader(Plane& p, int tid) {
-    std::uint64_t m = cfg_.adaptive_tracking
-                          ? p.mode_.load()
-                          : (cfg_.use_snzi ? kModeSnzi : kModeFlags);
-    for (;;) {
-      register_reader(p, tid, m);
-      if (!cfg_.adaptive_tracking) return m;
-      const std::uint64_t cur = p.mode_.load();
-      if (cur == m) return m;
-      unadvertise_reader(p, tid, m);
-      m = cur;
-    }
-  }
-
-  void unadvertise_reader(Plane& p, int tid, std::uint64_t mode) {
-    if (mode == kModeSnzi) {
-      p.snzi_->depart(tid);
-    } else {
-      p.state_[state_slot(tid)].store(kIdle);
-      if (sharded_) socket_count_update(p, tid, -1);
-    }
-  }
-
-  /// Sampler-side self-tuning (Section 5 future work): flip the tracking
-  /// structure when the sampled reader duration crosses the threshold.
-  /// Two-phase: transition_ stays set (writers check BOTH structures)
-  /// until the old structure is observed drained.
-  void maybe_adapt(Plane& p, int cs_id) {
-    if (p.transition_.load() != 0) {
-      const std::uint64_t old_mode =
-          p.mode_.load() == kModeSnzi ? kModeFlags : kModeSnzi;
-      if (structure_quiet(p, old_mode)) {
-        p.transition_.store(0);
-        trace::emit(trace::Event::kModeTransitionDone);
-      }
-      return;
-    }
-    const std::uint64_t desired =
-        read_estimate(p, cs_id) >= cfg_.adaptive_threshold_cycles ? kModeSnzi
-                                                                  : kModeFlags;
-    if (desired != p.mode_.load()) {
-      p.transition_.store(1);  // ordered before the flip (engine-serialized)
-      p.mode_.store(desired);
-      trace::emit(desired == kModeSnzi ? trace::Event::kModeFlipToSnzi
-                                       : trace::Event::kModeFlipToFlags);
-    }
-  }
-
-  bool structure_quiet(Plane& p, std::uint64_t mode) const {
-    if (mode == kModeSnzi) return p.snzi_->root_count_raw() == 0;
-    if (sharded_) {
-      for (int s = 0; s < sockets_; ++s) {
-        if (p.socket_count_[socket_word(s)].raw_load() != 0) return false;
-      }
-      return true;
-    }
-    for (int t = 0; t < cfg_.max_threads; ++t) {
-      if (p.state_[static_cast<std::size_t>(t)].raw_load() == kReader) {
-        return false;
-      }
-    }
-    return true;
   }
 
   /// Commit-time reader check, executed inside the writer's transaction.
@@ -1367,7 +796,7 @@ class alignas(kCacheLineSize) SpRWLock {
   /// past the sample, so only scans that found no reader are measured.
   void check_for_readers(htm::Engine* engine, int tid) {
     const std::uint64_t scan_start = platform::now();
-    check_for_readers_impl(engine, tid);
+    if (readers_visible(*engine, tid)) engine->abort_tx(kCodeReader);
     if (Plane* p = plane_peek()) {
       auto& s = p->scan_stats_[static_cast<std::size_t>(tid)].value;
       s.cycles += platform::now() - scan_start;
@@ -1375,72 +804,13 @@ class alignas(kCacheLineSize) SpRWLock {
     }
   }
 
-  void check_for_readers_impl(htm::Engine* engine, int tid) {
-    if (cfg_.bravo_bias) {
-      // Transactional reads — both are *subscriptions*: a re-bias (reader
-      // about to take the fast path) or a plane install (first slow-path
-      // reader arriving) after this point bumps the word's line version
-      // and aborts this writer at validation, so neither kind of reader
-      // can hide (DESIGN.md §12).
-      if (bias_.load() != kBiasOff) engine->abort_tx(kCodeReader);
-      if (plane_published_.load() == 0) return;  // no slow reader ever
+  bool readers_visible(htm::Engine& engine, int tid) {
+    switch (bias_.subscribe()) {
+      case BiasFront::Scan::kReaders: return true;
+      case BiasFront::Scan::kNoPlane: return false;
+      case BiasFront::Scan::kAskTracker: break;
     }
-    Plane& p = plane();
-    bool check_snzi = cfg_.use_snzi;
-    bool check_flags = !cfg_.use_snzi;
-    if (cfg_.adaptive_tracking) {
-      // Transactional reads: the writer subscribes to the mode words, so a
-      // transition mid-transaction aborts it rather than hiding a reader.
-      const bool in_transition = p.transition_.load() != 0;
-      const std::uint64_t m = p.mode_.load();
-      check_snzi = in_transition || m == kModeSnzi;
-      check_flags = in_transition || m == kModeFlags;
-    }
-    if (check_snzi && p.snzi_->query()) engine->abort_tx(kCodeReader);
-    if (!check_flags) return;
-    if (sharded_) {
-      // Hierarchical scan: S transactionally-subscribed socket summaries
-      // instead of ceil(T/8) flag lines. A reader arriving on any socket
-      // bumps its summary line's version (socket_count_update publishes
-      // through the engine), which aborts this transaction exactly as a
-      // flag store to a subscribed flag line would — the read set got
-      // smaller, not the set of interleavings that kill the scan.
-      // broken_scan_skip_tid blinds the scan to that tid's whole socket
-      // (checker self-validation of the sharded layout; see Config).
-      const int skip_socket =
-          cfg_.broken_scan_skip_tid >= 0
-              ? cfg_.topology.socket_of(cfg_.broken_scan_skip_tid)
-              : -1;
-      for (int s = 0; s < sockets_; ++s) {
-        if (s == skip_socket) continue;
-        if (p.socket_count_[socket_word(s)].load() != 0) {
-          engine->abort_tx(kCodeReader);
-        }
-      }
-      return;
-    }
-    if (cfg_.batched_reader_scan && cfg_.broken_scan_skip_tid < 0) {
-      // Line-granular scan: state_ is 64-byte aligned, so elements
-      // [base, base+8) share one cache line; one OR-summary read covers
-      // them all. kReader sets bit 0 and kWriter bit 1, so the writer's own
-      // flag (and other writers') never trips the early exit — no tid skip
-      // needed. A reader flag published concurrently bumps the line version
-      // and aborts this transaction exactly as the per-word scan would.
-      const auto n = static_cast<std::size_t>(cfg_.max_threads);
-      for (std::size_t base = 0; base < n; base += kFlagsPerLine) {
-        const std::size_t count = std::min(kFlagsPerLine, n - base);
-        if ((htm::line_or(*engine, &p.state_[base], count) & kReader) != 0) {
-          engine->abort_tx(kCodeReader);
-        }
-      }
-      return;
-    }
-    for (int t = 0; t < cfg_.max_threads; ++t) {
-      if (t == tid || t == cfg_.broken_scan_skip_tid) continue;
-      if (p.state_[static_cast<std::size_t>(t)].load() == kReader) {
-        engine->abort_tx(kCodeReader);
-      }
-    }
+    return plane().tracker_->subscribe(engine, tid);
   }
 
   /// Alg. 2 Readers_Wait: wait for the active writer expected to end last,
@@ -1452,65 +822,21 @@ class alignas(kCacheLineSize) SpRWLock {
     int wait_for = -1;
     bool joined = false;
     std::uint64_t max_end = 0;
-    if (cfg_.socket_batched_rsync) {
-      // Line-batched scan (DESIGN.md §16): one OR-summary load per shard
-      // line, per-word state reads only where the OR carries the writer
-      // bit — an idle socket costs stride/8 loads instead of
-      // cores_per_socket. The join probe (waiting_for_) has no flag the OR
-      // could gate, but it is an uncharged plain-atomic load, so the
-      // charged cost still drops from max_threads word reads to line
-      // reads + flagged writers.
-      for (int s = 0; s < sockets_ && !joined; ++s) {
-        const std::size_t base0 =
-            static_cast<std::size_t>(s) * socket_stride_;
-        for (std::size_t base = base0;
-             base < base0 + socket_stride_ && !joined;
-             base += kFlagsPerLine) {
-          const std::size_t count =
-              std::min(kFlagsPerLine, base0 + socket_stride_ - base);
-          const bool has_writer =
-              (htm::line_or_plain(&p.state_[base], count) & kWriter) != 0;
-          for (std::size_t sl = base; sl < base + count; ++sl) {
-            const int t = tid_of_slot(sl);
-            if (t < 0 || t == tid) continue;
-            const std::size_t ts = static_cast<std::size_t>(t);
-            if (has_writer && state_raw(p, t) == kWriter) {
-              const std::uint64_t end =
-                  p.clock_w_[ts]->load(std::memory_order_relaxed);
-              if (wait_for == -1 || end > max_end) {
-                max_end = end;
-                wait_for = t;
-              }
-            } else if (cfg_.reader_join) {
-              const int other =
-                  p.waiting_for_[ts]->load(std::memory_order_acquire);
-              if (other != -1) {
-                wait_for = other;  // align our start with that reader's
-                joined = true;
-                break;
-              }
-            }
-          }
+    for (int t = 0; t < cfg_.max_threads; ++t) {
+      if (t == tid) continue;
+      const std::size_t s = static_cast<std::size_t>(t);
+      if (p.state_[t].load() == StateArray::kWriter) {
+        const std::uint64_t end = p.clock_w_[s]->load(std::memory_order_relaxed);
+        if (wait_for == -1 || end > max_end) {
+          max_end = end;
+          wait_for = t;
         }
-      }
-    } else {
-      for (int t = 0; t < cfg_.max_threads; ++t) {
-        if (t == tid) continue;
-        const std::size_t s = static_cast<std::size_t>(t);
-        if (state_raw(p, t) == kWriter) {
-          const std::uint64_t end =
-              p.clock_w_[s]->load(std::memory_order_relaxed);
-          if (wait_for == -1 || end > max_end) {
-            max_end = end;
-            wait_for = t;
-          }
-        } else if (cfg_.reader_join) {
-          const int other = p.waiting_for_[s]->load(std::memory_order_acquire);
-          if (other != -1) {
-            wait_for = other;  // align our start with that reader's
-            joined = true;
-            break;
-          }
+      } else if (cfg_.reader_join) {
+        const int other = p.waiting_for_[s]->load(std::memory_order_acquire);
+        if (other != -1) {
+          wait_for = other;  // align our start with that reader's
+          joined = true;
+          break;
         }
       }
     }
@@ -1525,7 +851,7 @@ class alignas(kCacheLineSize) SpRWLock {
             std::memory_order_relaxed),
         deadline);
     if (until > platform::now()) platform::wait_until(until);
-    while (state_raw(p, wait_for) == kWriter) {
+    while (p.state_[wait_for].load() == StateArray::kWriter) {
       if (locks::deadline_expired(deadline)) {
         p.waiting_for_[me]->store(-1, std::memory_order_release);
         return false;
@@ -1546,37 +872,11 @@ class alignas(kCacheLineSize) SpRWLock {
     Plane* pp = plane_peek();
     if (pp == nullptr) return;
     Plane& p = *pp;
-    std::uint64_t last_reader_end = 0;
-    if (cfg_.socket_batched_rsync) {
-      // Summary-first (DESIGN.md §16): one load per socket's reader count;
-      // descend into a socket's flag shard only when it hosts a reader. An
-      // idle remote socket costs 1 line read instead of cores_per_socket.
-      // The count is exact for what this scan looks for — flag-mode
-      // readers are the only things that bump it and the only things that
-      // show kReader here (SNZI-mode readers appear in neither).
-      for (int s = 0; s < sockets_; ++s) {
-        if (p.socket_count_[socket_word(s)].load() == 0) continue;
-        for (int t = 0; t < cfg_.max_threads; ++t) {
-          if (t == tid || cfg_.topology.socket_of(t) != s) continue;
-          if (state_raw(p, t) == kReader) {
-            const std::uint64_t end =
-                p.clock_r_[static_cast<std::size_t>(t)]->load(
-                    std::memory_order_relaxed);
-            if (end > last_reader_end) last_reader_end = end;
-          }
-        }
-      }
-    } else {
-      for (int t = 0; t < cfg_.max_threads; ++t) {
-        if (t == tid) continue;
-        if (state_raw(p, t) == kReader) {
-          const std::uint64_t end =
-              p.clock_r_[static_cast<std::size_t>(t)]->load(
-                  std::memory_order_relaxed);
-          if (end > last_reader_end) last_reader_end = end;
-        }
-      }
-    }
+    const std::uint64_t last_reader_end =
+        p.tracker_->latest_reader_end(tid, [&](int t) {
+          return p.clock_r_[static_cast<std::size_t>(t)]->load(
+              std::memory_order_relaxed);
+        });
     if (last_reader_end == 0) return;
     const std::uint64_t dur = write_estimate(p, cs_id);
     const std::uint64_t lead =
@@ -1585,12 +885,6 @@ class alignas(kCacheLineSize) SpRWLock {
         last_reader_end > lead ? last_reader_end - lead : last_reader_end,
         deadline);
     if (target > platform::now()) platform::wait_until(target);
-  }
-
-  /// Plain (uncharged beyond one load) view of another thread's state,
-  /// used by the scheduling code that runs outside any transaction.
-  std::uint64_t state_raw(Plane& p, int t) {
-    return p.state_[state_slot(t)].load();
   }
 
   /// Returns false iff the deadline expired before the SGL was acquired.
@@ -1606,23 +900,25 @@ class alignas(kCacheLineSize) SpRWLock {
     // publishing its slot, so any reader that slipped past the lock is in
     // the table and this drain waits it out; later readers see the busy
     // SGL and defer (DESIGN.md §12).
-    if (cfg_.bravo_bias) revoke_bias();
-    if (cfg_.versioned_sgl) {
-      if (Plane* pp = plane_peek()) {
-        // §3.3: let readers that started waiting before this acquisition in.
-        const std::uint64_t my_ver = gl_.version();
-        for (int t = 0; t < cfg_.max_threads; ++t) {
-          if (t == tid) continue;
-          auto& wv = *pp->waiting_ver_[static_cast<std::size_t>(t)];
-          for (;;) {
-            const std::uint64_t v = wv.load(std::memory_order_acquire);
-            if ((v & 1) == 0 || (v >> 1) >= my_ver) break;
-            platform::pause();
-          }
+    bias_.revoke();
+    Plane* pp = plane_peek();
+    if (cfg_.versioned_sgl && pp != nullptr) {
+      // §3.3: let readers that started waiting before this acquisition in.
+      const std::uint64_t my_ver = gl_.version();
+      for (int t = 0; t < cfg_.max_threads; ++t) {
+        if (t == tid) continue;
+        auto& wv = *pp->waiting_ver_[static_cast<std::size_t>(t)];
+        for (;;) {
+          const std::uint64_t v = wv.load(std::memory_order_acquire);
+          if ((v & 1) == 0 || (v >> 1) >= my_ver) break;
+          platform::pause();
         }
       }
     }
-    wait_for_readers(tid);
+    // Alg. 1 wait_for_readers. No plane = no slow-path reader ever
+    // registered = nothing to drain (a reader installing the plane after
+    // the peek sees the busy SGL and defers before running).
+    if (pp != nullptr) pp->tracker_->drain(tid);
     const std::uint64_t start = platform::now();
     {
       ScopeExit release([&] { gl_.unlock(); });
@@ -1632,82 +928,29 @@ class alignas(kCacheLineSize) SpRWLock {
       // trailing writer-flag clear publishes over it.
       if (htm::Engine* e = htm::Engine::current()) e->note_section_version();
     }
-    if (tid == cfg_.sampler_tid) {
-      if (Plane* pp = plane_peek()) {
-        pp->write_ema_[ema_slot(cs_id)]->record(platform::now() - start);
+    if (tid == kSamplerTid) {
+      if (Plane* p = plane_peek()) {
+        p->write_ema_[ema_slot(cs_id)]->record(platform::now() - start);
       }
     }
     return true;
   }
 
-  /// Alg. 1 wait_for_readers: executed while holding the SGL; readers that
-  /// find the SGL busy defer, so this drains. No plane = no slow-path
-  /// reader ever advertised = nothing to drain (a reader installing the
-  /// plane after the peek sees the busy SGL and defers before running).
-  void wait_for_readers(int tid) {
-    Plane* pp = plane_peek();
-    if (pp == nullptr) return;
-    Plane& p = *pp;
-    if (cfg_.use_snzi || cfg_.adaptive_tracking) {
-      while (p.snzi_->query()) platform::pause();
-      if (cfg_.use_snzi) return;
-    }
-    // Sharded mode drains per slot too (state_raw resolves through the
-    // shard layout): the socket summaries are for the *transactional*
-    // commit scan, where read-set size decides aborts. Here the SGL is
-    // held and arriving readers defer with a transient advertise/
-    // unadvertise — a count-based drain would keep observing their +1/-1
-    // churn and spin long after every section finished, while the per-slot
-    // scan passes each slot the moment it clears and never revisits it.
-    for (int t = 0; t < cfg_.max_threads; ++t) {
-      if (t == tid) continue;
-      while (state_raw(p, t) == kReader) platform::pause();
-    }
-  }
-
   // Line 0 of the (line-aligned) shell holds every word the engine sees:
-  // the SGL, the bias word and the plane-publish word. Nothing else in
-  // the shell is a Shared<> cell, so no other object's words can share
-  // their line and virtual time does not depend on where the shell sits.
+  // the SGL, then the bias front's bias and plane-publish words. Nothing
+  // else in the shell is a Shared<> cell, so no other object's words can
+  // share their line and virtual time does not depend on where the shell
+  // sits.
   locks::SglLock gl_;
-  htm::Shared<std::uint64_t> bias_;             ///< kBiasOff/On/Revoking
-  htm::Shared<std::uint64_t> plane_published_;  ///< 1 once plane_ is set (bravo)
+  BiasFront bias_;
   Config cfg_;
-  // Sharding geometry, resolved once from cfg_ (declared before use).
-  // socket_stride_ is the flag-slot count each socket's shard occupies,
-  // rounded to line granularity so shards never share a line.
-  bool sharded_;
-  int sockets_;
-  std::size_t socket_stride_;
-  // --- BRAVO shell (the O(1)-word cold-lock state) ------------------------
-  std::uint32_t lock_id_ = 0;
+  TrackerFactory make_tracker_;
   std::atomic<Plane*> plane_{nullptr};
-  std::atomic<std::uint64_t> reader_streak_{0};
-  std::atomic<std::uint64_t> last_revoke_end_{0};
-  std::atomic<std::uint64_t> revoke_ema_hint_{0};
-  // Per-table-shard revocation telemetry (socket-sharded bravo tables
-  // only, lazily sized from the table in the ctor; null otherwise so the
-  // cold-lock shell pays exactly one extra word). scratch is the
-  // revoker's drain scratch — exclusive because kBiasOn→kBiasRevoking
-  // admits one drainer per lock at a time; the drain writes it in place
-  // via wait_for_readers_of's stride.
-  struct ShardRevoke {
-    std::atomic<std::uint64_t> ema{0};   // shard's revocation-latency EMA
-    std::atomic<std::uint64_t> last{0};  // end of shard's last revocation
-    std::uint64_t scratch = 0;           // drain cycles, this revocation
-  };
-  static_assert(sizeof(ShardRevoke) == 3 * sizeof(std::uint64_t),
-                "drain strides over ShardRevoke as raw uint64 words");
-  std::unique_ptr<ShardRevoke[]> shard_revoke_;
-  std::atomic<std::uint64_t> bias_reads_{0};
   std::atomic<std::uint64_t> snapshot_reads_{0};
   std::atomic<std::uint64_t> snapshot_fallbacks_{0};
   std::atomic<std::uint64_t> htm_reads_{0};
   std::atomic<std::uint64_t> htm_writes_{0};
   std::atomic<std::uint64_t> cold_reader_aborts_{0};
-  std::atomic<std::uint64_t> revocations_{0};
-  std::atomic<std::uint64_t> revoke_cycles_{0};
-  std::atomic<std::uint64_t> rebias_count_{0};
   /// Latest sampled reader-duration EMA, published by the sampler thread for
   /// the stalled-reader watchdog (which runs on *writer* threads).
   std::atomic<std::uint64_t> read_estimate_hint_{0};

@@ -17,7 +17,7 @@ struct alignas(64) Cell {
 
 Config adaptive_config(int threads) {
   Config cfg = Config::variant(SchedulingVariant::kFull, threads);
-  cfg.adaptive_tracking = true;
+  cfg.tracking = Tracking::kAdaptive;
   cfg.adaptive_threshold_cycles = 20'000;
   cfg.reader_htm_first = false;  // exercise the tracked (uninstrumented) path
   return cfg;

@@ -324,7 +324,7 @@ TEST(Bravo, SnziAutoSizeNoLongerCapsAt256Threads) {
   for (const auto& tc : cases) {
     Config c;
     c.max_threads = tc.max_threads;
-    c.use_snzi = true;
+    c.tracking = Tracking::kSnzi;
     c.snzi_levels = 0;
     SpRWLock lock{c};
     EXPECT_EQ(lock.snzi_leaf_count(), tc.leaves)

@@ -24,19 +24,20 @@ Config fuzz_config(std::uint64_t index, int threads) {
   Config cfg;
   cfg.max_threads = threads;
   cfg.max_retries = static_cast<int>(rng.next_in(1, 20));
-  cfg.reader_htm_retries = static_cast<int>(rng.next_in(1, 10));
+  rng.next_in(1, 10);  // unused draw: keeps each index's config stable
   cfg.reader_sync = rng.next_bool(0.7);
   cfg.reader_join = cfg.reader_sync && rng.next_bool(0.7);
   cfg.writer_sync = rng.next_bool(0.5);
   cfg.reader_htm_first = rng.next_bool(0.5);
-  cfg.use_snzi = rng.next_bool(0.3);
-  cfg.adaptive_tracking = !cfg.use_snzi && rng.next_bool(0.3);
+  const bool snzi = rng.next_bool(0.3);
+  cfg.tracking = snzi                  ? Tracking::kSnzi
+                 : rng.next_bool(0.3) ? Tracking::kAdaptive
+                                      : Tracking::kFlags;
   cfg.adaptive_threshold_cycles = rng.next_in(100, 50'000);
   cfg.versioned_sgl = rng.next_bool(0.3);
   cfg.delta_fraction = rng.next_double();
   cfg.ema_alpha = 0.05 + rng.next_double() * 0.9;
   cfg.snzi_levels = static_cast<int>(rng.next_in(0, 4));
-  cfg.bootstrap_estimate = rng.next_in(1, 5'000);
   return cfg;
 }
 

@@ -86,7 +86,7 @@ TEST(SpRWLSharded, SnziAutoSizeTracksMaxThreads) {
   for (const auto& tc : cases) {
     Config c;
     c.max_threads = tc.max_threads;
-    c.use_snzi = true;
+    c.tracking = Tracking::kSnzi;
     c.snzi_levels = 0;
     SpRWLock lock{c};
     EXPECT_EQ(lock.snzi_leaf_count(), tc.leaves)
@@ -185,7 +185,7 @@ TEST(SpRWLSharded, ComposesWithSocketMajorSnzi) {
   Config cfg = Config::variant(SchedulingVariant::kFull, 8);
   cfg.socket_sharded_tracking = true;
   cfg.topology = sim::Topology::split(8, 2);
-  cfg.use_snzi = true;
+  cfg.tracking = Tracking::kSnzi;
   SpRWLock lock{cfg};
   EXPECT_GT(lock.snzi_leaf_count(), 0u);
   Cell a, b;
@@ -211,107 +211,6 @@ TEST(SpRWLSharded, ComposesWithSocketMajorSnzi) {
   });
   EXPECT_EQ(torn, 0u);
   EXPECT_EQ(a.v.raw_load(), 10u);
-}
-
-// RSync-aligned batching (Config::socket_batched_rsync, DESIGN.md §16) is
-// meaningless without the socket-major shards and summaries it batches
-// over; the constructor refuses the combination loudly.
-TEST(SpRWLBatchedRsync, RequiresShardedTracking) {
-  Config c = Config::variant(SchedulingVariant::kFull, 4);
-  c.socket_batched_rsync = true;  // socket_sharded_tracking left off
-  EXPECT_THROW(SpRWLock{c}, std::invalid_argument);
-  c.socket_sharded_tracking = true;
-  c.topology = sim::Topology::split(4, 2);
-  EXPECT_NO_THROW(SpRWLock{c});
-}
-
-// The batched scheduling scans are heuristics, not safety: under the full
-// scheduling variant (readers_wait, reader_join and writer_wait all
-// exercised, with writers and readers on both sockets) the atomicity
-// guarantee must be exactly the flat scan's.
-TEST(SpRWLBatchedRsync, NoTornReadsWithBatchedScheduling) {
-  htm::Engine engine{htm::EngineConfig{}};
-  htm::EngineScope scope(engine);
-  Config cfg = Config::variant(SchedulingVariant::kFull, 8);
-  cfg.reader_htm_first = false;  // drive the scheduled slow path itself
-  cfg.socket_sharded_tracking = true;
-  cfg.socket_batched_rsync = true;
-  cfg.topology = sim::Topology::split(8, 2);
-  SpRWLock lock{cfg};
-  Cell a, b;
-  std::uint64_t torn = 0;
-  sim::Simulator sim;
-  sim.run(8, [&](int tid) {
-    for (int op = 0; op < 20; ++op) {
-      if (tid % 4 == 0) {  // one writer per socket
-        lock.write(1, [&] {
-          const std::uint64_t n = a.v.load() + 1;
-          a.v.store(n);
-          b.v.store(n);
-        });
-      } else {
-        lock.read(0, [&] {
-          const std::uint64_t x = a.v.load();
-          platform::advance(200);
-          if (x != b.v.load()) ++torn;
-        });
-      }
-      platform::advance(90 * static_cast<std::uint64_t>(tid) + 40);
-    }
-  });
-  EXPECT_EQ(torn, 0u);
-  EXPECT_EQ(a.v.raw_load(), 40u);
-  EXPECT_EQ(a.v.raw_load(), b.v.raw_load());
-  EXPECT_TRUE(lock.tracking_quiescent());
-}
-
-// The point of the batching: with every reader parked on socket 0, a
-// writer's Alg. 3 wait scans socket 1's summary word and stops — the
-// idle remote socket costs one line read, not cores_per_socket flag
-// reads. Cheaper scheduling must not change WHO is waited for, so the
-// batched and flat runs must agree on the section outcomes.
-TEST(SpRWLBatchedRsync, AgreesWithFlatScanOutcomes) {
-  const auto run_one = [](bool batched) {
-    htm::Engine engine{htm::EngineConfig{}};
-    htm::EngineScope scope(engine);
-    Config cfg = Config::variant(SchedulingVariant::kFull, 4);
-    cfg.reader_htm_first = false;
-    cfg.socket_sharded_tracking = true;
-    cfg.socket_batched_rsync = batched;
-    cfg.topology = sim::Topology::split(4, 2);
-    SpRWLock lock{cfg};
-    Cell a, b;
-    std::uint64_t torn = 0;
-    sim::Simulator sim;
-    sim.run(4, [&](int tid) {
-      for (int op = 0; op < 12; ++op) {
-        if (tid == 3) {
-          lock.write(1, [&] {
-            const std::uint64_t n = a.v.load() + 1;
-            a.v.store(n);
-            b.v.store(n);
-          });
-        } else {  // all readers on socket 0 (tids 0, 1) plus tid 2
-          lock.read(0, [&] {
-            const std::uint64_t x = a.v.load();
-            platform::advance(300);
-            if (x != b.v.load()) ++torn;
-          });
-        }
-        platform::advance(110 * static_cast<std::uint64_t>(tid) + 60);
-      }
-    });
-    struct Out {
-      std::uint64_t torn, final_a, final_b;
-    };
-    return Out{torn, a.v.raw_load(), b.v.raw_load()};
-  };
-  const auto flat = run_one(false);
-  const auto batched = run_one(true);
-  EXPECT_EQ(flat.torn, 0u);
-  EXPECT_EQ(batched.torn, 0u);
-  EXPECT_EQ(flat.final_a, batched.final_a);
-  EXPECT_EQ(flat.final_b, batched.final_b);
 }
 
 }  // namespace

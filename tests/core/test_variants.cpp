@@ -44,7 +44,7 @@ TEST(SpRWLVariants, SnziVariantPreservesSafety) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
   Config cfg = Config::variant(SchedulingVariant::kFull, 8);
-  cfg.use_snzi = true;
+  cfg.tracking = Tracking::kSnzi;
   cfg.reader_htm_first = false;
   SpRWLock lock{cfg};
   struct alignas(64) Pair {
@@ -81,7 +81,7 @@ TEST(SpRWLVariants, SnziWriterAbortsOnActiveReader) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
   Config cfg = Config::variant(SchedulingVariant::kNoSched, 2);
-  cfg.use_snzi = true;
+  cfg.tracking = Tracking::kSnzi;
   cfg.reader_htm_first = false;
   SpRWLock lock{cfg};
   Cell x;

@@ -175,7 +175,7 @@ TEST(TimeoutChaos, SnziUnwindPairsEveryArriveWithADepart) {
     core::Config cfg;
     cfg.max_threads = kThreads;
     cfg.reader_htm_first = false;
-    cfg.use_snzi = true;
+    cfg.tracking = core::Tracking::kSnzi;
     htm::Engine engine;
     core::SpRWLock lock{cfg};
     const TimedChaosResult r = run_timed_chaos(lock, engine, seed,
@@ -196,7 +196,7 @@ TEST(TimeoutChaos, SameSeedSameOutcome) {
   core::Config cfg;
   cfg.max_threads = kThreads;
   cfg.reader_htm_first = false;
-  cfg.use_snzi = true;
+  cfg.tracking = core::Tracking::kSnzi;
   htm::Engine e1, e2;
   core::SpRWLock l1{cfg}, l2{cfg};
   const TimedChaosResult a = run_timed_chaos(l1, e1, seed, storm_plan(seed));

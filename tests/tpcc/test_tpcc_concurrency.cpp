@@ -65,7 +65,7 @@ TEST(TpccConcurrency, UnderSpRWL) {
 
 TEST(TpccConcurrency, UnderSpRWLWithSnzi) {
   core::Config cfg = core::Config::variant(core::SchedulingVariant::kFull, 4);
-  cfg.use_snzi = true;
+  cfg.tracking = core::Tracking::kSnzi;
   core::SpRWLock lock{cfg};
   run_and_check(lock, 4);
 }
