@@ -1,22 +1,18 @@
 // Deliberately broken parts of SpRWLock for the checker's self-validation.
-// Each mutant overrides exactly one operation of a reader tracker or of a
-// bravo::ReaderTable; the registry builds it under the "-broken" lock name
-// the checker must catch. Production configurations cannot reach them:
-// they exist only as types here.
+// Each overrides one operation of a reader tracker or a bravo::ReaderTable;
+// the registry builds it under the "-broken" name the checker must catch.
+// No Config field reaches them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/bravo.h"
 #include "core/tracker.h"
 
 namespace sprwl::check {
 
-/// SpRWL-broken and SpRWL-sharded-broken: the commit-time scan is blind to
-/// reader tid 0. The flat layout scans per word and skips that flag (and
-/// the writer's own); the socket-major layout skips the reader count of
-/// tid 0's whole socket. A writer can then commit over that reader.
+/// SpRWL-broken and SpRWL-sharded-broken: the commit scan is blind to reader
+/// tid 0 — its flag (flat, scanned per word) or its socket's count.
 class BlindScanFlags : public core::FlagsTracker {
  public:
   static constexpr int kBlindTid = 0;
@@ -25,7 +21,8 @@ class BlindScanFlags : public core::FlagsTracker {
   bool subscribe(htm::Engine&, int tid) override {
     if (state_.socket_major()) {
       for (int s = 0; s < state_.sockets(); ++s) {
-        if (s != state_.socket_of(kBlindTid) && count(s).load() != 0) return true;
+        if (s == state_.socket_of(kBlindTid)) continue;
+        if (count(s).load() != 0) return true;
       }
       return false;
     }
@@ -60,9 +57,8 @@ class SkipShardTable : public bravo::ReaderTable {
                            std::uint64_t* shard_cycles,
                            std::size_t stride) override {
     for (int sh = 0; sh < shard_count(); ++sh) {
-      std::uint64_t* cyc = shard_cycles == nullptr
-                               ? nullptr
-                               : shard_cycles + static_cast<std::size_t>(sh) * stride;
+      std::uint64_t* cyc =
+          shard_cycles == nullptr ? nullptr : shard_cycles + sh * stride;
       if (sh == kSkippedShard) {
         if (cyc != nullptr) *cyc = 0;
       } else if (!drain_shard(sh, tag_of(lock_id), deadline, cyc)) {
@@ -74,8 +70,7 @@ class SkipShardTable : public bravo::ReaderTable {
 };
 
 /// SpRWL-timeout-broken: a timed fast-path reader that expires after
-/// publishing its slot never releases it, so every later revocation drain
-/// spins on the ghost forever (a livelock verdict).
+/// publishing its slot leaks it; the next drain spins forever (livelock).
 class LeakOnCancelTable : public bravo::ReaderTable {
  public:
   using ReaderTable::ReaderTable;

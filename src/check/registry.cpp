@@ -30,40 +30,27 @@ core::Config sharded_cfg(const Workload& w) {
   return c;
 }
 
+/// Bias on over a FRESH table of type `Table` per make_lock call (i.e. per
+/// explored schedule), so no schedule's leftover slot leaks into the next.
+/// Tables are tiny, so slot collisions and revocation racing a fast-path
+/// publish are reachable within the schedule budget. `sharded` splits the
+/// table over two sockets — tid 0 (the workload's reader) on socket 0, the
+/// writer on socket 1, so the drain's skip of a clean REMOTE shard is on
+/// every explored revocation — with uninstrumented readers, so the
+/// sharded protocol is driven instead of bypassed by HTM-first reads.
 template <class Table = bravo::ReaderTable>
-core::Config bravo_cfg(const Workload& w, std::size_t slots) {
+core::Config bravo_cfg(const Workload& w, std::size_t slots,
+                       bool sharded = false) {
   core::Config c = sprwl_cfg(w);
   c.bravo_bias = true;
-  // A FRESH table per make_lock call (i.e. per explored schedule): runs
-  // must not share reader-table state, or one schedule's leftover slot
-  // would leak into the next. Tiny and single-line so the interesting
-  // interleavings — slot collisions, revocation racing a fast-path
-  // publish — are reachable within the checker's schedule budget.
   bravo::ReaderTable::Config tc;
   tc.max_threads = w.threads;
   tc.slots = slots;
-  c.bravo_table = std::make_shared<Table>(tc);
-  return c;
-}
-
-template <class Table = bravo::ReaderTable>
-core::Config bravo_numa_cfg(const Workload& w, std::size_t per_shard_slots) {
-  core::Config c = sprwl_cfg(w);
-  c.bravo_bias = true;
-  // Uninstrumented readers so the sharded-table protocol — per-socket slot
-  // publish, summary bump, summary-gated revocation drain — is actually
-  // driven on every schedule instead of being bypassed by HTM-first reads.
-  c.reader_htm_first = false;
-  // Fresh per-schedule table (see bravo_cfg), socket-sharded over a
-  // 2-socket split of the checker threads: with 2 threads, tid 0 (the
-  // workload's reader) homes on socket 0 and tid 1 (the writer) on socket
-  // 1, so the drain's clean-shard summary skip of a REMOTE shard is on the
-  // critical path of every revocation the checker explores.
-  bravo::ReaderTable::Config tc;
-  tc.max_threads = w.threads;
-  tc.slots = per_shard_slots;
-  tc.shard_by_socket = true;
-  tc.topology = sim::Topology::split(w.threads, 2);
+  if (sharded) {
+    c.reader_htm_first = false;
+    tc.shard_by_socket = true;
+    tc.topology = sim::Topology::split(w.threads, 2);
+  }
   c.bravo_table = std::make_shared<Table>(tc);
   return c;
 }
@@ -163,12 +150,11 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     return bind(w, [w] { return core::SpRWLock(bravo_cfg(w, 8)); });
   }
   if (name == "SpRWL-bravo-broken") {
-    // Revocation-drain self-validation: a ONE-slot table plus a drain that
-    // skips the table's last slot (SkipLastSlotTable) means revocation
-    // drains nothing at all — a fast-path reader parked in slot 0 survives
-    // it and a writer commits over the reader's snapshot. Uninstrumented
-    // readers (no HTM-first) so the fast path is actually taken. Accepted
-    // by make_runner only, never listed as healthy.
+    // Revocation-drain self-validation: a ONE-slot table whose drain skips
+    // the last slot (SkipLastSlotTable) drains nothing, so a fast-path
+    // reader in slot 0 survives revocation and a writer commits over its
+    // snapshot. Uninstrumented readers, so the fast path is taken.
+    // Accepted by make_runner only, never listed as healthy.
     return bind(w, [w] {
       core::Config c = bravo_cfg<SkipLastSlotTable>(w, 1);
       c.reader_htm_first = false;
@@ -180,17 +166,15 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     // on its own line): the checker drives fast-path publishes against the
     // summary-gated drain, including the Dekker race between a reader's
     // summary bump and the writer's clean-shard skip.
-    return bind(w, [w] { return core::SpRWLock(bravo_numa_cfg(w, 4)); });
+    return bind(w, [w] { return core::SpRWLock(bravo_cfg(w, 4, true)); });
   }
   if (name == "SpRWL-bravo-numa-broken") {
-    // Sharded-drain self-validation: the revocation drain skips shard 0
-    // (SkipShardTable) — summary and slots — so the socket-0 reader's
-    // fast-path registration survives revocation and a writer commits over
-    // its snapshot (the workload keeps tid 0 a reader; split(threads, 2)
-    // homes it on socket 0). Accepted by make_runner only, never listed as
-    // healthy.
+    // Sharded-drain self-validation: the drain skips shard 0
+    // (SkipShardTable), where the workload's reader tid 0 homes, so its
+    // registration survives revocation and a writer commits over its
+    // snapshot. Accepted by make_runner only, never listed as healthy.
     return bind(w, [w] {
-      return core::SpRWLock(bravo_numa_cfg<SkipShardTable>(w, 1));
+      return core::SpRWLock(bravo_cfg<SkipShardTable>(w, 1, true));
     });
   }
   if (name == "SpRWL-timeout") {
@@ -261,11 +245,9 @@ RunFn make_runner(const std::string& name, const Workload& w) {
     });
   }
   if (name == "SpRWL-sharded-broken") {
-    // The broken-scan self-validation under the hierarchical layout: the
-    // writer's commit scan (BlindScanFlags) skips the socket count owning
-    // reader tid 0, so it can commit over that whole socket's live readers.
-    // Accepted by make_runner only (like SpRWL-broken); never listed as
-    // healthy.
+    // The broken scan under the socket-major layout: BlindScanFlags skips
+    // the count of reader tid 0's socket, so a writer can commit over that
+    // socket's live readers. Accepted by make_runner only.
     return bind(w, [w] {
       core::Config c = sharded_cfg(w);
       c.reader_htm_first = false;

@@ -1,11 +1,9 @@
-// BRAVO reader bias in front of SpRWLock's per-lock tracking (DESIGN.md
+// BRAVO reader bias in front of SpRWLock's per-lock tracker (DESIGN.md
 // §12, §16): the bias word, the fast read path through the shared
-// bravo::ReaderTable, writer-side revocation, the reader-side re-bias
-// throttle and its per-shard revocation telemetry.
-//
-// A lock without Config::bravo_bias gets an inert front: every operation
-// returns at once without touching an engine word, so bias-off traces are
-// exactly those of a lock with no front at all.
+// bravo::ReaderTable, writer-side revocation, and the reader-side re-bias
+// throttle with its per-shard revocation telemetry. A lock without
+// Config::bravo_bias gets an inert front: every operation returns at once
+// without touching an engine word.
 #pragma once
 
 #include <atomic>
@@ -19,7 +17,6 @@
 #include "core/bravo.h"
 #include "core/config.h"
 #include "fault/fault.h"
-#include "htm/engine.h"
 #include "htm/shared.h"
 #include "locks/deadline.h"
 #include "locks/sgl.h"
@@ -32,18 +29,18 @@ class BiasFront {
   /// unwound), or take the slow path (bias off, slot collision, or a
   /// concurrent revocation/SGL writer won the race).
   enum class Read { kDone, kTimeout, kSlow };
-  /// What the writer's commit scan learns here: a fast-path reader may be
-  /// live, no slow-path reader ever registered, or ask the tracker.
+  /// The bias part of the commit scan: a fast-path reader may be live, no
+  /// slow-path reader ever registered, or ask the tracker.
   enum class Scan { kReaders, kNoPlane, kAskTracker };
 
   explicit BiasFront(const Config& cfg) {
     if (!cfg.bravo_bias) return;
-    if (cfg.bravo_table == nullptr) {
+    const bravo::ReaderTable* t = cfg.bravo_table.get();
+    if (t == nullptr) {
       throw std::invalid_argument(
           "SpRWLock: Config::bravo_bias requires a shared Config::bravo_table");
     }
-    if (cfg.bravo_table->sharded() &&
-        cfg.bravo_table->config().max_threads < cfg.max_threads) {
+    if (t->sharded() && t->config().max_threads < cfg.max_threads) {
       // The sharded table keeps per-thread registration state.
       throw std::invalid_argument(
           "SpRWLock: a socket-sharded bravo_table needs max_threads >= the "
@@ -55,23 +52,18 @@ class BiasFront {
     lock_id_ = table_->register_lock();
     word_.raw_store(kOn);  // read-only cold locks never build a plane
     if (table_->sharded()) {
-      // Per-shard telemetry: a saturated remote socket throttles only its
-      // own readers' re-bias. One lazily sized block behind one pointer, so
-      // a cold non-sharded shell pays a single null word.
+      // One lazily sized block behind one pointer: a cold shell on a
+      // global table pays a single null word.
       shard_revoke_ = std::make_unique<ShardRevoke[]>(
           static_cast<std::size_t>(table_->shard_count()));
     }
   }
 
-  BiasFront(const BiasFront&) = delete;
-  BiasFront& operator=(const BiasFront&) = delete;
-
-  /// Under bias a lock builds its plane only for slow-path readers, so a
-  /// lock without one has no reader to schedule a writer against.
+  /// Under bias, a lock builds its plane only for slow-path readers.
   bool defers_plane() const noexcept { return table_ != nullptr; }
 
   /// Publishes (lock, tid) in the shared table and runs the section without
-  /// touching the per-lock plane. `lock` identifies the lock at fault
+  /// touching the per-lock plane. `lock` names the lock at fault
   /// checkpoints.
   template <class F>
   Read try_read(int tid, std::uint64_t deadline, const locks::SglLock& gl,
@@ -83,17 +75,16 @@ class BiasFront {
     htm::memory_fence();  // publish the slot before validating bias / SGL
     if (word_.load() != kOn || gl.is_locked()) {
       // Dekker with the writer (publish-slot/check-bias vs
-      // publish-revoking/scan-slots): losing the race here means the
-      // writer's drain may already have passed our line, so back out and
-      // register where the writer is looking.
+      // publish-revoking/scan-slots): the writer's drain may already have
+      // passed our line, so back out and register where it is looking.
       table.release(slot, tid);
       return Read::kSlow;
     }
     fault::checkpoint(fault::InjectPoint::kReadEnter, lock);
     if (locks::deadline_expired(deadline)) {
       // Expired while parked at the checkpoint (the chaos preemption
-      // window). The slot is published, so the unwind must release it: a
-      // leaked slot wedges every later revocation drain.
+      // window): the published slot must go, or it wedges every later
+      // revocation drain.
       table.cancel(slot, tid);
       return Read::kTimeout;
     }
@@ -107,56 +98,46 @@ class BiasFront {
       f();
       fault::checkpoint(fault::InjectPoint::kReadExit, lock);
     }
-    bias_reads_.fetch_add(1, std::memory_order_relaxed);
+    reads_.fetch_add(1, std::memory_order_relaxed);
     return Read::kDone;
   }
 
-  /// Reader-side re-bias, after every slow or HTM read: after
-  /// bravo_rebias_reads consecutive reader-only acquisitions (writers reset
-  /// the streak) and once the revocation-EMA cooldown has passed, re-arm
-  /// the bias. The decision peeks raw state (uncharged heuristics); the
-  /// flip is a charged strong-isolation CAS whose version bump aborts any
-  /// writer that already subscribed the bias word. A sharded table's
-  /// cooldown uses the reader's own shard's revocation EMA.
+  /// Re-bias, after every slow or HTM read: after bravo_rebias_reads
+  /// consecutive reader-only acquisitions (writers reset the streak) and
+  /// once the revocation-EMA cooldown has passed — a sharded table's uses
+  /// the reader's own shard's EMA — re-arm the bias. The decision peeks raw
+  /// state (uncharged heuristics); the flip is a strong-isolation CAS whose
+  /// version bump aborts any writer that already subscribed the bias word.
   void after_read(int tid) {
     if (table_ == nullptr) return;
-    const std::uint64_t streak =
-        reader_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (streak < rebias_reads_) return;
+    if (streak_.fetch_add(1, std::memory_order_relaxed) + 1 < rebias_reads_) {
+      return;
+    }
     if (word_.raw_load() != kOff) return;
-    std::uint64_t last, ema;
-    if (shard_revoke_ != nullptr) {
-      const ShardRevoke& sr = shard_revoke_[table_->shard_of_tid(tid)];
-      last = sr.last.load(std::memory_order_relaxed);
-      ema = sr.ema.load(std::memory_order_relaxed);
-    } else {
-      last = last_revoke_end_.load(std::memory_order_relaxed);
-      ema = revoke_ema_.load(std::memory_order_relaxed);
-    }
-    if (last != 0 && ema != 0) {
-      const auto cool =
-          static_cast<std::uint64_t>(rebias_cooldown_ * static_cast<double>(ema));
-      if (platform::now() - last < cool) return;
-    }
+    const ShardRevoke& r = shard_revoke_ == nullptr
+                               ? revoke_
+                               : shard_revoke_[table_->shard_of_tid(tid)];
+    const std::uint64_t last = relaxed(r.last);
+    const auto cool = static_cast<std::uint64_t>(
+        rebias_cooldown_ * static_cast<double>(relaxed(r.ema)));
+    if (last != 0 && cool != 0 && platform::now() - last < cool) return;
     if (word_.cas(kOff, kOn)) {
-      reader_streak_.store(0, std::memory_order_relaxed);
-      rebias_count_.fetch_add(1, std::memory_order_relaxed);
+      streak_.store(0, std::memory_order_relaxed);
+      rebiases_.fetch_add(1, std::memory_order_relaxed);
       trace::emit(trace::Event::kBiasRebias);
     }
   }
 
   void before_write() {
-    if (table_ != nullptr) reader_streak_.store(0, std::memory_order_relaxed);
+    if (table_ != nullptr) streak_.store(0, std::memory_order_relaxed);
   }
 
-  /// Writer-side revocation. Three-state protocol: only the writer whose
-  /// CAS moves kOn → kRevoking drains the table; every other writer waits
-  /// for the kOff publish, so no writer enters its section while a
-  /// fast-path reader might be live (the two-writer revocation race).
-  /// Returns false iff the deadline expired first. A drain abandoned
-  /// mid-way re-arms the bias (kRevoking → kOn, not kOff): undrained
-  /// fast-path readers may still be live, so the next writer revokes from
-  /// scratch.
+  /// Writer-side revocation. Only the writer whose CAS moves kOn →
+  /// kRevoking drains the table; every other writer waits for the kOff
+  /// publish, so no writer enters its section while a fast-path reader
+  /// might be live. Returns false iff the deadline expired first. An
+  /// abandoned drain re-arms the bias (kRevoking → kOn, not kOff):
+  /// undrained readers may be live, so the next writer starts over.
   bool revoke(std::uint64_t deadline = locks::kNoDeadline) {
     if (table_ == nullptr) return true;
     for (;;) {
@@ -167,25 +148,20 @@ class BiasFront {
         return drain(deadline);
       }
       if (locks::deadline_expired(deadline)) return false;
-      // Deadline-keyed pause: expiry mid-drain-wait wakes exactly at the
-      // deadline instead of at the next pause boundary past it.
-      locks::deadline_pause(deadline);
+      locks::deadline_pause(deadline);  // wakes exactly at the deadline
     }
   }
 
-  /// Strong-isolation publish of a freshly installed plane: a writer's
-  /// commit scan subscribes this word to skip the tracker when no plane
-  /// exists, so the install must bump its line exactly like a reader flag
-  /// store would. Never reached inside a transaction: the scan only asks
-  /// the tracker after reading 1 here.
+  /// Strong-isolation publish of a new plane: a writer's commit scan
+  /// subscribes this word to skip the tracker while no plane exists, so
+  /// the install must bump its line like a reader flag store would.
   void plane_installed() {
     if (table_ != nullptr) plane_published_.store(1);
   }
 
-  /// The bias part of the commit scan, inside the writer's transaction.
-  /// Both reads are subscriptions: a re-bias (reader about to take the
-  /// fast path) or a plane install (first slow-path reader) after this
-  /// point aborts the writer at validation, so neither reader can hide.
+  /// Inside the writer's transaction. Both reads are subscriptions: a
+  /// re-bias or a plane install after this point aborts the writer at
+  /// validation, so neither kind of reader can hide.
   Scan subscribe() {
     if (table_ == nullptr) return Scan::kAskTracker;
     if (word_.load() != kOff) return Scan::kReaders;
@@ -194,53 +170,44 @@ class BiasFront {
 
   bool is_on() const { return word_.raw_load() == kOn; }
   std::uint32_t lock_id() const noexcept { return lock_id_; }
-  std::uint64_t reads() const { return bias_reads_.load(std::memory_order_relaxed); }
-  std::uint64_t revocations() const {
-    return revocations_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t revoke_cycles() const {
-    return revoke_cycles_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t rebiases() const {
-    return rebias_count_.load(std::memory_order_relaxed);
-  }
-  /// Per-shard revocation-latency EMA; 0 = no sample yet, or not sharded.
+  std::uint64_t reads() const { return relaxed(reads_); }
+  std::uint64_t revocations() const { return relaxed(revocations_); }
+  std::uint64_t revoke_cycles() const { return relaxed(revoke_cycles_); }
+  std::uint64_t rebiases() const { return relaxed(rebiases_); }
   std::uint64_t shard_revoke_ema(int shard) const {
-    if (shard_revoke_ == nullptr || shard < 0 || shard >= table_->shard_count()) {
-      return 0;
-    }
-    return shard_revoke_[shard].ema.load(std::memory_order_relaxed);
+    const bool ok = shard_revoke_ != nullptr && shard >= 0 &&
+                    shard < table_->shard_count();
+    return ok ? relaxed(shard_revoke_[shard].ema) : 0;
   }
   /// Heap bytes of the per-shard telemetry block.
   std::size_t bytes() const {
-    return shard_revoke_ == nullptr
-               ? 0
-               : static_cast<std::size_t>(table_->shard_count()) * sizeof(ShardRevoke);
+    if (shard_revoke_ == nullptr) return 0;
+    return sizeof(ShardRevoke) *
+           static_cast<std::size_t>(table_->shard_count());
   }
   void reset_stats() {
-    bias_reads_.store(0, std::memory_order_relaxed);
-    revocations_.store(0, std::memory_order_relaxed);
-    revoke_cycles_.store(0, std::memory_order_relaxed);
-    rebias_count_.store(0, std::memory_order_relaxed);
+    for (auto* c : {&reads_, &revocations_, &revoke_cycles_, &rebiases_}) {
+      c->store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
-  // Bias word states. Writers treat anything != kOff as "fast readers may
-  // exist": kRevoking keeps a second writer out of the section until the
-  // first writer's drain completes and publishes kOff.
+  // Bias word states. Anything != kOff means "fast readers may exist":
+  // kRevoking keeps a second writer out until the first one's drain
+  // publishes kOff.
   static constexpr std::uint64_t kOff = 0;
   static constexpr std::uint64_t kOn = 1;
   static constexpr std::uint64_t kRevoking = 2;
 
-  /// The table drain of a revocation this writer won; publishes kOff.
+  /// The drain of a revocation this writer won; publishes kOff.
   bool drain(std::uint64_t deadline) {
     const std::uint64_t t0 = platform::now();
-    // The drain writes each shard's cycles into that shard's scratch word,
-    // striding over the interleaved {ema, last} telemetry.
+    // Each shard's drain cycles land in its scratch word, striding over
+    // the interleaved {ema, last} telemetry.
     std::uint64_t* cycles =
         shard_revoke_ != nullptr ? &shard_revoke_[0].scratch : nullptr;
-    if (!table_->wait_for_readers_of(lock_id_, deadline, cycles,
-                                     sizeof(ShardRevoke) / sizeof(std::uint64_t))) {
+    constexpr std::size_t kStride = sizeof(ShardRevoke) / sizeof(std::uint64_t);
+    if (!table_->wait_for_readers_of(lock_id_, deadline, cycles, kStride)) {
       word_.store(kOn);  // re-arm: drain incomplete
       trace::emit(trace::Event::kBiasRevokeAbandoned);
       return false;
@@ -250,53 +217,50 @@ class BiasFront {
     trace::emit(trace::Event::kBiasRevoke, static_cast<std::uint32_t>(dur));
     revocations_.fetch_add(1, std::memory_order_relaxed);
     revoke_cycles_.fetch_add(dur, std::memory_order_relaxed);
-    const std::uint64_t end = platform::now();
-    revoke_ema_.store(ema_step(revoke_ema_.load(std::memory_order_relaxed), dur),
-                      std::memory_order_relaxed);
-    last_revoke_end_.store(end, std::memory_order_relaxed);
-    if (cycles != nullptr) {
-      // Attribute the drain per shard: a clean remote shard samples ~one
-      // line read, a saturated one its full spin.
-      for (int s = 0; s < table_->shard_count(); ++s) {
-        ShardRevoke& sr = shard_revoke_[s];
-        sr.ema.store(ema_step(sr.ema.load(std::memory_order_relaxed), sr.scratch),
-                     std::memory_order_relaxed);
-        sr.last.store(end, std::memory_order_relaxed);
-      }
+    revoke_.record(dur, platform::now());
+    // Per shard: a clean remote shard samples ~one line read, a saturated
+    // one its full spin.
+    for (int s = 0; cycles != nullptr && s < table_->shard_count(); ++s) {
+      shard_revoke_[s].record(shard_revoke_[s].scratch, platform::now());
     }
     return true;
   }
 
-  static std::uint64_t ema_step(std::uint64_t prev, std::uint64_t sample) {
-    return prev == 0 ? sample : prev - prev / 8 + sample / 8;
+  // Revocation telemetry, whole-lock and per table shard. scratch is the
+  // revoker's drain scratch, exclusive because kOn → kRevoking admits one
+  // drainer per lock at a time.
+  struct ShardRevoke {
+    std::atomic<std::uint64_t> ema{0};   // revocation-latency EMA
+    std::atomic<std::uint64_t> last{0};  // end of the last revocation
+    std::uint64_t scratch = 0;           // drain cycles, this revocation
+    void record(std::uint64_t cycles, std::uint64_t end) {
+      const std::uint64_t p = relaxed(ema);
+      ema.store(p == 0 ? cycles : p - p / 8 + cycles / 8,
+                std::memory_order_relaxed);
+      last.store(end, std::memory_order_relaxed);
+    }
+  };
+  static std::uint64_t relaxed(const std::atomic<std::uint64_t>& a) {
+    return a.load(std::memory_order_relaxed);
   }
+  static_assert(sizeof(ShardRevoke) == 3 * sizeof(std::uint64_t),
+                "drain strides over ShardRevoke as raw uint64 words");
 
-  // The two engine-visible words come first: the lock declares the front
-  // right after its SGL, so all three share the shell's line 0.
+  // The engine-visible words come first: the lock declares the front right
+  // after its SGL, so all three share the shell's line 0.
   htm::Shared<std::uint64_t> word_;             ///< kOff/kOn/kRevoking
   htm::Shared<std::uint64_t> plane_published_;  ///< 1 once a plane exists
   bravo::ReaderTable* table_ = nullptr;         ///< null: the front is inert
   std::uint32_t lock_id_ = 0;
   std::uint64_t rebias_reads_ = 0;
   double rebias_cooldown_ = 0.0;
-  std::atomic<std::uint64_t> reader_streak_{0};
-  std::atomic<std::uint64_t> last_revoke_end_{0};
-  std::atomic<std::uint64_t> revoke_ema_{0};
-  // Per-table-shard revocation telemetry (sharded tables only). scratch is
-  // the revoker's drain scratch, exclusive because kOn → kRevoking admits
-  // one drainer per lock at a time.
-  struct ShardRevoke {
-    std::atomic<std::uint64_t> ema{0};   // shard's revocation-latency EMA
-    std::atomic<std::uint64_t> last{0};  // end of shard's last revocation
-    std::uint64_t scratch = 0;           // drain cycles, this revocation
-  };
-  static_assert(sizeof(ShardRevoke) == 3 * sizeof(std::uint64_t),
-                "drain strides over ShardRevoke as raw uint64 words");
-  std::unique_ptr<ShardRevoke[]> shard_revoke_;
-  std::atomic<std::uint64_t> bias_reads_{0};
+  std::atomic<std::uint64_t> streak_{0};
+  ShardRevoke revoke_;
+  std::unique_ptr<ShardRevoke[]> shard_revoke_;  ///< sharded tables only
+  std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> revocations_{0};
   std::atomic<std::uint64_t> revoke_cycles_{0};
-  std::atomic<std::uint64_t> rebias_count_{0};
+  std::atomic<std::uint64_t> rebiases_{0};
 };
 
 }  // namespace sprwl::core

@@ -33,12 +33,9 @@
 // thread-private mirror, so steady-state registrations touch no summary
 // line at all — until the thread's Config::summary_clear_period-th
 // outermost release stores 0 and re-arms the publish. Only the owning
-// thread ever writes its word (no read-modify-write, no contention, and
-// no drainer-side clears, which would race between concurrent drains of
-// different locks); two earlier designs lost to this one: a per-shard
-// count word turned the summary into a CAS hotspot, and clearing on
-// EVERY outermost release paid two strong stores per uncontended read —
-// both cost more than the drain they saved. A revoking writer walking
+// thread ever writes its word (no read-modify-write, no contention, no
+// drainer-side clears racing between drains of different locks; a
+// per-shard count word would be a CAS hotspot). A revoking writer walking
 // shards in socket order line-ORs the summary line(s) — ONE load per
 // line, one line for up to 8 resident threads — and skips the whole
 // shard when they read 0. Safety of the skip (DESIGN.md §16): a reader's
@@ -266,38 +263,29 @@ class ReaderTable {
   }
 
   /// Revocation drain: wait until no slot holds `lock_id`'s tag. Reads one
-  /// line at a time with a single load charge (line_or_plain) and only
-  /// spins per-slot on lines whose summary is non-empty; a slot occupied by
-  /// a *different* lock costs one extra word compare, never a wait.
-  /// Sharded tables are walked in socket order, and a shard whose occupancy
-  /// summary reads 0 costs exactly its summary line reads (one line for up
-  /// to 8 resident threads) — the drain is O(sockets) when remote shards
-  /// are clean.
+  /// line at a time with a single load charge (line_or_plain) and spins
+  /// per slot only on non-empty lines; a slot of a *different* lock costs
+  /// one word compare, never a wait. Sharded tables are walked in socket
+  /// order, and a shard whose summary reads 0 costs only its summary line
+  /// reads — O(sockets) when remote shards are clean.
   ///
-  /// `deadline` is an absolute virtual time (~0 = none): the drain gives
-  /// up and returns false the moment it passes, leaving whatever slots it
-  /// already drained drained. The caller (core::BiasFront::revoke) must
-  /// NOT treat a false return as "no readers" — it re-arms the bias
-  /// instead. With the default deadline the charge sequence is identical
-  /// to an untimed drain (the expiry check reads the clock for free).
-  ///
-  /// `shard_cycles`, when non-null, receives the virtual cycles the drain
-  /// spent in each shard — the per-shard revocation EMA the lock's re-bias
-  /// throttle keys off. Shard `sh` is written at
-  /// shard_cycles[sh * shard_cycles_stride] (in units of std::uint64_t):
-  /// the stride lets the caller keep its per-shard scratch interleaved
-  /// with other per-shard telemetry in one allocation.
+  /// Returns false once the absolute virtual `deadline` (~0 = none)
+  /// passes; the caller must then re-arm the bias, not assume "no
+  /// readers". `shard_cycles`, when non-null, receives the cycles spent in
+  /// shard `sh` at shard_cycles[sh * shard_cycles_stride] (uint64 units),
+  /// for the lock's per-shard re-bias throttle.
   virtual bool wait_for_readers_of(std::uint32_t lock_id,
                                    std::uint64_t deadline = ~std::uint64_t{0},
                                    std::uint64_t* shard_cycles = nullptr,
                                    std::size_t shard_cycles_stride = 1) {
     const std::uint64_t tag = tag_of(lock_id);
-    if (!cfg_.shard_by_socket) return drain_range(0, slots_.size(), tag, deadline);
+    if (!cfg_.shard_by_socket) {
+      return drain_range(0, slots_.size(), tag, deadline);
+    }
     for (int sh = 0; sh < shards_; ++sh) {
-      std::uint64_t* cyc =
-          shard_cycles == nullptr
-              ? nullptr
-              : shard_cycles + static_cast<std::size_t>(sh) * shard_cycles_stride;
+      std::uint64_t* cyc = shard_cycles == nullptr
+                               ? nullptr
+                               : shard_cycles + sh * shard_cycles_stride;
       if (!drain_shard(sh, tag, deadline, cyc)) return false;
     }
     return true;
@@ -354,11 +342,9 @@ class ReaderTable {
   const Config& config() const noexcept { return cfg_; }
 
  protected:
-  /// One shard of a sharded drain, writing its cycles to `*cyc` when
-  /// non-null. The shard's occupancy summary is line-ORed first — one load
-  /// per summary line (typically one line total); all-zero means no reader
-  /// of ANY lock is registered there (see the header comment for why a
-  /// late-arriving reader is safe to skip).
+  /// One shard of a sharded drain, its cycles to `*cyc` when non-null. The
+  /// summary lines are ORed first; all-zero means no reader of ANY lock is
+  /// registered there (the header comment says why a late one is safe).
   bool drain_shard(int sh, std::uint64_t tag, std::uint64_t deadline,
                    std::uint64_t* cyc) {
     if (cyc != nullptr) *cyc = 0;

@@ -1,6 +1,6 @@
-// SpRWLock configuration: every knob the lock reads, with the paper's
-// defaults. A Config the lock cannot honour is rejected when the lock is
-// constructed (std::invalid_argument), never silently rewritten.
+// SpRWLock configuration with the paper's defaults. A Config the lock cannot
+// honour is rejected at construction (std::invalid_argument), never
+// silently rewritten.
 #pragma once
 
 #include <cstdint>
@@ -21,15 +21,9 @@ enum class SchedulingVariant {
 
 /// How slow-path readers register (core/tracker.h, DESIGN.md §11).
 enum class Tracking {
-  /// The paper's per-thread state[] flags; writers scan them at commit.
-  kFlags,
-  /// SNZI (§3.4): writers check one root word instead of the flags.
-  kSnzi,
-  /// Self-tuning (the paper's Section 5 future work): flags while the
-  /// sampled reader duration is short, SNZI once it exceeds
-  /// adaptive_threshold_cycles, with a drain-based two-phase transition so
-  /// writers always observe every active reader.
-  kAdaptive,
+  kFlags,     ///< the paper's per-thread state[] flags
+  kSnzi,      ///< SNZI (§3.4): writers check one root word
+  kAdaptive,  ///< flags or SNZI by sampled reader duration (§5 future work)
 };
 
 struct Config {
@@ -44,13 +38,10 @@ struct Config {
   Tracking tracking = Tracking::kFlags;
   std::uint64_t adaptive_threshold_cycles = 20'000;
   bool versioned_sgl = false;
-  /// Commit-time reader scan granularity (flat flags): batched reads the
-  /// 64-byte-aligned state array one cache line (8 flags) at a time with an
-  /// OR-summary early exit, so a writer's commit check costs ceil(T/8)
-  /// transactional line reads instead of T word reads. Conflict detection
-  /// is line-granular either way, so the strong-isolation store/abort
-  /// contract is unchanged; false restores the linear per-word scan (the
-  /// ablation baseline in bench/ablation_cost_model).
+  /// Commit-time scan granularity of flat flags: one OR-summary read per
+  /// line of 8 flags, ceil(T/8) line reads instead of T word reads.
+  /// Conflict detection is line-granular either way; false restores the
+  /// per-word scan (the ablation baseline in bench/ablation_cost_model).
   bool batched_reader_scan = true;
   /// δ as a fraction of the writer's expected duration (paper default 1/2).
   double delta_fraction = 0.5;
@@ -58,28 +49,20 @@ struct Config {
   /// SNZI tree depth; 0 = auto-size so there are roughly max_threads/2
   /// leaves (bounded contention per leaf, logarithmic update cost).
   int snzi_levels = 0;
-  /// Topology-aware reader tracking (DESIGN.md §11): the per-thread state
-  /// slots are laid out socket-major with per-socket line padding (a
-  /// thread's store only ever touches a socket-local line), and flag
-  /// readers also keep a one-word count per socket on its own line. The
-  /// writer's commit scan then reads the S socket counts instead of
-  /// ceil(T/8) flag lines — a smaller transactional read set and fewer
-  /// cross-socket line pulls per attempt. Any reader arrival still bumps a
-  /// subscribed count line, so the scan aborts on exactly the same
-  /// interleavings as the flat layout. SNZI trees go socket-major instead.
+  /// Topology-aware tracking (DESIGN.md §11): state slots go socket-major
+  /// with per-socket line padding, and flag readers also keep one count per
+  /// socket, which is all the commit scan reads (S lines instead of
+  /// ceil(T/8)). SNZI trees go socket-major instead.
   bool socket_sharded_tracking = false;
   /// The machine shape the sharding follows (socket-major dense tids, like
-  /// sim::SimConfig::topology). The 1-socket default degenerates to one
-  /// shard: a single count word in front of the flat flags.
+  /// sim::SimConfig::topology); one socket degenerates to a single shard.
   sim::Topology topology{};
 
   // --- BRAVO global reader bias (DESIGN.md §12) ---------------------------
-  /// Route readers through the process-global bravo_table while this lock's
-  /// bias is on: the reader CASes its hashed slot there and never touches
-  /// the per-lock tracking plane. Writers revoke the bias (kBiasRevoking →
-  /// table drain → kBiasOff) before attempting, and their commit scan
-  /// transactionally subscribes the bias word, so a concurrent re-bias
-  /// aborts them. Requires bravo_table.
+  /// Route readers through the shared bravo_table while this lock's bias is
+  /// on (core/bias.h): a reader CASes its hashed slot there and never
+  /// touches the per-lock plane; writers revoke the bias first. Requires
+  /// bravo_table.
   bool bravo_bias = false;
   /// The shared visible-readers table. One table serves every lock of the
   /// workload; locks register for a dense id at construction.
@@ -93,16 +76,10 @@ struct Config {
   double bravo_rebias_cooldown = 8.0;
 
   // --- MVCC snapshot readers (DESIGN.md §14) ------------------------------
-  /// Third acquisition mode: read_snapshot() pins the engine's global
-  /// version clock at entry and serves every Shared<T> load inside the
-  /// section from that snapshot (current memory when the line is unchanged
-  /// since the pin, the retained prior version otherwise). The reader
-  /// registers NOTHING — no flag, no SNZI arrival, no bravo slot — so
-  /// writers' commit-time scans and the deferral heuristics never observe
-  /// snapshot readers and writer latency is independent of how long the
-  /// scan runs. Requires an installed engine with
-  /// EngineConfig::retain_versions > 0; without one (or with this flag
-  /// off) read_snapshot() degrades to a plain read().
+  /// read_snapshot() pins the engine's version clock and registers nothing
+  /// a writer could wait on (SpRWLock::read_snapshot). Needs an engine with
+  /// EngineConfig::retain_versions > 0; otherwise, or with this off,
+  /// read_snapshot() is a plain read().
   bool snapshot_readers = false;
 
   // --- graceful degradation under adverse schedules (DESIGN.md §8) --------

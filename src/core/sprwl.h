@@ -27,20 +27,15 @@
 //  * the versioned-SGL reader-starvation fix sketched in §3.3
 //    (Config::versioned_sgl, off by default as in the paper);
 //  * BRAVO-style global reader bias (Config::bravo_bias, core/bias.h,
-//    DESIGN.md §12): readers under a biased lock publish into a
-//    process-global bravo::ReaderTable and skip the per-lock tracker;
-//    writers revoke the bias and drain the table before using the
-//    tracker. Combined with the lazily allocated tracking plane below, a
-//    cold lock costs O(1) words — the property the million-lock
-//    lock-table workload (workloads/lock_table.h) depends on.
+//    DESIGN.md §12): biased readers publish into a shared
+//    bravo::ReaderTable instead of the per-lock tracker, which writers
+//    drain on revocation. With the lazy plane below, a cold lock costs
+//    O(1) words (workloads/lock_table.h depends on it).
 //
 // Per-lock tracking state (state array, reader tracker, scheduling clocks,
-// EMAs, stats) lives in a lazily allocated Plane: it is built on the first
-// operation that needs it and never for locks that only ever see bias-path
-// or HTM-path readers. Plane construction charges no virtual time and
-// engine line ids are assigned on first *access*, so lazy allocation is
-// invisible to the cost model — runs are bit-identical with eager
-// allocation.
+// EMAs, stats) lives in a lazily allocated Plane, never built for locks
+// that only see bias-path or HTM-path readers. Building it charges no
+// virtual time, so runs are bit-identical with eager allocation.
 //
 // Duration estimates use a per-critical-section-id exponential moving
 // average sampled on a single thread (§3.2.1); critical sections are
@@ -104,9 +99,8 @@ class alignas(kCacheLineSize) SpRWLock {
     return p != nullptr && p->tracker_->in_transition();
   }
 
-  /// Leaf count of the SNZI tree, if one exists (tests pin the auto-sizing
-  /// here); 0 when tracking is flags-only. Forces the lazy plane: callers
-  /// asking about tree geometry want the tree the lock *would* use.
+  /// Leaf count of the SNZI tree (0 without one). Forces the lazy plane:
+  /// callers asking about tree geometry want the tree the lock would use.
   std::size_t snzi_leaf_count() { return plane().tracker_->snzi_leaves(); }
 
   /// Virtual cycles spent in commit-time reader scans that ran to
@@ -114,19 +108,9 @@ class alignas(kCacheLineSize) SpRWLock {
   /// sample is taken), and how many such scans there were. The NUMA bench
   /// divides them to show the sharded scan's smaller read set.
   std::uint64_t commit_scan_cycles() const {
-    const Plane* p = plane_peek();
-    if (p == nullptr) return 0;
-    std::uint64_t n = 0;
-    for (const auto& s : p->scan_stats_) n += s.value.cycles;
-    return n;
+    return sum(&PerThread::scan_cycles);
   }
-  std::uint64_t commit_scan_count() const {
-    const Plane* p = plane_peek();
-    if (p == nullptr) return 0;
-    std::uint64_t n = 0;
-    for (const auto& s : p->scan_stats_) n += s.value.scans;
-    return n;
-  }
+  std::uint64_t commit_scan_count() const { return sum(&PerThread::scans); }
 
   /// Executes f as a read-only critical section identified by cs_id.
   template <class F>
@@ -177,16 +161,11 @@ class alignas(kCacheLineSize) SpRWLock {
     checked_tid();  // loud entry validation, like every other entry point
     for (;;) {
       // Pin only while the SGL is observed free and unchanged across the
-      // pin. An SGL-fallback writer publishes each store of its section
-      // with its own write version, so a snapshot pinned mid-fallback
-      // could observe a torn prefix of that section; HTM writers are
-      // immune (one commit publishes one version). Same state on both
-      // sides of the pin ⇒ no acquisition happened in between (lock and
-      // unlock each bump the word), so the pin cannot straddle one. The
-      // re-check must NOT go through Shared::load — the thread is pinned
-      // by then and the lookup would serve the word as of the pin,
-      // validating unconditionally — so it reads raw and charges the load
-      // explicitly.
+      // pin: an SGL-fallback writer publishes each store with its own
+      // version, so a pin mid-fallback could see a torn prefix. Lock and
+      // unlock each bump the word, so equal states mean no acquisition in
+      // between. The re-check reads raw (charging the load explicitly):
+      // once pinned, Shared::load would serve the word as of the pin.
       const std::uint64_t s0 = gl_.state();
       if ((s0 & 1) == 0) {
         engine->snapshot_begin();
@@ -198,10 +177,8 @@ class alignas(kCacheLineSize) SpRWLock {
     }
     bool missed = false;
     {
-      // The unpin lives in a ScopeExit so every unwind path — SnapshotMiss,
-      // an exception out of f, the chaos harness's RunCancelled — releases
-      // the reclamation pin; a leaked pin silently wedges version
-      // reclamation for the rest of the run.
+      // Every unwind path (SnapshotMiss, an exception out of f, the chaos
+      // harness's RunCancelled) must unpin, or version reclamation wedges.
       ScopeExit unpin([&] { engine->snapshot_end(); });
       fault::checkpoint(fault::InjectPoint::kReadEnter, this);
       try {
@@ -215,9 +192,8 @@ class alignas(kCacheLineSize) SpRWLock {
       snapshot_reads_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // The ring reclaimed a version this snapshot still needed (long
-    // section + small retain_versions). Fall back to a registered read —
-    // correct, just no longer invisible to writers.
+    // The ring reclaimed a version this snapshot still needed: fall back to
+    // a registered read, correct but visible to writers.
     snapshot_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     read_impl(cs_id, locks::kNoDeadline, std::forward<F>(f));
   }
@@ -226,12 +202,14 @@ class alignas(kCacheLineSize) SpRWLock {
   template <class F>
   locks::AcquireResult read_impl(int cs_id, std::uint64_t deadline, F&& f) {
     const int tid = checked_tid();
+    const auto timed_out = [] {
+      trace::emit(trace::Event::kReadTimeout);
+      return locks::AcquireResult::kTimeout;
+    };
 
     switch (bias_.try_read(tid, deadline, gl_, this, f)) {
       case BiasFront::Read::kDone: return locks::AcquireResult::kAcquired;
-      case BiasFront::Read::kTimeout:
-        trace::emit(trace::Event::kReadTimeout);
-        return locks::AcquireResult::kTimeout;
+      case BiasFront::Read::kTimeout: return timed_out();
       case BiasFront::Read::kSlow: break;
     }
 
@@ -250,26 +228,18 @@ class alignas(kCacheLineSize) SpRWLock {
     int token = 0;                // which structure took the arrival
     for (;;) {
       // Between iterations nothing is advertised, so expiry needs no
-      // unwind here (waiting_ver_ is cleared before each defer exit).
-      if (locks::deadline_expired(deadline)) {
-        trace::emit(trace::Event::kReadTimeout);
-        return locks::AcquireResult::kTimeout;
-      }
-      if (cfg_.reader_sync && !have_pass) {
-        if (!readers_wait(p, tid, deadline)) {
-          trace::emit(trace::Event::kReadTimeout);
-          return locks::AcquireResult::kTimeout;
-        }
+      // unwind here (waiting_ver is cleared before each defer exit).
+      if (locks::deadline_expired(deadline)) return timed_out();
+      if (cfg_.reader_sync && !have_pass && !readers_wait(p, tid, deadline)) {
+        return timed_out();
       }
       if (cfg_.writer_sync) {
-        p.clock_r_[static_cast<std::size_t>(tid)]->store(
-            platform::now() + read_estimate(p, cs_id),
-            std::memory_order_relaxed);
+        p.of(tid).clock_r.store(platform::now() + read_estimate(p, cs_id),
+                                std::memory_order_relaxed);
       }
       token = tracker.arrive(tid);
       if (cfg_.versioned_sgl) {
-        p.waiting_ver_[static_cast<std::size_t>(tid)]->store(
-            0, std::memory_order_release);
+        p.of(tid).waiting_ver.store(0, std::memory_order_release);
       }
       if (!gl_.is_locked()) break;
       if (have_pass && gl_.version() > pass_below) break;  // reader priority
@@ -278,16 +248,13 @@ class alignas(kCacheLineSize) SpRWLock {
       tracker.depart(tid, token);
       if (cfg_.versioned_sgl) {
         const std::uint64_t v0 = gl_.version();
-        p.waiting_ver_[static_cast<std::size_t>(tid)]->store(
-            (v0 << 1) | 1, std::memory_order_seq_cst);
+        p.of(tid).waiting_ver.store((v0 << 1) | 1, std::memory_order_seq_cst);
         while (gl_.is_locked() && gl_.version() <= v0) {
           if (locks::deadline_expired(deadline)) {
             // Retract the published waiting version before abandoning or a
             // versioned-SGL writer's drain spins on a phantom waiter.
-            p.waiting_ver_[static_cast<std::size_t>(tid)]->store(
-                0, std::memory_order_release);
-            trace::emit(trace::Event::kReadTimeout);
-            return locks::AcquireResult::kTimeout;
+            p.of(tid).waiting_ver.store(0, std::memory_order_release);
+            return timed_out();
           }
           locks::deadline_pause(deadline);
         }
@@ -295,21 +262,16 @@ class alignas(kCacheLineSize) SpRWLock {
         pass_below = v0;
       } else {
         while (gl_.is_locked()) {
-          if (locks::deadline_expired(deadline)) {
-            trace::emit(trace::Event::kReadTimeout);
-            return locks::AcquireResult::kTimeout;
-          }
+          if (locks::deadline_expired(deadline)) return timed_out();
           locks::deadline_pause(deadline);
         }
       }
     }
 
-    // Dangerous window: the flag is raised but the section has not run yet.
-    // A preemption injected here is what the stalled-reader watchdog and
-    // the chaos harness exercise. The flag is the point of no return for a
-    // timed reader: it is advertised, so the section runs even if the
-    // deadline passes during the preemption (unwinding here would buy
-    // nothing — the cleanup cost equals the section's own release).
+    // Dangerous window: registered, section not yet run — what the
+    // stalled-reader watchdog and the chaos harness exercise. It is a timed
+    // reader's point of no return: the section runs even if the deadline
+    // passes here (an unwind would cost what the section's release does).
     fault::checkpoint(fault::InjectPoint::kReadEnter, this);
     trace::emit(trace::Event::kReadUninsEnter);
     const std::uint64_t cs_start = platform::now();
@@ -334,7 +296,6 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
  public:
-
   /// Executes f as an update critical section identified by cs_id.
   template <class F>
   void write(int cs_id, F&& f) {
@@ -359,7 +320,7 @@ class alignas(kCacheLineSize) SpRWLock {
     Plane* wp = flagged ? &plane() : plane_peek();
     if (flagged) {
       // Advertise the writer and its expected end time (Alg. 2).
-      wp->clock_w_[static_cast<std::size_t>(tid)]->store(
+      wp->of(tid).clock_w.store(
           platform::now() + write_estimate(*wp, cs_id),
           std::memory_order_relaxed);
       wp->state_[tid].store(StateArray::kWriter);
@@ -371,12 +332,10 @@ class alignas(kCacheLineSize) SpRWLock {
     fault::checkpoint(fault::InjectPoint::kWriteEnter, this);
 
     // Escalation to the (versioned) SGL; `why` records which degradation
-    // path fired so chaos runs can tell retry exhaustion from a stalled
-    // reader or an exhausted budget. Returns false if the deadline expired
-    // before the SGL was acquired (the fallback itself is then the last
-    // wait a timed writer can abandon — once the SGL is held the write
-    // runs to completion).
-    const auto escalate = [&](locks::Escalation why, int attempts) -> bool {
+    // path fired. Returns false if the deadline expired before the SGL was
+    // acquired — once it is held, the write runs to completion.
+    int attempts = 0;
+    const auto escalate = [&](locks::Escalation why) -> bool {
       plane().modes_.record_escalation(why);
       trace::emit(why == locks::Escalation::kStalledReader
                       ? trace::Event::kStalledReaderEscalate
@@ -392,7 +351,6 @@ class alignas(kCacheLineSize) SpRWLock {
       return locks::AcquireResult::kTimeout;  // clear_flag unwinds the flag
     };
 
-    int attempts = 0;
     std::uint64_t backoff = 0;       // current exponential delay
     std::uint64_t retry_start = 0;   // first attempt of the current streak
     std::uint64_t stall_since = 0;   // first reader abort of the streak
@@ -406,8 +364,7 @@ class alignas(kCacheLineSize) SpRWLock {
       }
       // Revoke the bias before every attempt: the drain guarantees no
       // fast-path reader is live, and the in-transaction bias subscription
-      // below catches any re-bias that slips in after it (DESIGN.md §12).
-      // A drain abandoned on deadline re-arms the bias (see revoke_bias).
+      // catches any re-bias after it (DESIGN.md §12).
       if (!bias_.revoke(deadline)) return timed_out();
       ++attempts;
       const std::uint64_t attempt_start = platform::now();
@@ -433,10 +390,8 @@ class alignas(kCacheLineSize) SpRWLock {
         }
         trace::emit(trace::Event::kWriteHtmCommit,
                     static_cast<std::uint32_t>(attempts));
-        // Inline counter (like htm_reads_): recording through the plane's
-        // per-thread ModeRecorder would allocate the plane for a lock whose
-        // only traffic is HTM commits — exactly the cold case the lazy
-        // plane exists for. stats() merges the counters, so totals match.
+        // Inline counter (like htm_reads_): the plane's ModeRecorder would
+        // allocate a plane for a lock whose only traffic is HTM commits.
         htm_writes_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
@@ -447,7 +402,7 @@ class alignas(kCacheLineSize) SpRWLock {
                                 status.code == kCodeReader;
       if (reader_abort) {
         if (Plane* p = plane_peek()) {
-          ++p->reader_aborts_[static_cast<std::size_t>(tid)].value;
+          ++p->of(tid).reader_aborts;
         } else {
           cold_reader_aborts_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -455,9 +410,7 @@ class alignas(kCacheLineSize) SpRWLock {
       }
       if (status.cause == htm::AbortCause::kCapacity) {
         // Retrying cannot help a section that does not fit; fall back now.
-        if (!escalate(locks::Escalation::kCapacity, attempts)) {
-          return timed_out();
-        }
+        if (!escalate(locks::Escalation::kCapacity)) return timed_out();
         break;
       }
       if (lock_busy && cfg_.lemming_avoidance) {
@@ -473,17 +426,13 @@ class alignas(kCacheLineSize) SpRWLock {
         continue;
       }
       if (attempts >= cfg_.max_retries) {
-        if (!escalate(locks::Escalation::kRetryExhausted, attempts)) {
-          return timed_out();
-        }
+        if (!escalate(locks::Escalation::kRetryExhausted)) return timed_out();
         break;
       }
       const std::uint64_t now = platform::now();
       if (cfg_.writer_retry_budget_cycles != 0 &&
           now - retry_start > cfg_.writer_retry_budget_cycles) {
-        if (!escalate(locks::Escalation::kBudgetExhausted, attempts)) {
-          return timed_out();
-        }
+        if (!escalate(locks::Escalation::kBudgetExhausted)) return timed_out();
         break;
       }
       if (reader_abort) {
@@ -496,9 +445,7 @@ class alignas(kCacheLineSize) SpRWLock {
           // The reader blocking us has been active far longer than readers
           // ever run: presume it descheduled with its flag raised and stop
           // burning transactions against it.
-          if (!escalate(locks::Escalation::kStalledReader, attempts)) {
-            return timed_out();
-          }
+          if (!escalate(locks::Escalation::kStalledReader)) return timed_out();
           break;
         }
         if (cfg_.writer_sync) {
@@ -527,7 +474,6 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
  public:
-
   locks::LockStats stats() const {
     locks::LockStats s;
     if (const Plane* p = plane_peek()) s = p->modes_.snapshot();
@@ -540,18 +486,14 @@ class alignas(kCacheLineSize) SpRWLock {
   /// Writer aborts caused by an active reader (the paper's "reader" abort
   /// class, reported separately from other explicit aborts).
   std::uint64_t reader_abort_count() const {
-    std::uint64_t n = cold_reader_aborts_.load(std::memory_order_relaxed);
-    if (const Plane* p = plane_peek()) {
-      for (const auto& c : p->reader_aborts_) n += c.value;
-    }
-    return n;
+    return cold_reader_aborts_.load(std::memory_order_relaxed) +
+           sum(&PerThread::reader_aborts);
   }
 
   void reset_stats() {
     if (Plane* p = plane_.load(std::memory_order_acquire)) {
       p->modes_.reset();
-      for (auto& c : p->reader_aborts_) c.value = 0;
-      for (auto& s : p->scan_stats_) s.value = {};
+      for (auto& t : p->threads_) t.reader_aborts = t.scan_cycles = t.scans = 0;
     }
     htm_reads_.store(0, std::memory_order_relaxed);
     htm_writes_.store(0, std::memory_order_relaxed);
@@ -628,29 +570,29 @@ class alignas(kCacheLineSize) SpRWLock {
   /// Floor of the stalled-reader watchdog's threshold.
   static constexpr std::uint64_t kReaderStallSlackCycles = 64'000;
 
-  struct ScanStat {
-    std::uint64_t cycles = 0;
+  /// One line per thread, written only by that thread (other threads poll
+  /// it): the scheduling clocks and waits of Algs. 2/3 and §3.3, plus its
+  /// reader-abort and commit-scan counters.
+  struct alignas(kCacheLineSize) PerThread {
+    std::atomic<std::uint64_t> clock_w{0};      ///< expected end as a writer
+    std::atomic<std::uint64_t> clock_r{0};      ///< expected end as a reader
+    std::atomic<int> waiting_for{-1};           ///< writer it waits on (Alg. 2)
+    std::atomic<std::uint64_t> waiting_ver{0};  ///< versioned-SGL wait (§3.3)
+    std::uint64_t reader_aborts = 0;
+    std::uint64_t scan_cycles = 0;  ///< commit scans that found no reader
     std::uint64_t scans = 0;
   };
+  static_assert(sizeof(PerThread) == kCacheLineSize);
 
-  /// Everything whose size scales with max_threads (or holds a tree): the
-  /// state array, the reader tracker, scheduling clocks, EMAs, stats.
-  /// Built on first need; cold locks never pay for it. Construction does
-  /// plain allocation + raw stores only — no engine access, no virtual
-  /// time — and the engine assigns line ids on first *access*, so lazy
-  /// allocation is bit-identical to eager allocation.
+  /// Everything whose size scales with max_threads (or holds a tree).
+  /// Construction is plain allocation and raw stores — no engine access —
+  /// and the engine assigns line ids on first *access*.
   struct Plane {
     Plane(const Config& cfg, TrackerFactory make_tracker)
         : state_(cfg),
           tracker_(make_tracker(cfg, state_)),
-          clock_w_(static_cast<std::size_t>(cfg.max_threads)),
-          clock_r_(static_cast<std::size_t>(cfg.max_threads)),
-          waiting_for_(static_cast<std::size_t>(cfg.max_threads)),
-          waiting_ver_(static_cast<std::size_t>(cfg.max_threads)),
-          reader_aborts_(static_cast<std::size_t>(cfg.max_threads)),
-          scan_stats_(static_cast<std::size_t>(cfg.max_threads)),
+          threads_(static_cast<std::size_t>(cfg.max_threads)),
           modes_(cfg.max_threads) {
-      for (auto& w : waiting_for_) w->store(-1, std::memory_order_relaxed);
       for (auto& e : read_ema_) {
         e = std::make_unique<DurationEma>(cfg.ema_alpha);
       }
@@ -662,28 +604,17 @@ class alignas(kCacheLineSize) SpRWLock {
     /// Heap bytes of the plane (per-lock footprint accounting).
     std::size_t bytes() const {
       std::size_t b = sizeof(Plane) + state_.bytes() + tracker_->bytes();
-      b += clock_w_.capacity() *
-           sizeof(CacheLinePadded<std::atomic<std::uint64_t>>);
-      b += clock_r_.capacity() *
-           sizeof(CacheLinePadded<std::atomic<std::uint64_t>>);
-      b += waiting_for_.capacity() * sizeof(CacheLinePadded<std::atomic<int>>);
-      b += waiting_ver_.capacity() *
-           sizeof(CacheLinePadded<std::atomic<std::uint64_t>>);
-      b += reader_aborts_.capacity() * sizeof(CacheLinePadded<std::uint64_t>);
-      b += scan_stats_.capacity() * sizeof(CacheLinePadded<ScanStat>);
+      b += threads_.capacity() * sizeof(PerThread);
       b += kEmaSlots * 2 * sizeof(DurationEma);
       b += modes_.footprint_bytes();
       return b;
     }
 
+    PerThread& of(int tid) { return threads_[static_cast<std::size_t>(tid)]; }
+
     StateArray state_;
     std::unique_ptr<ReaderTracker> tracker_;
-    std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> clock_w_;
-    std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> clock_r_;
-    std::vector<CacheLinePadded<std::atomic<int>>> waiting_for_;
-    std::vector<CacheLinePadded<std::atomic<std::uint64_t>>> waiting_ver_;
-    std::vector<CacheLinePadded<std::uint64_t>> reader_aborts_;
-    std::vector<CacheLinePadded<ScanStat>> scan_stats_;
+    std::vector<PerThread> threads_;
     std::unique_ptr<DurationEma> read_ema_[kEmaSlots];
     std::unique_ptr<DurationEma> write_ema_[kEmaSlots];
     locks::ModeRecorder modes_;
@@ -712,6 +643,15 @@ class alignas(kCacheLineSize) SpRWLock {
     return plane_.load(std::memory_order_acquire);
   }
 
+  /// Total of one per-thread counter; 0 without a plane.
+  std::uint64_t sum(std::uint64_t PerThread::*field) const {
+    std::uint64_t n = 0;
+    if (const Plane* p = plane_peek()) {
+      for (const auto& t : p->threads_) n += t.*field;
+    }
+    return n;
+  }
+
   /// The lazily allocated tracking plane; builds it on first call.
   Plane& plane() {
     Plane* p = plane_peek();
@@ -731,10 +671,7 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
   /// Entry-point thread validation: a dense id >= max_threads would index
-  /// out of bounds in every per-thread array of this lock, and release
-  /// builds used to do exactly that (the assert compiled away). Failing
-  /// loudly at section entry turns a mis-sized Config into a diagnosable
-  /// error instead of silent corruption.
+  /// out of bounds in every per-thread array of this lock.
   int checked_tid() const {
     const int tid = platform::thread_id();
     if (tid < 0 || tid >= cfg_.max_threads) {
@@ -757,10 +694,8 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
   /// How long a writer tolerates consecutive reader aborts before presuming
-  /// the blocking reader is stalled (descheduled with its flag raised).
-  /// Derived from the observed reader duration: a healthy reader finishes
-  /// within a few EMAs, so waiting `reader_stall_multiplier` times that is
-  /// evidence the reader is not running. 0 disables the watchdog.
+  /// the blocking reader stalled (descheduled while registered): a healthy
+  /// reader finishes within a few EMAs. 0 disables the watchdog.
   std::uint64_t stall_threshold() const {
     if (cfg_.reader_stall_multiplier <= 0.0) return 0;
     const auto scaled = static_cast<std::uint64_t>(
@@ -798,9 +733,8 @@ class alignas(kCacheLineSize) SpRWLock {
     const std::uint64_t scan_start = platform::now();
     if (readers_visible(*engine, tid)) engine->abort_tx(kCodeReader);
     if (Plane* p = plane_peek()) {
-      auto& s = p->scan_stats_[static_cast<std::size_t>(tid)].value;
-      s.cycles += platform::now() - scan_start;
-      ++s.scans;
+      p->of(tid).scan_cycles += platform::now() - scan_start;
+      ++p->of(tid).scans;
     }
   }
 
@@ -815,7 +749,7 @@ class alignas(kCacheLineSize) SpRWLock {
 
   /// Alg. 2 Readers_Wait: wait for the active writer expected to end last,
   /// or join a reader that is already waiting for one. Returns false iff
-  /// the deadline expired mid-wait — with waiting_for_ already reset, so
+  /// the deadline expired mid-wait — with waiting_for already reset, so
   /// readers that joined us are unaffected (they copied the *writer's* tid
   /// at join time and wait on that writer, not on us).
   bool readers_wait(Plane& p, int tid, std::uint64_t deadline) {
@@ -824,15 +758,14 @@ class alignas(kCacheLineSize) SpRWLock {
     std::uint64_t max_end = 0;
     for (int t = 0; t < cfg_.max_threads; ++t) {
       if (t == tid) continue;
-      const std::size_t s = static_cast<std::size_t>(t);
       if (p.state_[t].load() == StateArray::kWriter) {
-        const std::uint64_t end = p.clock_w_[s]->load(std::memory_order_relaxed);
+        const auto end = p.of(t).clock_w.load(std::memory_order_relaxed);
         if (wait_for == -1 || end > max_end) {
           max_end = end;
           wait_for = t;
         }
       } else if (cfg_.reader_join) {
-        const int other = p.waiting_for_[s]->load(std::memory_order_acquire);
+        const int other = p.of(t).waiting_for.load(std::memory_order_acquire);
         if (other != -1) {
           wait_for = other;  // align our start with that reader's
           joined = true;
@@ -843,22 +776,20 @@ class alignas(kCacheLineSize) SpRWLock {
     if (wait_for == -1) return true;
     trace::emit(joined ? trace::Event::kReaderJoin : trace::Event::kReaderWait,
                 static_cast<std::uint32_t>(wait_for));
-    const std::size_t me = static_cast<std::size_t>(tid);
-    p.waiting_for_[me]->store(wait_for, std::memory_order_release);
+    std::atomic<int>& mine = p.of(tid).waiting_for;
+    mine.store(wait_for, std::memory_order_release);
     // Timed wait up to the writer's expected end (§3.4), then poll.
     const std::uint64_t until = locks::cap_wait(
-        p.clock_w_[static_cast<std::size_t>(wait_for)]->load(
-            std::memory_order_relaxed),
-        deadline);
+        p.of(wait_for).clock_w.load(std::memory_order_relaxed), deadline);
     if (until > platform::now()) platform::wait_until(until);
     while (p.state_[wait_for].load() == StateArray::kWriter) {
       if (locks::deadline_expired(deadline)) {
-        p.waiting_for_[me]->store(-1, std::memory_order_release);
+        mine.store(-1, std::memory_order_release);
         return false;
       }
       locks::deadline_pause(deadline);
     }
-    p.waiting_for_[me]->store(-1, std::memory_order_release);
+    mine.store(-1, std::memory_order_release);
     return true;
   }
 
@@ -874,8 +805,7 @@ class alignas(kCacheLineSize) SpRWLock {
     Plane& p = *pp;
     const std::uint64_t last_reader_end =
         p.tracker_->latest_reader_end(tid, [&](int t) {
-          return p.clock_r_[static_cast<std::size_t>(t)]->load(
-              std::memory_order_relaxed);
+          return p.of(t).clock_r.load(std::memory_order_relaxed);
         });
     if (last_reader_end == 0) return;
     const std::uint64_t dur = write_estimate(p, cs_id);
@@ -888,11 +818,8 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
   /// Returns false iff the deadline expired before the SGL was acquired.
-  /// Acquiring the SGL is the point of no return: every wait below it
-  /// (bias drain, versioned waiter drain, reader drain) terminates because
-  /// readers observing the busy SGL defer, so the write always completes
-  /// once the lock is held — a timed writer never abandons a partially
-  /// drained SGL acquisition.
+  /// Holding the SGL is the point of no return: every wait below it
+  /// terminates because readers observing the busy SGL defer.
   template <class F>
   bool fallback_write(int cs_id, int tid, std::uint64_t deadline, F&& f) {
     if (!gl_.lock_until(deadline)) return false;
@@ -907,7 +834,7 @@ class alignas(kCacheLineSize) SpRWLock {
       const std::uint64_t my_ver = gl_.version();
       for (int t = 0; t < cfg_.max_threads; ++t) {
         if (t == tid) continue;
-        auto& wv = *pp->waiting_ver_[static_cast<std::size_t>(t)];
+        auto& wv = pp->of(t).waiting_ver;
         for (;;) {
           const std::uint64_t v = wv.load(std::memory_order_acquire);
           if ((v & 1) == 0 || (v >> 1) >= my_ver) break;

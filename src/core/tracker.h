@@ -1,22 +1,13 @@
-// Reader tracking for SpRWLock: how a slow-path reader makes itself visible
-// to writers, and how writers look for it (DESIGN.md §11).
-//
-// A lock builds exactly one ReaderTracker, chosen once from Config::tracking
-// when the lock is constructed and built inside its lazily allocated
-// tracking plane:
-//
-//  * FlagsTracker — the paper's per-thread state[] flags, flat or
-//    socket-major with a one-word reader count per socket;
-//  * SnziTracker — a SNZI tree (§3.4): writers check one root word;
-//  * AdaptiveTracker — both, plus a mode word and a transition word, with
-//    the structure chosen from the sampled reader duration.
-//
-// Every operation charges exactly the engine accesses of the structure it
-// touches. The safety argument is per structure and unchanged by the
-// interface: a reader's registration store bumps a line that any writer
-// already past its commit-time subscribe() has in its read set. The
-// checker substitutes mutants of these classes (src/check/mutants.h)
-// through SpRWLock's tracker factory.
+// Reader tracking for SpRWLock (DESIGN.md §11): how a slow-path reader
+// makes itself visible to writers, and how writers look for it. A lock
+// builds one ReaderTracker in its lazily allocated plane, chosen once from
+// Config::tracking when the lock is constructed: FlagsTracker (the paper's
+// state[] flags, flat or socket-major with per-socket reader counts),
+// SnziTracker (§3.4), or AdaptiveTracker (both, plus a mode word and a
+// transition word). Every operation charges exactly the engine accesses of
+// the structure it touches, and a reader's registration store bumps a line
+// that any writer past subscribe() has in its read set. The checker
+// substitutes mutants (src/check/mutants.h) through the tracker factory.
 #pragma once
 
 #include <algorithm>
@@ -36,12 +27,10 @@
 namespace sprwl::core {
 
 /// Per-thread state words of one lock: kIdle, kReader (a flag-registered
-/// reader in its section) or kWriter (a writer's Alg. 2 advertisement,
-/// kept under every tracker). Flat: slot = tid, packed 8 per line like the
-/// paper's state[N] — a commit scan touches ~N/8 lines, at the price that
-/// one reader's store invalidates the whole line. Socket-major
-/// (Config::socket_sharded_tracking): each socket's slots form a shard
-/// padded to whole lines, so a thread's store never touches another
+/// reader) or kWriter (a writer's Alg. 2 advertisement, under every
+/// tracker). Flat: slot = tid, 8 per line like the paper's state[N].
+/// Socket-major (Config::socket_sharded_tracking): each socket's slots form
+/// a shard padded to whole lines, so a store never touches another
 /// socket's line.
 class StateArray {
  public:
@@ -55,58 +44,45 @@ class StateArray {
         socket_major_(cfg.socket_sharded_tracking),
         sockets_(socket_major_ ? std::max(cfg.topology.sockets, 1) : 1),
         topology_(cfg.topology),
-        stride_(socket_major_ ? round_to_line(slots_per_socket(cfg))
-                              : static_cast<std::size_t>(threads_)),
+        stride_(stride_of(cfg)),
         words_(static_cast<std::size_t>(sockets_) * stride_) {}
 
-  htm::Shared<std::uint64_t>& operator[](int tid) noexcept {
+  htm::Shared<std::uint64_t>& operator[](int tid) { return words_[slot(tid)]; }
+  const htm::Shared<std::uint64_t>& operator[](int tid) const {
     return words_[slot(tid)];
   }
-  const htm::Shared<std::uint64_t>& operator[](int tid) const noexcept {
-    return words_[slot(tid)];
-  }
-  /// Slot `i` in layout order; in the flat layout slot i is thread i.
-  const htm::Shared<std::uint64_t>* slots() const noexcept {
-    return words_.data();
-  }
-
+  /// Slots in layout order; in the flat layout slot i is thread i.
+  const htm::Shared<std::uint64_t>* slots() const { return words_.data(); }
   int threads() const noexcept { return threads_; }
   bool socket_major() const noexcept { return socket_major_; }
   int sockets() const noexcept { return sockets_; }
   int socket_of(int tid) const noexcept { return topology_.socket_of(tid); }
 
   /// Uncharged: some slot holds kReader.
-  bool any_reader_raw() const noexcept {
-    for (const auto& w : words_) {
-      if (w.raw_load() == kReader) return true;
-    }
-    return false;
+  bool any_reader_raw() const {
+    return std::any_of(words_.begin(), words_.end(),
+                       [](const auto& w) { return w.raw_load() == kReader; });
   }
-
-  std::size_t bytes() const noexcept {
-    return words_.capacity() * sizeof(htm::Shared<std::uint64_t>);
-  }
-
-  static std::size_t round_to_line(std::size_t slots) noexcept {
-    return (slots + kSlotsPerLine - 1) / kSlotsPerLine * kSlotsPerLine;
-  }
+  std::size_t bytes() const { return words_.capacity() * sizeof(words_[0]); }
 
  private:
-  /// Slots one socket's shard needs. A topology without an explicit
-  /// cores_per_socket puts every thread on socket 0, so the single shard
-  /// must hold them all.
-  static std::size_t slots_per_socket(const Config& cfg) noexcept {
+  /// Slots per socket shard, line-rounded. A topology without
+  /// cores_per_socket puts every thread on socket 0.
+  static std::size_t stride_of(const Config& cfg) {
+    const auto threads = static_cast<std::size_t>(cfg.max_threads);
     const int cps = cfg.topology.cores_per_socket;
-    if (cfg.topology.sockets <= 1 || cps <= 0)
-      return static_cast<std::size_t>(cfg.max_threads);
-    return static_cast<std::size_t>(cps);
+    if (!cfg.socket_sharded_tracking) return threads;
+    const std::size_t n = cfg.topology.sockets > 1 && cps > 0
+                              ? static_cast<std::size_t>(cps)
+                              : threads;
+    return (n + kSlotsPerLine - 1) / kSlotsPerLine * kSlotsPerLine;
   }
 
   std::size_t slot(int tid) const noexcept {
     if (!socket_major_) return static_cast<std::size_t>(tid);
     const int cps = topology_.cores_per_socket;
-    const std::size_t local = static_cast<std::size_t>(cps > 0 ? tid % cps : tid);
-    return static_cast<std::size_t>(socket_of(tid)) * stride_ + local;
+    return static_cast<std::size_t>(socket_of(tid)) * stride_ +
+           static_cast<std::size_t>(cps > 0 ? tid % cps : tid);
   }
 
   int threads_;
@@ -121,38 +97,31 @@ class ReaderTracker {
  public:
   explicit ReaderTracker(StateArray& state) : state_(state) {}
   virtual ~ReaderTracker() = default;
-  ReaderTracker(const ReaderTracker&) = delete;
-  ReaderTracker& operator=(const ReaderTracker&) = delete;
 
-  /// Registers `tid` as an active reader, then fences so the registration
-  /// is visible before the section's first read. Returns the token the
-  /// matching depart() takes: which structure took the arrival.
+  /// Registers reader `tid` and fences, so the registration is visible
+  /// before the section's first read. Returns the token depart() takes.
   virtual int arrive(int tid) = 0;
-  /// Deregisters a reader; the caller fences before it.
+  /// Deregisters a reader; the caller fences first.
   virtual void depart(int tid, int token) = 0;
-  /// The writer's commit-time check, inside its transaction: true iff a
+  /// The commit-time check inside the writer's transaction: true iff a
   /// registered reader is visible. Every word read joins the read set.
   virtual bool subscribe(htm::Engine& e, int tid) = 0;
-  /// Alg. 1 wait_for_readers, for the SGL holder `tid`: returns once every
-  /// registered reader has left (arriving readers see the busy SGL and
-  /// defer, so it terminates).
+  /// Alg. 1 wait_for_readers, for the SGL holder `tid`.
   virtual void drain(int tid) = 0;
   /// Uncharged: no reader is registered in this tracker's structures.
   virtual bool quiescent_raw() const = 0;
-  /// Sampler hook after each sampled read; `estimate` is the section's
-  /// reader-duration EMA.
+  /// Sampler hook after each sampled read, given the section's EMA.
   virtual void adapt(std::uint64_t /*estimate*/) {}
-  /// True while readers register through SNZI.
   virtual bool uses_snzi() const { return false; }
-  /// True while an adaptive transition has writers check both structures.
+  /// True while an adaptive flip has writers check both structures.
   virtual bool in_transition() const { return false; }
   virtual std::size_t snzi_leaves() const { return 0; }
-  /// Heap bytes of the tracker's own structures.
+  /// The tracker object plus the heap it owns.
   virtual std::size_t bytes() const = 0;
 
-  /// Alg. 3's input: the latest `end_of(t)` over readers t != tid showing
-  /// kReader in the state array, or 0. SNZI arrivals carry no identity, so
-  /// they never appear here.
+  /// Alg. 3's input: the latest `end_of(t)` over readers t != tid that
+  /// show kReader in the state array, or 0. SNZI arrivals carry no
+  /// identity, so they never appear here.
   template <class EndOf>
   std::uint64_t latest_reader_end(int tid, EndOf end_of) {
     std::uint64_t last = 0;
@@ -169,23 +138,22 @@ class ReaderTracker {
 };
 
 /// The paper's flags. Socket-major layouts add one reader count per socket
-/// (word 0 of a line of its own), which is what the commit scan reads.
+/// (word 0 of its own line), which is all the commit scan reads.
 class FlagsTracker : public ReaderTracker {
  public:
   FlagsTracker(const Config& cfg, StateArray& state)
       : ReaderTracker(state),
-        counts_(state.socket_major() ? static_cast<std::size_t>(state.sockets()) *
-                                           StateArray::kSlotsPerLine
-                                     : 0),
+        counts_(StateArray::kSlotsPerLine *
+                static_cast<std::size_t>(state.socket_major() ? state.sockets()
+                                                              : 0)),
         batched_(cfg.batched_reader_scan) {}
 
   int arrive(int tid) override {
     state_[tid].store(StateArray::kReader);  // strong isolation
     if (state_.socket_major()) count_add(tid, +1);
-    htm::memory_fence();  // flag must be visible before the section's reads
+    htm::memory_fence();
     return 0;
   }
-
   void depart(int tid, int) override {
     state_[tid].store(StateArray::kIdle);
     if (state_.socket_major()) count_add(tid, -1);
@@ -193,36 +161,30 @@ class FlagsTracker : public ReaderTracker {
 
   bool subscribe(htm::Engine& e, int tid) override {
     if (state_.socket_major()) {
-      // S subscribed socket counts instead of ceil(T/8) flag lines: an
-      // arrival on any socket bumps its count line, which aborts this
-      // transaction exactly as a flag store to a subscribed line would.
       for (int s = 0; s < state_.sockets(); ++s) {
         if (count(s).load() != 0) return true;
       }
       return false;
     }
-    if (!batched_) {
-      for (int t = 0; t < state_.threads(); ++t) {
-        if (t != tid && state_[t].load() == StateArray::kReader) return true;
+    const auto n = static_cast<std::size_t>(state_.threads());
+    if (batched_) {
+      // One OR-summary read per line of 8 flags; writers' kWriter (bit 1)
+      // never trips it.
+      for (std::size_t base = 0; base < n; base += StateArray::kSlotsPerLine) {
+        const std::size_t len = std::min(StateArray::kSlotsPerLine, n - base);
+        const std::uint64_t any = htm::line_or(e, state_.slots() + base, len);
+        if ((any & StateArray::kReader) != 0) return true;
       }
       return false;
     }
-    // Line-granular: one OR-summary read covers a line of 8 flags. kReader
-    // sets bit 0 and kWriter bit 1, so writers' flags never trip it.
-    const auto n = static_cast<std::size_t>(state_.threads());
-    for (std::size_t base = 0; base < n; base += StateArray::kSlotsPerLine) {
-      const std::size_t len = std::min(StateArray::kSlotsPerLine, n - base);
-      if ((htm::line_or(e, state_.slots() + base, len) & StateArray::kReader) != 0) {
-        return true;
-      }
+    for (int t = 0; t < state_.threads(); ++t) {
+      if (t != tid && state_[t].load() == StateArray::kReader) return true;
     }
     return false;
   }
 
-  /// Per slot even when socket-major: arriving readers defer with a
-  /// transient +1/-1 on the counts, which a count-based drain would keep
-  /// observing long after every section finished; a slot, once clear, is
-  /// never revisited.
+  /// Per slot even when socket-major: deferring readers churn the counts
+  /// with transient +1/-1, while a slot, once clear, is never revisited.
   void drain(int tid) override {
     for (int t = 0; t < state_.threads(); ++t) {
       if (t == tid) continue;
@@ -243,21 +205,19 @@ class FlagsTracker : public ReaderTracker {
     return true;
   }
 
-  std::size_t bytes() const override {
-    return counts_.capacity() * sizeof(htm::Shared<std::uint64_t>);
+  std::size_t bytes() const override { return sizeof(*this) + heap_bytes(); }
+  std::size_t heap_bytes() const {
+    return counts_.capacity() * sizeof(counts_[0]);
   }
 
  protected:
-  htm::Shared<std::uint64_t>& count(int socket) noexcept {
-    return counts_[static_cast<std::size_t>(socket) * StateArray::kSlotsPerLine];
-  }
-  const htm::Shared<std::uint64_t>& count(int socket) const noexcept {
-    return counts_[static_cast<std::size_t>(socket) * StateArray::kSlotsPerLine];
+  htm::Shared<std::uint64_t>& count(int s) const {
+    return counts_[static_cast<std::size_t>(s) * StateArray::kSlotsPerLine];
   }
 
  private:
-  /// A strong-isolation CAS loop on the socket's count: its version bump is
-  /// what aborts a writer that already subscribed the line.
+  /// Strong-isolation CAS loop: the version bump on the count's line is
+  /// what aborts a writer that already subscribed it.
   void count_add(int tid, std::int64_t delta) {
     htm::Shared<std::uint64_t>& c = count(state_.socket_of(tid));
     for (;;) {
@@ -267,7 +227,7 @@ class FlagsTracker : public ReaderTracker {
     }
   }
 
-  aligned_vector<htm::Shared<std::uint64_t>> counts_;
+  mutable aligned_vector<htm::Shared<std::uint64_t>> counts_;
   bool batched_;
 };
 
@@ -283,13 +243,14 @@ class SnziTracker : public ReaderTracker {
   }
   void depart(int tid, int) override { snzi_.depart(tid); }
   bool subscribe(htm::Engine&, int) override { return snzi_.query(); }
-  void drain(int) override {
-    while (snzi_.query()) platform::pause();
-  }
+  void drain(int) override { while (snzi_.query()) platform::pause(); }
   bool quiescent_raw() const override { return snzi_.root_count_raw() == 0; }
   bool uses_snzi() const override { return true; }
   std::size_t snzi_leaves() const override { return snzi_.leaf_count(); }
-  std::size_t bytes() const override { return snzi_.footprint_bytes(); }
+  std::size_t bytes() const override { return sizeof(*this) + heap_bytes(); }
+  std::size_t heap_bytes() const {
+    return snzi_.footprint_bytes() - sizeof(snzi_);
+  }
 
  private:
   static snzi::Snzi::Config tree_config(const Config& cfg) {
@@ -314,7 +275,7 @@ class SnziTracker : public ReaderTracker {
   snzi::Snzi snzi_;
 };
 
-/// Flags while readers are short, SNZI once the sampled duration crosses
+/// Flags while readers are short, SNZI once the sampled duration reaches
 /// Config::adaptive_threshold_cycles. A flip is two-phase: the transition
 /// word stays set, and writers check both structures, until the sampler
 /// sees the old structure drained.
@@ -326,7 +287,7 @@ class AdaptiveTracker : public ReaderTracker {
         snzi_(cfg, state),
         threshold_(cfg.adaptive_threshold_cycles) {}
 
-  /// The mode is re-checked after registering, so a reader racing a flip
+  /// The mode is re-read after registering, so a reader racing a flip
   /// never sits, active, in a structure the sampler declared drained.
   int arrive(int tid) override {
     std::uint64_t m = words_.mode.load();
@@ -342,21 +303,18 @@ class AdaptiveTracker : public ReaderTracker {
     of(static_cast<std::uint64_t>(token)).depart(tid, 0);
   }
 
-  /// Both words are subscribed, so a transition mid-transaction aborts the
+  /// Both words join the read set, so a flip mid-transaction aborts the
   /// writer rather than hiding a reader.
   bool subscribe(htm::Engine& e, int tid) override {
     const bool both = words_.transition.load() != 0;
     const std::uint64_t m = words_.mode.load();
     if ((both || m == kSnzi) && snzi_.subscribe(e, tid)) return true;
-    if (!both && m != kFlags) return false;
-    return flags_.subscribe(e, tid);
+    return (both || m == kFlags) && flags_.subscribe(e, tid);
   }
-
   void drain(int tid) override {
     snzi_.drain(tid);
     flags_.drain(tid);
   }
-
   bool quiescent_raw() const override {
     return snzi_.quiescent_raw() && flags_.quiescent_raw();
   }
@@ -372,7 +330,7 @@ class AdaptiveTracker : public ReaderTracker {
     }
     const std::uint64_t desired = estimate >= threshold_ ? kSnzi : kFlags;
     if (desired != words_.mode.load()) {
-      words_.transition.store(1);  // ordered before the flip (engine-serialized)
+      words_.transition.store(1);  // ordered before the flip
       words_.mode.store(desired);
       trace::emit(desired == kSnzi ? trace::Event::kModeFlipToSnzi
                                    : trace::Event::kModeFlipToFlags);
@@ -385,15 +343,15 @@ class AdaptiveTracker : public ReaderTracker {
   }
   std::size_t snzi_leaves() const override { return snzi_.snzi_leaves(); }
   std::size_t bytes() const override {
-    return flags_.bytes() + snzi_.bytes() + sizeof(ModeWords);
+    return sizeof(*this) + flags_.heap_bytes() + snzi_.heap_bytes();
   }
 
  private:
   static constexpr std::uint64_t kFlags = 0;
   static constexpr std::uint64_t kSnzi = 1;
 
-  ReaderTracker& of(std::uint64_t mode) {
-    return mode == kSnzi ? static_cast<ReaderTracker&>(snzi_) : flags_;
+  ReaderTracker& of(std::uint64_t m) {
+    return m == kSnzi ? static_cast<ReaderTracker&>(snzi_) : flags_;
   }
 
   // Line-aligned, so no Shared<> word of another object shares their line.
