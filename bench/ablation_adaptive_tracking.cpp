@@ -59,16 +59,13 @@ void run(const Args& args) {
     // The three variants of one size are independent points; the row prints
     // once all three computed, in size order.
     auto res = std::make_shared<std::array<double, 3>>();
-    runner.submit([res, m, p, threads] {
-      (*res)[0] = run_point(m, p, threads, core::Tracking::kFlags);
-    });
-    runner.submit([res, m, p, threads] {
-      (*res)[1] = run_point(m, p, threads, core::Tracking::kSnzi);
-    });
+    const auto point = [res, m, p, threads](int i, core::Tracking t) {
+      return [=] { (*res)[i] = run_point(m, p, threads, t); };
+    };
+    runner.submit(point(0, core::Tracking::kFlags));
+    runner.submit(point(1, core::Tracking::kSnzi));
     runner.submit(
-        [res, m, p, threads] {
-          (*res)[2] = run_point(m, p, threads, core::Tracking::kAdaptive);
-        },
+        point(2, core::Tracking::kAdaptive),
         [res, size] {
           const double flags = (*res)[0], snzi = (*res)[1], adaptive = (*res)[2];
           const double best = flags > snzi ? flags : snzi;

@@ -53,7 +53,7 @@ void run(const Args& args) {
     hashmap_series(runner, "RWL", m, p, {threads}, make_rwl());
     hashmap_series(runner, "SpRWL", m, p, {threads}, make_sprwl());
     hashmap_series(runner, "SpRWL-lin", m, p, {threads},
-                   make_sprwl(core::SchedulingVariant::kFull, false,
+                   make_sprwl(core::SchedulingVariant::kFull,
                               /*batched_scan=*/false));
   }
   runner.drain();

@@ -56,7 +56,7 @@ inline void fig34_machine(Runner& runner, const Machine& m, const Args& args,
       hashmap_series(runner, "RW-LE", m, p, threads, make_rwle(), opt.series);
     }
     hashmap_series(runner, "SpRWL", m, p, threads,
-                   make_sprwl(core::SchedulingVariant::kFull, false,
+                   make_sprwl(core::SchedulingVariant::kFull,
                               opt.sprwl_batched_scan),
                    opt.series);
   }

@@ -166,10 +166,9 @@ inline auto make_rwle() {
   };
 }
 inline auto make_sprwl(core::SchedulingVariant v = core::SchedulingVariant::kFull,
-                       bool use_snzi = false, bool batched_scan = true) {
-  return [v, use_snzi, batched_scan](int n) {
+                       bool batched_scan = true) {
+  return [v, batched_scan](int n) {
     core::Config c = core::Config::variant(v, n);
-    c.tracking = use_snzi ? core::Tracking::kSnzi : core::Tracking::kFlags;
     c.batched_reader_scan = batched_scan;
     return std::make_unique<core::SpRWLock>(c);
   };

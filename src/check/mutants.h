@@ -51,20 +51,13 @@ class SkipLastSlotTable : public bravo::ReaderTable {
 /// slots — so a reader registered on socket 0 survives revocation.
 class SkipShardTable : public bravo::ReaderTable {
  public:
-  static constexpr int kSkippedShard = 0;
   using ReaderTable::ReaderTable;
-  bool wait_for_readers_of(std::uint32_t lock_id, std::uint64_t deadline,
-                           std::uint64_t* shard_cycles,
-                           std::size_t stride) override {
-    for (int sh = 0; sh < shard_count(); ++sh) {
-      std::uint64_t* cyc =
-          shard_cycles == nullptr ? nullptr : shard_cycles + sh * stride;
-      if (sh == kSkippedShard) {
-        if (cyc != nullptr) *cyc = 0;
-      } else if (!drain_shard(sh, tag_of(lock_id), deadline, cyc)) {
-        return false;
-      }
-    }
+
+ protected:
+  bool drain_shard(int sh, std::uint64_t tag, std::uint64_t deadline,
+                   std::uint64_t* cyc) override {
+    if (sh != 0) return ReaderTable::drain_shard(sh, tag, deadline, cyc);
+    if (cyc != nullptr) *cyc = 0;
     return true;
   }
 };

@@ -345,8 +345,8 @@ class ReaderTable {
   /// One shard of a sharded drain, its cycles to `*cyc` when non-null. The
   /// summary lines are ORed first; all-zero means no reader of ANY lock is
   /// registered there (the header comment says why a late one is safe).
-  bool drain_shard(int sh, std::uint64_t tag, std::uint64_t deadline,
-                   std::uint64_t* cyc) {
+  virtual bool drain_shard(int sh, std::uint64_t tag, std::uint64_t deadline,
+                           std::uint64_t* cyc) {
     if (cyc != nullptr) *cyc = 0;
     const std::uint64_t t0 = platform::now();
     const std::size_t sb = static_cast<std::size_t>(sh) * summary_stride_;

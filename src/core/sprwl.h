@@ -161,11 +161,16 @@ class alignas(kCacheLineSize) SpRWLock {
     checked_tid();  // loud entry validation, like every other entry point
     for (;;) {
       // Pin only while the SGL is observed free and unchanged across the
-      // pin: an SGL-fallback writer publishes each store with its own
-      // version, so a pin mid-fallback could see a torn prefix. Lock and
-      // unlock each bump the word, so equal states mean no acquisition in
-      // between. The re-check reads raw (charging the load explicitly):
-      // once pinned, Shared::load would serve the word as of the pin.
+      // pin. An SGL-fallback writer publishes each store of its section
+      // with its own write version, so a snapshot pinned mid-fallback
+      // could observe a torn prefix of that section; HTM writers are
+      // immune (one commit publishes one version). Same state on both
+      // sides of the pin ⇒ no acquisition happened in between (lock and
+      // unlock each bump the word), so the pin cannot straddle one. The
+      // re-check must NOT go through Shared::load — the thread is pinned
+      // by then and the lookup would serve the word as of the pin,
+      // validating unconditionally — so it reads raw and charges the load
+      // explicitly.
       const std::uint64_t s0 = gl_.state();
       if ((s0 & 1) == 0) {
         engine->snapshot_begin();
@@ -177,8 +182,10 @@ class alignas(kCacheLineSize) SpRWLock {
     }
     bool missed = false;
     {
-      // Every unwind path (SnapshotMiss, an exception out of f, the chaos
-      // harness's RunCancelled) must unpin, or version reclamation wedges.
+      // The unpin lives in a ScopeExit so every unwind path — SnapshotMiss,
+      // an exception out of f, the chaos harness's RunCancelled — releases
+      // the reclamation pin; a leaked pin silently wedges version
+      // reclamation for the rest of the run.
       ScopeExit unpin([&] { engine->snapshot_end(); });
       fault::checkpoint(fault::InjectPoint::kReadEnter, this);
       try {
@@ -192,8 +199,9 @@ class alignas(kCacheLineSize) SpRWLock {
       snapshot_reads_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // The ring reclaimed a version this snapshot still needed: fall back to
-    // a registered read, correct but visible to writers.
+    // The ring reclaimed a version this snapshot still needed (long
+    // section + small retain_versions). Fall back to a registered read —
+    // correct, just no longer invisible to writers.
     snapshot_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     read_impl(cs_id, locks::kNoDeadline, std::forward<F>(f));
   }
@@ -390,8 +398,10 @@ class alignas(kCacheLineSize) SpRWLock {
         }
         trace::emit(trace::Event::kWriteHtmCommit,
                     static_cast<std::uint32_t>(attempts));
-        // Inline counter (like htm_reads_): the plane's ModeRecorder would
-        // allocate a plane for a lock whose only traffic is HTM commits.
+        // Inline counter (like htm_reads_): recording through the plane's
+        // per-thread ModeRecorder would allocate the plane for a lock whose
+        // only traffic is HTM commits — exactly the cold case the lazy
+        // plane exists for. stats() merges the counters, so totals match.
         htm_writes_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
@@ -671,7 +681,10 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
   /// Entry-point thread validation: a dense id >= max_threads would index
-  /// out of bounds in every per-thread array of this lock.
+  /// out of bounds in every per-thread array of this lock, and release
+  /// builds used to do exactly that (the assert compiled away). Failing
+  /// loudly at section entry turns a mis-sized Config into a diagnosable
+  /// error instead of silent corruption.
   int checked_tid() const {
     const int tid = platform::thread_id();
     if (tid < 0 || tid >= cfg_.max_threads) {

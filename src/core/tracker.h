@@ -48,9 +48,6 @@ class StateArray {
         words_(static_cast<std::size_t>(sockets_) * stride_) {}
 
   htm::Shared<std::uint64_t>& operator[](int tid) { return words_[slot(tid)]; }
-  const htm::Shared<std::uint64_t>& operator[](int tid) const {
-    return words_[slot(tid)];
-  }
   /// Slots in layout order; in the flat layout slot i is thread i.
   const htm::Shared<std::uint64_t>* slots() const { return words_.data(); }
   int threads() const noexcept { return threads_; }

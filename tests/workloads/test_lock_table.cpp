@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/bravo.h"
@@ -206,6 +207,48 @@ TEST(LockTable, RunsAreDeterministicPerSeed) {
   EXPECT_EQ(a.totals.revocations, b.totals.revocations);
   EXPECT_NE(a.reads + a.totals.bias_reads, other.reads + other.totals.bias_reads)
       << "different seeds should explore different schedules";
+}
+
+// Virtual time must not follow the heap layout: a lock shell keeps every
+// engine-visible word on its own line-aligned line 0, so no other object's
+// words can share that line. The same small BRAVO table, built twice in one
+// process after live heap allocations of different sizes, must replay the
+// same run to the cycle.
+TEST(LockTable, VirtualTimeIsIndependentOfHeapLayout) {
+  const auto run_after = [](std::size_t pad_bytes) {
+    const std::vector<char> pad(pad_bytes, 1);  // live for the whole run
+    LockTable::Config c;
+    c.keys = 1 << 8;
+    c.lock = bravo_lock_cfg(4);
+    LockTable table(c);
+    htm::Engine engine{htm::EngineConfig{}};
+    sim::Simulator sim;
+    LockTableDriverConfig dc;
+    dc.threads = 4;
+    dc.update_ratio = 0.05;
+    dc.warmup_cycles = 5'000;
+    dc.measure_cycles = 200'000;
+    dc.seed = 9;
+    LockTableRunResult r = run_lock_table(sim, engine, table, dc);
+    EXPECT_EQ(pad.size(), pad_bytes);
+    return r;
+  };
+  const LockTableRunResult a = run_after(24);
+  const LockTableRunResult b = run_after(3000);
+  EXPECT_EQ(a.invariant_failures, 0u);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.read_latency.mean(), b.read_latency.mean());
+  EXPECT_EQ(a.write_latency.mean(), b.write_latency.mean());
+  EXPECT_EQ(a.reader_aborts, b.reader_aborts);
+  EXPECT_EQ(a.lock_stats.reads.unins, b.lock_stats.reads.unins);
+  EXPECT_EQ(a.lock_stats.writes.htm, b.lock_stats.writes.htm);
+  EXPECT_EQ(a.lock_stats.writes.gl, b.lock_stats.writes.gl);
+  EXPECT_EQ(a.lock_stats.aborts.total(), b.lock_stats.aborts.total());
+  EXPECT_EQ(a.totals.bias_reads, b.totals.bias_reads);
+  EXPECT_EQ(a.totals.revocations, b.totals.revocations);
+  EXPECT_EQ(a.totals.revoke_cycles, b.totals.revoke_cycles);
+  EXPECT_EQ(a.totals.locks_with_plane, b.totals.locks_with_plane);
 }
 
 TEST(LockTable, TotalsArithmetic) {
