@@ -169,6 +169,8 @@ class ReaderTable {
 
   ReaderTable() : ReaderTable(Config{}) {}
   virtual ~ReaderTable() = default;
+  ReaderTable(const ReaderTable&) = delete;
+  ReaderTable& operator=(const ReaderTable&) = delete;
 
   /// Hands out the next dense lock id. Locks register at construction;
   /// construction is a single-threaded phase (population / per-run setup),
@@ -347,7 +349,6 @@ class ReaderTable {
   /// registered there (the header comment says why a late one is safe).
   virtual bool drain_shard(int sh, std::uint64_t tag, std::uint64_t deadline,
                            std::uint64_t* cyc) {
-    if (cyc != nullptr) *cyc = 0;
     const std::uint64_t t0 = platform::now();
     const std::size_t sb = static_cast<std::size_t>(sh) * summary_stride_;
     std::uint64_t occupied = 0;

@@ -94,6 +94,8 @@ class ReaderTracker {
  public:
   explicit ReaderTracker(StateArray& state) : state_(state) {}
   virtual ~ReaderTracker() = default;
+  ReaderTracker(const ReaderTracker&) = delete;
+  ReaderTracker& operator=(const ReaderTracker&) = delete;
 
   /// Registers reader `tid` and fences, so the registration is visible
   /// before the section's first read. Returns the token depart() takes.
