@@ -42,10 +42,10 @@
 // word reads 0 only if its LAST summary write was a clear (outermost
 // release, depth 0) — any registration after that stores 1 before the
 // fence that precedes its bias validation, and the writer publishes
-// kBiasRevoking before the fence that precedes its summary reads — so a
+// kRevoking (core/bias.h) before the fence preceding its summary reads — so a
 // writer that reads an all-zero summary either ran after the readers'
 // releases or their validations are yet to come and will observe
-// kBiasRevoking and back out. A summary word may over-report (stickiness
+// kRevoking and back out. A summary word may over-report (stickiness
 // IS over-reporting; the drain then scans the shard's slot lines, which
 // is merely conservative) but never under-reports a reader inside its
 // section.
