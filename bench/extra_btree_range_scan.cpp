@@ -31,6 +31,11 @@ double run_point(const Machine& m, Lock& lock, int threads,
   ec.max_threads = threads;
   ec.seed = seed;
   htm::Engine engine(ec);
+  // One scope around population and run, on this thread — not per fiber
+  // (see workloads/driver.h). Installed before the tree is filled: outside
+  // a scope, Shared<T> stores resolve to the process-wide engine, which in
+  // a parallel sweep is another worker's and may already be destroyed.
+  htm::EngineScope scope(engine);
   structures::BTree::Config tc;
   tc.capacity = 1 << 15;
   tc.max_threads = threads;
@@ -45,9 +50,6 @@ double run_point(const Machine& m, Lock& lock, int threads,
   }
   std::uint64_t ops = 0;
   sim::Simulator sim;
-  // One scope around the run, on this thread — not per fiber (see
-  // workloads/driver.h).
-  htm::EngineScope scope(engine);
   sim.run(threads, [&](int tid) {
     Rng rng(seed * 31 + static_cast<std::uint64_t>(tid));
     std::uint64_t mine = 0;

@@ -95,6 +95,10 @@ PointOut run_point(std::uint64_t width, std::uint32_t retain, ReaderMode mode,
   cfg.snapshot_readers = mode != ReaderMode::kOff;
   core::SpRWLock lock{cfg};
 
+  // Installed before the tree is filled: outside a scope, Shared<T> stores
+  // resolve to the process-wide engine, which in a parallel sweep is
+  // another worker's and may already be destroyed.
+  htm::EngineScope scope(engine);
   structures::BTree::Config tc;
   tc.capacity = 1 << 15;
   tc.max_threads = kThreads;
@@ -111,7 +115,6 @@ PointOut run_point(std::uint64_t width, std::uint32_t retain, ReaderMode mode,
   const workloads::Zipfian zipf(kKeySpace, 0.99);
   PointOut out;
   sim::Simulator sim;
-  htm::EngineScope scope(engine);
   sim.run(kThreads, [&](int tid) {
     Rng rng(seed * 131 + static_cast<std::uint64_t>(tid) + 1);
     if (tid < kWriters) {

@@ -5,12 +5,12 @@
 //
 //   JsonWriter j;
 //   j.begin_object();
-//   j.key("bench").value("engine_ops");
+//   j.key("bench").value("tail_latency");
 //   j.key("rows").begin_array();
 //   ... j.begin_object(); j.key("threads").value(8); j.end_object(); ...
 //   j.end_array();
 //   j.end_object();
-//   j.write_file("BENCH_engine.json");
+//   j.write_file("BENCH_tail.json");
 #pragma once
 
 #include <cassert>

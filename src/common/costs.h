@@ -49,10 +49,10 @@ struct CostModel {
   std::uint64_t tx_abort = 120;  ///< HTM abort + rollback to begin
   /// Per written cache line, the cost of the commit's publish window: taking
   /// the line exclusive, draining the store and releasing the new version.
-  /// Charged *while the line's versioned lock (or, in kGlobalLock mode, the
-  /// global commit lock) is held*, so in virtual time the publish of
-  /// same-line writers serializes while disjoint-line writers overlap —
-  /// the coherence behaviour the decentralized commit path is built around.
+  /// Charged *while the line's versioned lock is held*, so in virtual time
+  /// the publish of same-line writers serializes while disjoint-line
+  /// writers overlap — the coherence behaviour the decentralized commit
+  /// path is built around.
   std::uint64_t line_publish = 15;
   std::uint64_t local_work = 5;  ///< per private (non-shared) step of work
   /// Extra cycles a contended lock handoff costs *per waiting thread*:

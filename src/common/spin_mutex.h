@@ -15,16 +15,7 @@ namespace sprwl {
 
 class SpinMutex {
  public:
-  void lock() {
-    if (try_lock()) return;
-    waiters_.fetch_add(1, std::memory_order_relaxed);
-    for (;;) {
-      while (locked_.load(std::memory_order_relaxed)) platform::pause();
-      if (!locked_.exchange(true, std::memory_order_acquire)) break;
-    }
-    waiters_.fetch_sub(1, std::memory_order_relaxed);
-    charge_acquisition();
-  }
+  void lock() { try_lock_until(kNone); }
 
   bool try_lock() {
     platform::advance(g_costs.cas);
@@ -38,13 +29,11 @@ class SpinMutex {
   /// the mutex is acquired.
   bool try_lock_until(std::uint64_t deadline) {
     if (try_lock()) return true;
-    if (deadline != ~std::uint64_t{0} && platform::now() >= deadline) {
-      return false;
-    }
+    if (expired(deadline)) return false;
     waiters_.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
       while (locked_.load(std::memory_order_relaxed)) {
-        if (deadline != ~std::uint64_t{0} && platform::now() >= deadline) {
+        if (expired(deadline)) {
           waiters_.fetch_sub(1, std::memory_order_relaxed);
           return false;
         }
@@ -67,6 +56,12 @@ class SpinMutex {
   }
 
  private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  static bool expired(std::uint64_t deadline) noexcept {
+    return deadline != kNone && platform::now() >= deadline;
+  }
+
   /// Models the coherence cost of a contended handoff: the winner pays
   /// proportionally to the number of threads spinning on the line.
   void charge_acquisition() {

@@ -4,8 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "common/scope_exit.h"
-
 namespace sprwl::htm {
 
 std::atomic<Engine*> Engine::g_current{nullptr};
@@ -352,27 +350,6 @@ void Engine::tx_write(std::atomic<std::uint64_t>& cell, std::uint64_t v) {
   d.writes.push_back(WriteEntry{&cell, v});
 }
 
-void Engine::commit_lock() {
-  for (;;) {
-    if (!commit_locked_.exchange(true, std::memory_order_acquire)) break;
-    commit_waiters_.fetch_add(1, std::memory_order_relaxed);
-    ScopeExit uncount(
-        [this] { commit_waiters_.fetch_sub(1, std::memory_order_relaxed); });
-    while (commit_locked_.load(std::memory_order_relaxed)) platform::pause();
-  }
-  // Contended handoff: the winner's RMW contends with every spinner's (the
-  // TATAS invalidation storm, same model as SpinMutex). Charged while the
-  // lock is held — this is what serializes centralized publishes in
-  // virtual time and what kPerLineLocks removes.
-  const int w = commit_waiters_.load(std::memory_order_relaxed);
-  if (w > 0)
-    platform::advance(static_cast<std::uint64_t>(w) * g_costs.contention_unit);
-}
-
-void Engine::commit_unlock() noexcept {
-  commit_locked_.store(false, std::memory_order_release);
-}
-
 std::uint64_t Engine::lock_line(std::uint32_t line, std::uint64_t& retries) {
   std::atomic<std::uint64_t>& slot = table_[line];
   for (;;) {
@@ -403,7 +380,7 @@ void Engine::drain_publishers() {
   if (waited) drains_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Engine::commit_publish_perline(Descriptor& d) {
+void Engine::commit_publish(Descriptor& d) {
   auto& lines = d.write_line_list;
   std::sort(lines.begin(), lines.end());  // global order -> no lock cycles
   d.locked_versions.resize(lines.size());
@@ -493,70 +470,11 @@ void Engine::commit_publish_perline(Descriptor& d) {
   }
 }
 
-void Engine::commit_publish_global(Descriptor& d) {
-  commit_lock();
-  try {
-    std::uint64_t extra = 0;
-    if (track_owners_) {
-      for (const std::uint32_t line : d.write_line_list)
-        extra += coherence_extra(line, /*is_write=*/true);
-    }
-    if (retain_ != 0) extra += g_costs.store * d.writes.size();  // the copies
-    platform::advance(g_costs.line_publish * d.write_line_list.size() + extra);
-  } catch (...) {
-    commit_unlock();
-    throw;
-  }
-  for (const std::uint32_t line : d.write_line_list) {
-    const std::uint64_t v = table_[line].load(std::memory_order_relaxed);
-    table_[line].store(v | kLockedBit, std::memory_order_release);
-  }
-  if (!d.is_rot) {
-    for (const ReadEntry& e : d.reads) {
-      const std::uint64_t v =
-          table_[e.line].load(std::memory_order_acquire) & ~kLockedBit;
-      if (v != e.version) {
-        // Restore the lock-bitted lines and fail the commit.
-        for (const std::uint32_t line : d.write_line_list) {
-          const std::uint64_t cur = table_[line].load(std::memory_order_relaxed);
-          table_[line].store(cur & ~kLockedBit, std::memory_order_release);
-        }
-        commit_unlock();
-        abort_internal(AbortCause::kConflict);
-      }
-    }
-  }
-  const std::uint64_t wv = gvc_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (retain_ != 0) {
-    std::uint64_t min_pin = kNoSnapshot - 1;
-    for (const WriteEntry& w : d.writes) {
-      const std::uint32_t line =
-          line_of(reinterpret_cast<std::uintptr_t>(w.cell));
-      history_append(line, w.cell, w.cell->load(std::memory_order_relaxed),
-                     wv, min_pin);
-    }
-  }
-  for (const WriteEntry& w : d.writes) {
-    w.cell->store(w.value, std::memory_order_release);
-  }
-  for (const std::uint32_t line : d.write_line_list) {
-    table_[line].store(wv, std::memory_order_release);
-  }
-  d.last_wv = wv;
-  commit_unlock();
-}
-
 void Engine::commit_attempt(Descriptor& d) {
   platform::advance(g_costs.tx_commit);
   maybe_spurious(d);
 
-  if (!d.writes.empty()) {
-    if (cfg_.commit_mode == CommitMode::kPerLineLocks) {
-      commit_publish_perline(d);
-    } else {
-      commit_publish_global(d);
-    }
-  }
+  if (!d.writes.empty()) commit_publish(d);
   // Read-only transactions validated their snapshot at rv already.
 
   ++(d.is_rot ? d.commits_rot : d.commits_htm);
@@ -597,42 +515,12 @@ void Engine::rollback_user(Descriptor& d) {
 bool Engine::nontx_publish(std::uint32_t line, std::atomic<std::uint64_t>& cell,
                            std::uint64_t desired,
                            const std::uint64_t* expected) {
-  // The publish pulls the line exclusive whatever the serialization mode;
-  // the topology extra rides on the publish-window charge.
-  const std::uint64_t extra =
-      track_owners_ ? coherence_extra(line, /*is_write=*/true) : 0;
-  if (cfg_.commit_mode == CommitMode::kGlobalLock) {
-    commit_lock();
-    try {
-      platform::advance(g_costs.line_publish + extra +
-                        (retain_ != 0 ? g_costs.store : 0));
-    } catch (...) {
-      commit_unlock();
-      throw;
-    }
-    if (expected != nullptr &&
-        cell.load(std::memory_order_acquire) != *expected) {
-      commit_unlock();
-      return false;
-    }
-    const std::uint64_t old = table_[line].load(std::memory_order_relaxed);
-    table_[line].store(old | kLockedBit, std::memory_order_release);
-    const std::uint64_t wv = gvc_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (retain_ != 0) {
-      std::uint64_t min_pin = kNoSnapshot - 1;
-      history_append(line, &cell, cell.load(std::memory_order_relaxed), wv,
-                     min_pin);
-    }
-    cell.store(desired, std::memory_order_release);
-    table_[line].store(wv, std::memory_order_release);
-    note_publish(wv);
-    commit_unlock();
-    return true;
-  }
-
-  // Lock-free per-line cycle: the only word this synchronizes on is the
+  // The publish pulls the line exclusive; the topology extra rides on the
+  // publish-window charge. The only word this synchronizes on is the
   // owning line's versioned lock, so publishes to different lines never
   // serialize with each other or with disjoint commits.
+  const std::uint64_t extra =
+      track_owners_ ? coherence_extra(line, /*is_write=*/true) : 0;
   std::uint64_t retries = 0;
   const std::uint64_t prelock = lock_line(line, retries);
   if (retries > 0) nontx_retries_.fetch_add(retries, std::memory_order_relaxed);

@@ -16,13 +16,11 @@
 //    unlocked line versions, applies the redo log and releases every line
 //    with a fresh version from a fetch_add global version clock. Disjoint
 //    commits never touch the same words and proceed fully in parallel —
-//    there is no global commit lock on the default path (CommitMode::
-//    kPerLineLocks; the old centralized protocol survives as kGlobalLock,
-//    the baseline the micro-benchmarks quantify the win against). The
-//    publish window charges g_costs.line_publish per line *while the lines
-//    are held*, so in virtual time same-line publishes serialize and
-//    disjoint ones overlap; the final write-back itself performs no advance
-//    and is therefore a single virtual-time instant, like hardware.
+//    there is no global commit lock. The publish window charges
+//    g_costs.line_publish per line *while the lines are held*, so in
+//    virtual time same-line publishes serialize and disjoint ones overlap;
+//    the final write-back itself performs no advance and is therefore a
+//    single virtual-time instant, like hardware.
 //  * Plain ("uninstrumented") accesses go straight to memory. The one spot
 //    where the SpRWL algorithm needs a plain STORE to be eagerly visible to
 //    conflict detection (the reader's state flag — the paper's strong
@@ -86,7 +84,12 @@ class AbortException {
 /// (registered or HTM-first) read.
 class SnapshotMiss {};
 
-class Engine {
+/// Sized in whole 16-byte malloc granules (alignas), so fewer member
+/// changes alter its size: workloads embed an Engine in front of data whose
+/// rows are not line-aligned (TPC-C), where any size change shifts that
+/// data's cache-line geometry and, with it, virtual time. A stricter
+/// alignment would realign every stack frame holding an Engine.
+class alignas(16) Engine {
  public:
   explicit Engine(EngineConfig cfg = {});
   ~Engine();
@@ -456,8 +459,7 @@ class Engine {
 
   void begin_attempt(Descriptor& d, bool rot);
   void commit_attempt(Descriptor& d);  // throws AbortException on conflict
-  void commit_publish_perline(Descriptor& d);
-  void commit_publish_global(Descriptor& d);
+  void commit_publish(Descriptor& d);
   void rollback_attempt(Descriptor& d, const AbortException& a);
   void rollback_user(Descriptor& d);
   void maybe_spurious(Descriptor& d);
@@ -482,23 +484,12 @@ class Engine {
   bool nontx_publish(std::uint32_t line, std::atomic<std::uint64_t>& cell,
                      std::uint64_t desired, const std::uint64_t* expected);
 
-  // kGlobalLock mode only: the original centralized TATAS commit lock.
-  // Waiters spin through platform::pause(); the winner of a contended
-  // handoff is charged contention_unit per spinner (the invalidation-storm
-  // model every TATAS lock in the library uses), while holding the lock —
-  // which is what makes the centralized protocol's serialization visible
-  // in virtual time.
-  void commit_lock();
-  void commit_unlock() noexcept;
-
   EngineConfig cfg_;
   std::atomic<double> spurious_rate_;
   std::uint64_t table_mask_;
   std::vector<std::atomic<std::uint64_t>> table_;
   LineIdMap line_ids_;  // first-touch line ids (see line_of)
   std::atomic<std::uint64_t> gvc_{0};
-  std::atomic<bool> commit_locked_{false};
-  std::atomic<int> commit_waiters_{0};
   std::atomic<int> active_rots_{0};
   // Number of threads currently inside a publish window; lets the drain
   // skip the flag scan entirely on the (overwhelmingly common) idle path.

@@ -63,20 +63,6 @@ inline constexpr CapacityProfile kPower8{"power8", 128, 128};
 /// For tests that want no capacity effects.
 inline constexpr CapacityProfile kUnbounded{"unbounded", ~0u, ~0u};
 
-/// How commits and strong-isolation stores serialize against each other.
-enum class CommitMode : std::uint8_t {
-  /// TL2-style per-line versioned locks: a commit CASes the lock bit into
-  /// each written line individually (sorted order, no global lock), so
-  /// disjoint commits and nontx stores to different lines proceed fully in
-  /// parallel. The default.
-  kPerLineLocks,
-  /// The original centralized protocol: every commit and nontx store takes
-  /// one global TATAS spin lock. Kept as the measurable baseline the
-  /// micro-benchmarks compare against (with the lock's handoff contention
-  /// charged to virtual time, like every other TATAS lock in the library).
-  kGlobalLock,
-};
-
 struct EngineConfig {
   CapacityProfile capacity = kBroadwell;
   /// Probability, per transactional access, of a modelled interrupt abort.
@@ -88,8 +74,6 @@ struct EngineConfig {
   int table_bits = 20;
   /// Seed for the per-descriptor spurious-abort RNG streams.
   std::uint64_t seed = 42;
-  /// Commit-path serialization protocol (see CommitMode).
-  CommitMode commit_mode = CommitMode::kPerLineLocks;
   /// Simulated machine topology. With >1 socket the engine tracks, per
   /// dense cache-line id, which thread touched the line last and charges
   /// CostModel::remote_socket / remote_cross on top of the base access cost
@@ -123,7 +107,7 @@ struct EngineStats {
   std::uint64_t aborts_explicit = 0;
   std::uint64_t aborts_spurious = 0;
   /// Contended per-line acquisitions during commits: the line was locked or
-  /// the CAS lost a race, and the committer had to retry (kPerLineLocks).
+  /// the CAS lost a race, and the committer had to retry.
   std::uint64_t commit_line_retries = 0;
   /// Contended line acquisitions by nontx_store/nontx_cas publishes.
   std::uint64_t nontx_line_retries = 0;

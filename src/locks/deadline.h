@@ -5,9 +5,15 @@
 // cycles and the lock converts it once, at entry, into an absolute
 // platform::now() deadline. Expiry checks compare against platform::now(),
 // which is free in the simulator (it reads the fiber clock without
-// charging), so a timed acquisition with budget == kNoDeadline executes
-// the exact same charged-operation sequence as the untimed entry points —
-// the byte-identical-traces property the bench determinism tests pin.
+// charging), so a lock needs only ONE acquisition body per mode: the
+// untimed entry points run it at kNoDeadline and execute the exact
+// charged-operation sequence of a lock that had no deadlines at all — the
+// byte-identical-traces property the bench determinism tests pin
+// (PhaseFairRWLock keeps two on purpose: DESIGN.md §13). The entry points
+// that call such a body are [[gnu::flatten]]: in the larger merged body GCC
+// stops inlining the mutex and platform hooks, and forcing only the body
+// or only the hooks inline still left an uncontended untimed section
+// 12-27% slower on the host (bench/micro_lock_ops, RWL and PRWL reads).
 //
 // kShed is never produced by a lock itself: it is the admission-control
 // outcome of the open-loop queue layer (sim/arrivals.h), which shares this

@@ -28,77 +28,42 @@ class PosixRWLock {
   explicit PosixRWLock(int max_threads) : modes_(max_threads) {}
 
   template <class F>
-  void read(int /*cs_id*/, F&& f) {
+  [[gnu::flatten]] void read(int /*cs_id*/, F&& f) {
+    read_until(kNoDeadline, std::forward<F>(f));
+  }
+
+  template <class F>
+  [[gnu::flatten]] void write(int /*cs_id*/, F&& f) {
+    write_until(kNoDeadline, std::forward<F>(f));
+  }
+
+  template <class F>
+  [[gnu::flatten]] AcquireResult try_read_for(int /*cs_id*/,
+                                              std::uint64_t budget_cycles,
+                                              F&& f) {
+    return read_until(checked_deadline(budget_cycles), std::forward<F>(f));
+  }
+
+  template <class F>
+  [[gnu::flatten]] AcquireResult try_write_for(int /*cs_id*/,
+                                               std::uint64_t budget_cycles,
+                                               F&& f) {
+    return write_until(checked_deadline(budget_cycles), std::forward<F>(f));
+  }
+
+  LockStats stats() const { return modes_.snapshot(); }
+  void reset_stats() { modes_.reset(); }
+  static const char* name() noexcept { return "RWL"; }
+
+ private:
+  /// The one read path (kNoDeadline = untimed). Nothing is published until
+  /// the reader count is incremented under the mutex, so a pre-entry
+  /// timeout needs no unwind.
+  template <class F>
+  AcquireResult read_until(std::uint64_t deadline,
+                                                  F&& f) {
     for (;;) {
       // Wait passively (like a futex sleeper) before touching the mutex.
-      while (writer_active_.load(std::memory_order_relaxed) ||
-             writers_waiting_.load(std::memory_order_relaxed) > 0) {
-        platform::pause();
-      }
-      mutex_.lock();
-      if (!writer_active_.load(std::memory_order_relaxed) &&
-          writers_waiting_.load(std::memory_order_relaxed) == 0) {
-        readers_.fetch_add(1, std::memory_order_relaxed);
-        mutex_.unlock();
-        break;
-      }
-      mutex_.unlock();
-      platform::pause();
-    }
-    platform::sched_point(SchedKind::kReadEnter, this);
-    {
-      ScopeExit release([&] {
-        mutex_.lock();
-        readers_.fetch_sub(1, std::memory_order_relaxed);
-        mutex_.unlock();
-      });
-      std::forward<F>(f)();
-      platform::sched_point(SchedKind::kReadExit, this);
-    }
-    modes_.record_read(CommitMode::kPessimistic);
-  }
-
-  template <class F>
-  void write(int /*cs_id*/, F&& f) {
-    mutex_.lock();
-    writers_waiting_.fetch_add(1, std::memory_order_relaxed);
-    mutex_.unlock();
-    for (;;) {
-      while (writer_active_.load(std::memory_order_relaxed) ||
-             readers_.load(std::memory_order_relaxed) > 0) {
-        platform::pause();
-      }
-      mutex_.lock();
-      if (!writer_active_.load(std::memory_order_relaxed) &&
-          readers_.load(std::memory_order_relaxed) == 0) {
-        writer_active_.store(true, std::memory_order_relaxed);
-        writers_waiting_.fetch_sub(1, std::memory_order_relaxed);
-        mutex_.unlock();
-        break;
-      }
-      mutex_.unlock();
-      platform::pause();
-    }
-    platform::sched_point(SchedKind::kWriteEnter, this);
-    {
-      ScopeExit release([&] {
-        mutex_.lock();
-        writer_active_.store(false, std::memory_order_relaxed);
-        mutex_.unlock();
-      });
-      std::forward<F>(f)();
-      platform::sched_point(SchedKind::kWriteExit, this);
-    }
-    modes_.record_write(CommitMode::kPessimistic);
-  }
-
-  /// Deadline-bounded read: nothing is published until the reader count is
-  /// incremented under the mutex, so a pre-entry timeout needs no unwind.
-  template <class F>
-  AcquireResult try_read_for(int /*cs_id*/, std::uint64_t budget_cycles,
-                             F&& f) {
-    const std::uint64_t deadline = checked_deadline(budget_cycles);
-    for (;;) {
       while (writer_active_.load(std::memory_order_relaxed) ||
              writers_waiting_.load(std::memory_order_relaxed) > 0) {
         if (deadline_expired(deadline)) return AcquireResult::kTimeout;
@@ -129,16 +94,15 @@ class PosixRWLock {
     return AcquireResult::kAcquired;
   }
 
-  /// Deadline-bounded write. The waiting-writer count is published before
-  /// the drain (it is what blocks new readers — writer preference), so the
+  /// The one write path. The waiting-writer count is published before the
+  /// drain (it is what blocks new readers — writer preference), so the
   /// timeout unwind MUST decrement it: a leaked waiting count would turn
   /// away every future reader forever. The unwind's mutex acquisition is
   /// deliberately untimed — it only waits out transient holders, and the
   /// invariant restore cannot be abandoned.
   template <class F>
-  AcquireResult try_write_for(int /*cs_id*/, std::uint64_t budget_cycles,
-                              F&& f) {
-    const std::uint64_t deadline = checked_deadline(budget_cycles);
+  AcquireResult write_until(std::uint64_t deadline,
+                                                   F&& f) {
     if (!mutex_.try_lock_until(deadline)) return AcquireResult::kTimeout;
     writers_waiting_.fetch_add(1, std::memory_order_relaxed);
     mutex_.unlock();
@@ -180,11 +144,6 @@ class PosixRWLock {
     return AcquireResult::kAcquired;
   }
 
-  LockStats stats() const { return modes_.snapshot(); }
-  void reset_stats() { modes_.reset(); }
-  static const char* name() noexcept { return "RWL"; }
-
- private:
   SpinMutex mutex_;
   std::atomic<int> readers_{0};
   std::atomic<int> writers_waiting_{0};

@@ -64,107 +64,42 @@ class RWLELock {
         modes_(cfg.max_threads) {}
 
   template <class F>
-  void read(int /*cs_id*/, F&& f) {
-    auto& flag = flags_[static_cast<std::size_t>(platform::thread_id())];
-    for (;;) {
-      const std::uint64_t gen = flag.load() + 1;  // odd: active
-      flag.store(gen);                            // strong-isolation store
-      htm::memory_fence();
-      if (!commit_window_.load(std::memory_order_seq_cst)) break;
-      flag.store(gen + 1);  // retreat (back to even)
-      while (commit_window_.load(std::memory_order_acquire)) platform::pause();
-    }
-    platform::sched_point(SchedKind::kReadEnter, this);
-    {
-      ScopeExit release([&] {
-        htm::memory_fence();
-        flag.store(flag.load() + 1);  // even: inactive
-      });
-      std::forward<F>(f)();
-      platform::sched_point(SchedKind::kReadExit, this);
-    }
-    modes_.record_read(CommitMode::kUnins);
+  [[gnu::flatten]] void read(int /*cs_id*/, F&& f) {
+    read_until(kNoDeadline, std::forward<F>(f));
   }
 
   template <class F>
-  void write(int /*cs_id*/, F&& f) {
-    htm::Engine* engine = htm::Engine::current();
-    const int self = platform::thread_id();
-
-    int attempts = 0;
-    for (;;) {
-      while (rot_lock_.is_locked()) platform::pause();
-      ++attempts;
-      const htm::TxStatus status = engine->try_transaction([&] {
-        if (rot_lock_.is_locked()) engine->abort_tx(kCodeLockBusy);
-        platform::sched_point(SchedKind::kWriteEnter, this);
-        f();
-        // Commit-time reader check (the suspended-read trick on POWER8):
-        for (int t = 0; t < cfg_.max_threads; ++t) {
-          if (t == self) continue;
-          if ((flags_[static_cast<std::size_t>(t)].load() & 1) != 0) {
-            engine->abort_tx(kCodeReader);
-          }
-        }
-        platform::sched_point(SchedKind::kWriteExit, this);
-      });
-      if (status.committed()) {
-        modes_.record_write(CommitMode::kHtm);
-        return;
-      }
-      modes_.record_abort(status, kCodeLockBusy, kCodeReader);
-      if (status.cause == htm::AbortCause::kCapacity) {
-        modes_.record_escalation(Escalation::kCapacity);
-        break;
-      }
-      if (attempts >= cfg_.htm_retries) {
-        modes_.record_escalation(Escalation::kRetryExhausted);
-        break;
-      }
-    }
-
-    // --- ROT path ----------------------------------------------------------
-    rot_lock_.lock();
-    ScopeExit release([&] {
-      commit_window_.store(false, std::memory_order_release);
-      rot_lock_.unlock();
-    });
-    for (int rot_attempts = 1;; ++rot_attempts) {
-      const htm::TxStatus status = engine->try_rot([&] {
-        platform::sched_point(SchedKind::kWriteEnter, this);
-        f();
-        quiesce(self);  // leaves the commit window open for the publish
-        platform::sched_point(SchedKind::kWriteExit, this);
-      });
-      if (status.committed()) {
-        modes_.record_write(CommitMode::kRot);
-        return;
-      }
-      modes_.record_abort(status, kCodeLockBusy, kCodeReader);
-      commit_window_.store(false, std::memory_order_release);
-      if (rot_attempts >= cfg_.rot_retries) {
-        modes_.record_escalation(Escalation::kRetryExhausted);
-        break;
-      }
-    }
-
-    // --- pessimistic last resort (rare: ROT kept aborting) ------------------
-    commit_window_.store(true, std::memory_order_seq_cst);
-    drain_readers(self);
-    platform::sched_point(SchedKind::kWriteEnter, this);
-    f();
-    platform::sched_point(SchedKind::kWriteExit, this);
-    modes_.record_write(CommitMode::kGl);
+  [[gnu::flatten]] void write(int /*cs_id*/, F&& f) {
+    write_until(kNoDeadline, std::forward<F>(f));
   }
 
-  /// Deadline-bounded read. The generation flag is the only published
-  /// state; a timeout can fire only while the flag is even (before the
-  /// publish, or after the commit-window retreat already restored it), so
-  /// no writer quiescence scan can be left waiting on a ghost.
   template <class F>
-  AcquireResult try_read_for(int /*cs_id*/, std::uint64_t budget_cycles,
-                             F&& f) {
-    const std::uint64_t deadline = checked_deadline(budget_cycles);
+  [[gnu::flatten]] AcquireResult try_read_for(int /*cs_id*/,
+                                              std::uint64_t budget_cycles,
+                                              F&& f) {
+    return read_until(checked_deadline(budget_cycles), std::forward<F>(f));
+  }
+
+  template <class F>
+  [[gnu::flatten]] AcquireResult try_write_for(int /*cs_id*/,
+                                               std::uint64_t budget_cycles,
+                                               F&& f) {
+    return write_until(checked_deadline(budget_cycles), std::forward<F>(f));
+  }
+
+  LockStats stats() const { return modes_.snapshot(); }
+  void reset_stats() { modes_.reset(); }
+  static const char* name() noexcept { return "RW-LE"; }
+
+ private:
+  /// The one read path (kNoDeadline = untimed). The generation flag is the
+  /// only published state; a timeout can fire only while the flag is even
+  /// (before the publish, or after the commit-window retreat already
+  /// restored it), so no writer quiescence scan can be left waiting on a
+  /// ghost.
+  template <class F>
+  AcquireResult read_until(std::uint64_t deadline,
+                                                  F&& f) {
     auto& flag = flags_[static_cast<std::size_t>(platform::thread_id())];
     for (;;) {
       if (deadline_expired(deadline)) return AcquireResult::kTimeout;
@@ -191,17 +126,15 @@ class RWLELock {
     return AcquireResult::kAcquired;
   }
 
-  /// Deadline-bounded write. HTM attempts are all-or-nothing; the ROT
-  /// path's quiescence drain aborts the transaction with kCodeTimeout when
-  /// the deadline passes (rolling back the buffered writes), and the
-  /// unwind closes the commit window and releases the ROT lock. The
-  /// pessimistic last resort likewise closes the window if its forced
-  /// drain expires — a window left open would turn every future reader
-  /// away forever.
+  /// The one write path. HTM attempts are all-or-nothing; the ROT path's
+  /// quiescence drain aborts the transaction with kCodeTimeout when the
+  /// deadline passes (rolling back the buffered writes), and the unwind
+  /// closes the commit window and releases the ROT lock. The pessimistic
+  /// last resort likewise closes the window if its forced drain expires —
+  /// a window left open would turn every future reader away forever.
   template <class F>
-  AcquireResult try_write_for(int /*cs_id*/, std::uint64_t budget_cycles,
-                              F&& f) {
-    const std::uint64_t deadline = checked_deadline(budget_cycles);
+  AcquireResult write_until(std::uint64_t deadline,
+                                                   F&& f) {
     htm::Engine* engine = htm::Engine::current();
     const int self = platform::thread_id();
 
@@ -216,6 +149,7 @@ class RWLELock {
         if (rot_lock_.is_locked()) engine->abort_tx(kCodeLockBusy);
         platform::sched_point(SchedKind::kWriteEnter, this);
         f();
+        // Commit-time reader check (the suspended-read trick on POWER8):
         for (int t = 0; t < cfg_.max_threads; ++t) {
           if (t == self) continue;
           if ((flags_[static_cast<std::size_t>(t)].load() & 1) != 0) {
@@ -250,7 +184,7 @@ class RWLELock {
       const htm::TxStatus status = engine->try_rot([&] {
         platform::sched_point(SchedKind::kWriteEnter, this);
         f();
-        quiesce_until(self, deadline, engine);
+        quiesce_until(self, deadline, engine);  // leaves the window open
         platform::sched_point(SchedKind::kWriteExit, this);
       });
       if (status.committed()) {
@@ -282,57 +216,9 @@ class RWLELock {
     return AcquireResult::kAcquired;
   }
 
-  LockStats stats() const { return modes_.snapshot(); }
-  void reset_stats() { modes_.reset(); }
-  static const char* name() noexcept { return "RW-LE"; }
-
- private:
   /// Grace period: every reader that was active at the snapshot finishes.
   /// New readers are free to start (RW-LE readers never wait for writers).
-  void grace_period(int self) {
-    for (int t = 0; t < cfg_.max_threads; ++t) {
-      if (t == self) continue;
-      auto& flag = flags_[static_cast<std::size_t>(t)];
-      const std::uint64_t gen = flag.load();
-      if ((gen & 1) == 0) continue;
-      while (flag.load() == gen) platform::pause();
-    }
-  }
-
-  /// Wait, with the commit window held open, until no reader is active.
-  void drain_readers(int self) {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    for (int t = 0; t < cfg_.max_threads; ++t) {
-      if (t == self) continue;
-      auto& flag = flags_[static_cast<std::size_t>(t)];
-      while ((flag.load() & 1) != 0) platform::pause();
-    }
-  }
-
-  /// Quiescence: catch an instant with no active reader. Returns with the
-  /// commit window open so that the engine's publish (right after the ROT
-  /// body returns) cannot overlap any reader.
-  void quiesce(int self) {
-    grace_period(self);
-    for (int probe = 1;; ++probe) {
-      commit_window_.store(true, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      bool any_active = false;
-      for (int t = 0; t < cfg_.max_threads && !any_active; ++t) {
-        if (t == self) continue;
-        any_active = (flags_[static_cast<std::size_t>(t)].load() & 1) != 0;
-      }
-      if (!any_active) return;
-      if (probe >= cfg_.window_probes) {
-        drain_readers(self);  // bounded fallback: hold the window and drain
-        return;
-      }
-      commit_window_.store(false, std::memory_order_release);
-      grace_period(self);
-    }
-  }
-
-  /// Timed grace period; false the moment the deadline passes.
+  /// False the moment the deadline passes.
   bool grace_period_until(int self, std::uint64_t deadline) {
     for (int t = 0; t < cfg_.max_threads; ++t) {
       if (t == self) continue;
@@ -347,8 +233,9 @@ class RWLELock {
     return true;
   }
 
-  /// Timed forced drain; the CALLER must close the commit window when this
-  /// returns false, or readers block forever.
+  /// Wait, with the commit window held open, until no reader is active.
+  /// On false (deadline passed) the CALLER must close the commit window,
+  /// or readers block forever.
   bool drain_readers_until(int self, std::uint64_t deadline) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (int t = 0; t < cfg_.max_threads; ++t) {
@@ -362,9 +249,11 @@ class RWLELock {
     return true;
   }
 
-  /// Timed quiescence, run inside a ROT: on expiry it closes the commit
-  /// window (plain atomic — the rollback would not) and aborts the
-  /// transaction, discarding the buffered writes.
+  /// Quiescence, run inside a ROT: catch an instant with no active reader.
+  /// Returns with the commit window open so that the engine's publish
+  /// (right after the ROT body returns) cannot overlap any reader. On
+  /// expiry it closes the commit window (plain atomic — the rollback would
+  /// not) and aborts the transaction, discarding the buffered writes.
   void quiesce_until(int self, std::uint64_t deadline, htm::Engine* engine) {
     const auto timed_out = [&]() {
       commit_window_.store(false, std::memory_order_release);
@@ -381,6 +270,7 @@ class RWLELock {
       }
       if (!any_active) return;
       if (probe >= cfg_.window_probes) {
+        // Bounded fallback: hold the window and drain.
         if (!drain_readers_until(self, deadline)) timed_out();
         return;
       }

@@ -34,19 +34,13 @@ class SglLock {
   /// validate unconditionally (core/sprwl.h read_snapshot).
   std::uint64_t state_raw() const noexcept { return word_.raw_load(); }
 
-  void lock() {
-    for (;;) {
-      const std::uint64_t w = word_.load();
-      if ((w & 1) == 0 && word_.cas(w, w + 1)) return;
-      platform::pause();
-    }
-  }
+  void lock() { lock_until(kNoDeadline); }
 
-  /// lock() with an absolute virtual-time deadline (~0 = none): the exact
-  /// load/cas/pause sequence of lock(), plus a free expiry check per
-  /// iteration, so a kNoDeadline caller charges identically to lock(). A
-  /// spin whose expiry would land mid-pause sleeps to exactly the deadline
-  /// instead (deadline_pause), so timeouts are observed at now == deadline.
+  /// lock() with an absolute virtual-time deadline (kNoDeadline = none): a
+  /// load/cas/pause spin plus a free expiry check per iteration, so at
+  /// kNoDeadline it charges exactly a plain spin. A spin whose expiry would
+  /// land mid-pause sleeps to exactly the deadline instead
+  /// (deadline_pause), so timeouts are observed at now == deadline.
   bool lock_until(std::uint64_t deadline) {
     for (;;) {
       const std::uint64_t w = word_.load();

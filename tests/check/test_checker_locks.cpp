@@ -288,6 +288,34 @@ TEST(CheckerLocks, AcceptanceDfsSpRWLTimeoutTwoThreads) {
       "timeout_dfs_schedules", static_cast<int>(rep.schedules));
 }
 
+// The baselines' timeout unwinds under the same 2-thread DFS: every read
+// is a timed read with a one-cycle budget, so a reader that has to wait at
+// all takes its timeout exit, racing the writer in every order. Each tree
+// must exhaust clean — no interleaving may leave a waiter count, slot,
+// flag or ticket behind that wedges the writer (livelock) or tears a read.
+// RW-LE runs one op per thread: its untimed two-op tree already hits the
+// run cap.
+TEST(CheckerLocks, BaselineTimedReadsExhaustCleanTwoThreads) {
+  for (const std::string name :
+       {"RWL", "BRLock", "PRWL", "RW-LE", "TLE", "PhaseFair"}) {
+    SCOPED_TRACE(name);
+    Workload w;
+    w.threads = 2;
+    w.writers = 1;
+    w.ops_per_thread = name == "RW-LE" ? 1 : 2;
+    w.timed_reads = true;
+    w.read_deadlines = {1};
+    const ExploreReport rep =
+        explore_dfs(make_runner(name, w), w, ExploreOptions{});
+    EXPECT_TRUE(rep.exhausted) << "DFS did not exhaust the bounded tree";
+    EXPECT_GT(rep.schedules, 1u);
+    EXPECT_FALSE(rep.found_violation)
+        << to_string(rep.verdict.kind) << ": " << rep.verdict.detail;
+    ::testing::Test::RecordProperty(name + "_timed_dfs_schedules",
+                                    static_cast<int>(rep.schedules));
+  }
+}
+
 // Self-validation for the cancellation unwind: the timed bias read's
 // timeout path skips the ReaderTable slot release, so the expired reader
 // leaves a ghost occupant behind and the next writer's revocation drain

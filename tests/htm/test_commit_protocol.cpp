@@ -1,10 +1,9 @@
-// The decentralized commit protocol (CommitMode::kPerLineLocks): per-line
-// versioned locks must let disjoint commits and nontx publishes proceed in
-// parallel, while preserving the strong-isolation guarantee the SpRWL
-// algorithm is built on — a reader that flags itself either aborts every
-// writer that read the flag, or observes the full effects of writers that
-// validated first (the publish drain). kGlobalLock keeps the centralized
-// seed protocol alive as the contrast these tests measure against.
+// The decentralized commit protocol: per-line versioned locks must let
+// disjoint commits and nontx publishes proceed in parallel, while
+// preserving the strong-isolation guarantee the SpRWL algorithm is built
+// on — a reader that flags itself either aborts every writer that read the
+// flag, or observes the full effects of writers that validated first (the
+// publish drain).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,18 +23,16 @@ struct alignas(64) Cell {
   Shared<std::uint64_t> v;
 };
 
-EngineConfig config_with_mode(CommitMode mode, int max_threads = 16) {
+EngineConfig engine_config(int max_threads = 16) {
   EngineConfig cfg;
-  cfg.commit_mode = mode;
   cfg.max_threads = max_threads;
   return cfg;
 }
 
 // Virtual time for `nthreads` fibers each committing `per_thread` update
 // transactions to their own cache line.
-std::uint64_t disjoint_commit_time(CommitMode mode, int nthreads,
-                                   int per_thread) {
-  Engine engine{config_with_mode(mode)};
+std::uint64_t disjoint_commit_time(int nthreads, int per_thread) {
+  Engine engine{engine_config()};
   EngineScope scope(engine);
   std::vector<Cell> cells(static_cast<std::size_t>(nthreads));
   sim::Simulator sim;
@@ -53,28 +50,18 @@ std::uint64_t disjoint_commit_time(CommitMode mode, int nthreads,
 }
 
 TEST(CommitProtocol, DisjointCommitsDoNotSerialize) {
-  const std::uint64_t t1 = disjoint_commit_time(CommitMode::kPerLineLocks, 1, 200);
-  const std::uint64_t t8 = disjoint_commit_time(CommitMode::kPerLineLocks, 8, 200);
+  const std::uint64_t t1 = disjoint_commit_time(1, 200);
+  const std::uint64_t t8 = disjoint_commit_time(8, 200);
   // Eight writers on eight disjoint lines never touch a common word: each
   // fiber's clock advances as if it ran alone.
   EXPECT_LE(t8, t1 + t1 / 10);
 }
 
-TEST(CommitProtocol, GlobalLockModeSerializesTheSameWorkload) {
-  // The seed protocol, with its handoff contention charged: the same
-  // disjoint workload pays for the centralized lock. This is the baseline
-  // the micro-benchmark quantifies and the per-line path removes.
-  const std::uint64_t t1 = disjoint_commit_time(CommitMode::kGlobalLock, 1, 200);
-  const std::uint64_t t8 = disjoint_commit_time(CommitMode::kGlobalLock, 8, 200);
-  EXPECT_GE(t8, 2 * t1);
-}
-
 // Virtual time for `nthreads` fibers each performing `per_thread`
 // strong-isolation stores to their own cache line (the SpRWL reader
 // entry/exit pattern with unpacked flags).
-std::uint64_t disjoint_nontx_time(CommitMode mode, int nthreads,
-                                  int per_thread) {
-  Engine engine{config_with_mode(mode)};
+std::uint64_t disjoint_nontx_time(int nthreads, int per_thread) {
+  Engine engine{engine_config()};
   EngineScope scope(engine);
   std::vector<Cell> cells(static_cast<std::size_t>(nthreads));
   sim::Simulator sim;
@@ -86,11 +73,9 @@ std::uint64_t disjoint_nontx_time(CommitMode mode, int nthreads,
 }
 
 TEST(CommitProtocol, DisjointNonTxStoresDoNotSerialize) {
-  const std::uint64_t t1 = disjoint_nontx_time(CommitMode::kPerLineLocks, 1, 400);
-  const std::uint64_t t8 = disjoint_nontx_time(CommitMode::kPerLineLocks, 8, 400);
+  const std::uint64_t t1 = disjoint_nontx_time(1, 400);
+  const std::uint64_t t8 = disjoint_nontx_time(8, 400);
   EXPECT_LE(t8, t1 + t1 / 10);
-  const std::uint64_t g8 = disjoint_nontx_time(CommitMode::kGlobalLock, 8, 400);
-  EXPECT_GE(g8, 2 * t8);
 }
 
 TEST(CommitProtocol, FlagBumpDuringWriteBackWindowDrainsTheCommit) {
@@ -99,7 +84,7 @@ TEST(CommitProtocol, FlagBumpDuringWriteBackWindowDrainsTheCommit) {
   // reader flags itself *inside* the writer's write-back window. The
   // reader's store must not return until the commit is fully published, so
   // the flagged reader observes every one of its writes.
-  Engine engine{config_with_mode(CommitMode::kPerLineLocks)};
+  Engine engine{engine_config()};
   EngineScope scope(engine);
   Cell flag;
   std::vector<Cell> data(100);
@@ -136,7 +121,7 @@ TEST(CommitProtocol, StrongIsolationStressSim) {
   // One writer transfers (D1, D2) in lockstep; flagged readers must always
   // observe D1 == D2 and values that never go backwards: every writer that
   // validated before the flag bump is drained, every later one aborts.
-  Engine engine{config_with_mode(CommitMode::kPerLineLocks)};
+  Engine engine{engine_config()};
   EngineScope scope(engine);
   constexpr int kReaders = 3;
   Cell flags[kReaders];
@@ -177,7 +162,7 @@ TEST(CommitProtocolRealThreads, StrongIsolationStress) {
   // Same invariant on real threads: the lock-free nontx publish and the
   // per-line commit path race for real here (and under TSan in CI). A
   // missing drain shows up as a torn (D1 != D2) or backwards view.
-  Engine engine{config_with_mode(CommitMode::kPerLineLocks, 4)};
+  Engine engine{engine_config(4)};
   EngineScope scope(engine);
   constexpr int kReaders = 3;
   Cell flags[kReaders];
@@ -217,7 +202,7 @@ TEST(CommitProtocolRealThreads, StrongIsolationStress) {
 TEST(CommitProtocolRealThreads, DisjointCommitsAllSucceed) {
   // Sorted per-line acquisition must stay deadlock- and livelock-free with
   // overlapping write sets on real threads.
-  Engine engine{config_with_mode(CommitMode::kPerLineLocks, 4)};
+  Engine engine{engine_config(4)};
   EngineScope scope(engine);
   std::vector<Cell> cells(16);
   sim::run_real_threads(4, [&](int tid) {
@@ -246,7 +231,7 @@ TEST(CommitProtocol, FailedNonTxCasIsInvisibleToTransactions) {
   // Regression: a failing nontx_cas used to take the commit lock; it must
   // now be a plain load — no version bump, so a live transaction that read
   // the same line commits untouched.
-  Engine engine{config_with_mode(CommitMode::kPerLineLocks)};
+  Engine engine{engine_config()};
   EngineScope scope(engine);
   Cell x;
   x.v.raw_store(5);
@@ -271,7 +256,7 @@ TEST(CommitProtocol, FailedNonTxCasIsInvisibleToTransactions) {
 }
 
 TEST(CommitProtocol, SuccessfulNonTxCasStillAbortsConflictingTransaction) {
-  Engine engine{config_with_mode(CommitMode::kPerLineLocks)};
+  Engine engine{engine_config()};
   EngineScope scope(engine);
   Cell x;
   x.v.raw_store(5);
@@ -296,35 +281,10 @@ TEST(CommitProtocol, SuccessfulNonTxCasStillAbortsConflictingTransaction) {
   EXPECT_EQ(x.v.raw_load(), 9u);
 }
 
-TEST(CommitProtocol, GlobalLockModePreservesSeedSemantics) {
-  // The kGlobalLock baseline still implements strong isolation the seed
-  // way: a nontx store before the writer's commit aborts it.
-  Engine engine{config_with_mode(CommitMode::kGlobalLock)};
-  EngineScope scope(engine);
-  Cell flag, data;
-  sim::Simulator sim;
-  TxStatus writer_status;
-  sim.run(2, [&](int tid) {
-    if (tid == 0) {
-      writer_status = engine.try_transaction([&] {
-        if (flag.v.load() != 0) engine.abort_tx(9);
-        data.v.store(7);
-        platform::advance(10000);
-      });
-    } else {
-      platform::advance(2000);
-      flag.v.store(1);
-    }
-  });
-  EXPECT_FALSE(writer_status.committed());
-  EXPECT_EQ(writer_status.cause, AbortCause::kConflict);
-  EXPECT_EQ(data.v.raw_load(), 0u);
-}
-
 TEST(CommitProtocol, ContentionStatsAreReported) {
   // Two committers hammering one line: the loser's acquisition retries and
   // the nontx publishes' contended rounds must surface in EngineStats.
-  Engine engine{config_with_mode(CommitMode::kPerLineLocks)};
+  Engine engine{engine_config()};
   EngineScope scope(engine);
   Cell hot;
   sim::Simulator sim;
