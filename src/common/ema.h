@@ -5,6 +5,8 @@
 // phases can be sized from the *expected* end time of readers/writers. The
 // estimate is published through a relaxed atomic so every thread can read it
 // without synchronization; only the sampler thread writes.
+// An estimate is one 8-byte word; its owner holds the smoothing weight
+// once and passes it to record(), so arrays of estimates live inline.
 #pragma once
 
 #include <atomic>
@@ -14,20 +16,18 @@ namespace sprwl {
 
 class DurationEma {
  public:
+  /// Record one duration sample (cycles). Called by the sampler thread only.
   /// alpha is the weight of the newest sample; the paper's prototype uses a
   /// small constant so the estimate tracks workload shifts quickly without
-  /// jitter. 1/8 matches common RTT-estimator practice.
-  explicit DurationEma(double alpha = 0.125) noexcept : alpha_(alpha) {}
-
-  /// Record one duration sample (cycles). Called by the sampler thread only.
-  void record(std::uint64_t cycles) noexcept {
+  /// jitter (core::Config::ema_alpha, 1/8 as in RTT estimators).
+  void record(std::uint64_t cycles, double alpha) noexcept {
     const std::uint64_t cur = value_.load(std::memory_order_relaxed);
     if (cur == 0) {
       value_.store(cycles, std::memory_order_relaxed);
       return;
     }
-    const double next = static_cast<double>(cur) * (1.0 - alpha_) +
-                        static_cast<double>(cycles) * alpha_;
+    const double next = static_cast<double>(cur) * (1.0 - alpha) +
+                        static_cast<double>(cycles) * alpha;
     value_.store(static_cast<std::uint64_t>(next), std::memory_order_relaxed);
   }
 
@@ -40,7 +40,8 @@ class DurationEma {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-  double alpha_;
 };
+
+static_assert(sizeof(DurationEma) == sizeof(std::uint64_t));
 
 }  // namespace sprwl

@@ -45,6 +45,7 @@ struct Config {
   bool batched_reader_scan = true;
   /// δ as a fraction of the writer's expected duration (paper default 1/2).
   double delta_fraction = 0.5;
+  /// Weight of the newest sample in every duration estimate (§3.2.1).
   double ema_alpha = 0.125;
   /// SNZI tree depth; 0 = auto-size so there are roughly max_threads/2
   /// leaves (bounded contention per leaf, logarithmic update cost).

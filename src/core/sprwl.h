@@ -293,9 +293,9 @@ class alignas(kCacheLineSize) SpRWLock {
       fault::checkpoint(fault::InjectPoint::kReadExit, this);
     }
     if (tid == kSamplerTid) {
-      p.read_ema_[ema_slot(cs_id)]->record(platform::now() - cs_start);
-      read_estimate_hint_.store(p.read_ema_[ema_slot(cs_id)]->estimate(),
-                                std::memory_order_relaxed);
+      DurationEma& ema = p.read_ema_[ema_slot(cs_id)];
+      ema.record(platform::now() - cs_start, cfg_.ema_alpha);
+      read_estimate_hint_.store(ema.estimate(), std::memory_order_relaxed);
       tracker.adapt(read_estimate(p, cs_id));
     }
     p.modes_.record_read(locks::CommitMode::kUnins);
@@ -392,8 +392,8 @@ class alignas(kCacheLineSize) SpRWLock {
         engine->note_section_version();
         if (tid == kSamplerTid) {
           if (Plane* p = plane_peek()) {
-            p->write_ema_[ema_slot(cs_id)]->record(platform::now() -
-                                                   attempt_start);
+            p->write_ema_[ema_slot(cs_id)].record(
+                platform::now() - attempt_start, cfg_.ema_alpha);
           }
         }
         trace::emit(trace::Event::kWriteHtmCommit,
@@ -602,20 +602,12 @@ class alignas(kCacheLineSize) SpRWLock {
         : state_(cfg),
           tracker_(make_tracker(cfg, state_)),
           threads_(static_cast<std::size_t>(cfg.max_threads)),
-          modes_(cfg.max_threads) {
-      for (auto& e : read_ema_) {
-        e = std::make_unique<DurationEma>(cfg.ema_alpha);
-      }
-      for (auto& e : write_ema_) {
-        e = std::make_unique<DurationEma>(cfg.ema_alpha);
-      }
-    }
+          modes_(cfg.max_threads) {}
 
     /// Heap bytes of the plane (per-lock footprint accounting).
     std::size_t bytes() const {
       std::size_t b = sizeof(Plane) + state_.bytes() + tracker_->bytes();
       b += threads_.capacity() * sizeof(PerThread);
-      b += kEmaSlots * 2 * sizeof(DurationEma);
       b += modes_.footprint_bytes();
       return b;
     }
@@ -625,8 +617,8 @@ class alignas(kCacheLineSize) SpRWLock {
     StateArray state_;
     std::unique_ptr<ReaderTracker> tracker_;
     std::vector<PerThread> threads_;
-    std::unique_ptr<DurationEma> read_ema_[kEmaSlots];
-    std::unique_ptr<DurationEma> write_ema_[kEmaSlots];
+    DurationEma read_ema_[kEmaSlots];
+    DurationEma write_ema_[kEmaSlots];
     locks::ModeRecorder modes_;
   };
 
@@ -698,11 +690,11 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
   std::uint64_t read_estimate(Plane& p, int cs_id) const {
-    const std::uint64_t e = p.read_ema_[ema_slot(cs_id)]->estimate();
+    const std::uint64_t e = p.read_ema_[ema_slot(cs_id)].estimate();
     return e != 0 ? e : kBootstrapEstimate;
   }
   std::uint64_t write_estimate(Plane& p, int cs_id) const {
-    const std::uint64_t e = p.write_ema_[ema_slot(cs_id)]->estimate();
+    const std::uint64_t e = p.write_ema_[ema_slot(cs_id)].estimate();
     return e != 0 ? e : kBootstrapEstimate;
   }
 
@@ -870,7 +862,8 @@ class alignas(kCacheLineSize) SpRWLock {
     }
     if (tid == kSamplerTid) {
       if (Plane* p = plane_peek()) {
-        p->write_ema_[ema_slot(cs_id)]->record(platform::now() - start);
+        p->write_ema_[ema_slot(cs_id)].record(platform::now() - start,
+                                              cfg_.ema_alpha);
       }
     }
     return true;

@@ -352,6 +352,18 @@ TEST(Bravo, PlaneIsLazyForPlainConfigsToo) {
   EXPECT_GT(lock.footprint_bytes(), shell);
 }
 
+// Pins the accounted bytes of the paper's default 28-thread lock once its
+// plane is built. The plane holds its 2 x 256 duration estimates inline as
+// 8-byte words, so moving them back to the heap, or growing any per-lock
+// structure, shows here.
+TEST(Bravo, FullVariantPlaneFootprint) {
+  SpRWLock lock{Config::variant(SchedulingVariant::kFull, 28)};
+  EXPECT_EQ(lock.footprint_bytes(), sizeof(SpRWLock));
+  (void)lock.snzi_leaf_count();  // builds the plane; no engine access
+  ASSERT_TRUE(lock.has_plane());
+  EXPECT_EQ(lock.footprint_bytes(), 12'040u);
+}
+
 // Concurrency stress on REAL threads (also the TSan CI leg: -R
 // 'Bravo.*RealThread'): the full bias/revoke/rebias protocol under actual
 // preemption, with the invariant pair checked from both path families.
