@@ -1,23 +1,13 @@
 // Perf trajectory of the evaluation pipeline itself: times the fig3+fig4
-// point set (the core hash-map suites) under three configurations and
-// writes BENCH_perf.json —
+// point set (the core hash-map suites) twice and writes BENCH_perf.json —
 //
-//   serial_old    jobs=1, the pre-overhaul pipeline: binary priority-queue
-//                 scheduler, trampoline-only switching, fresh zeroed fiber
-//                 stacks, word-at-a-time reader scan;
-//   serial_new    jobs=1, direct fiber switching + line-batched commit
-//                 scan (the shipping defaults);
+//   serial_new    jobs=1;
 //   parallel_new  SPRWL_BENCH_JOBS (default: hardware concurrency) pool
 //                 over the same points.
 //
 // Besides the wall-clock trajectory (points/sec, context switches/sec) it
-// byte-compares the serial_new and parallel_new bench output and fails if
-// they differ — the parallel runner must not change a single byte.
-//
-// Note serial_old differs from serial_new in *scheduler and scan
-// configuration* only; both produce valid figure data (serial_old's SpRWL
-// rows charge the unbatched scan cost, so their virtual-time numbers are
-// the old pipeline's numbers, as intended for a baseline).
+// byte-compares the two runs' bench output and fails if they differ — the
+// parallel runner must not change a single byte.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -45,17 +35,13 @@ struct ModeResult {
   }
 };
 
-ModeResult run_mode(const char* name, int jobs, bool new_pipeline,
-                    const Args& args) {
+ModeResult run_mode(const char* name, int jobs, const Args& args) {
   ModeResult r;
   r.name = name;
   r.jobs = jobs;
-  SuiteOptions opt;
-  opt.series.sim.direct_switch = new_pipeline;
-  opt.series.sim.legacy_ready_queue = !new_pipeline;
-  opt.sprwl_batched_scan = new_pipeline;
-  opt.series.out = [&r](const std::string& s) { r.output += s; };
-  opt.series.observe = [&r](const SeriesPoint& pt) {
+  SeriesOptions opt;
+  opt.out = [&r](const std::string& s) { r.output += s; };
+  opt.observe = [&r](const SeriesPoint& pt) {
     ++r.points;
     r.switches += pt.sim_stats.switches;
     r.direct_switches += pt.sim_stats.direct_switches;
@@ -83,25 +69,15 @@ int run(const Args& args) {
       par_jobs);
   std::fflush(stdout);
 
-  std::vector<ModeResult> modes;
-  modes.push_back(run_mode("serial_old", 1, false, args));
-  modes.push_back(run_mode("serial_new", 1, true, args));
-  modes.push_back(run_mode("parallel_new", par_jobs, true, args));
+  const std::vector<ModeResult> modes{run_mode("serial_new", 1, args),
+                                      run_mode("parallel_new", par_jobs, args)};
+  const ModeResult& serial = modes[0];
+  const ModeResult& parallel = modes[1];
+  const bool identical = serial.output == parallel.output;
 
-  const ModeResult& old_m = modes[0];
-  const ModeResult& new_s = modes[1];
-  const ModeResult& new_p = modes[2];
-  const bool identical = new_s.output == new_p.output;
-  const double speedup_sched =
-      new_s.wall_s > 0 ? old_m.wall_s / new_s.wall_s : 0;
-  const double speedup_total =
-      new_p.wall_s > 0 ? old_m.wall_s / new_p.wall_s : 0;
-
-  std::printf("\nscheduler+scan speedup (serial_new vs serial_old): %.2fx\n",
-              speedup_sched);
-  std::printf("total speedup (parallel_new vs serial_old):        %.2fx\n",
-              speedup_total);
-  std::printf("serial/parallel output byte-identical:             %s\n",
+  std::printf("\nparallel speedup (parallel_new vs serial_new): %.2fx\n",
+              parallel.wall_s > 0 ? serial.wall_s / parallel.wall_s : 0);
+  std::printf("serial/parallel output byte-identical:         %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
 
   JsonWriter j;
@@ -125,8 +101,6 @@ int run(const Args& args) {
     j.end_object();
   }
   j.end_array();
-  j.key("speedup_serial_new_vs_serial_old").value(speedup_sched);
-  j.key("speedup_parallel_new_vs_serial_old").value(speedup_total);
   j.key("outputs_identical").value(identical);
   j.end_object();
   if (!j.write_file("BENCH_perf.json")) {

@@ -1,6 +1,6 @@
 // The fig3/fig4 hash-map suites as reusable functions: the fig3/fig4
 // binaries are thin wrappers around these, and bench/perf_pipeline times
-// the exact same point set under different scheduler/runner configurations.
+// the exact same point set serially and on the parallel runner.
 //
 // A suite call only *submits* work (rows and section headers as ordered
 // emits); the caller drains the Runner. Output is byte-identical to the
@@ -13,20 +13,11 @@
 
 namespace sprwl::bench {
 
-/// Whole-suite knobs perf_pipeline sweeps. Defaults reproduce the shipping
-/// fig3/fig4 configuration.
-struct SuiteOptions {
-  SeriesOptions series{};
-  /// SpRWL commit-time reader scan: line-batched (default) or the
-  /// word-at-a-time baseline (core::Config::batched_reader_scan = false).
-  bool sprwl_batched_scan = true;
-};
-
 namespace detail {
 
 inline void fig34_machine(Runner& runner, const Machine& m, const Args& args,
                           int lookups_per_read, const char* figname,
-                          const SuiteOptions& opt) {
+                          const SeriesOptions& opt) {
   HashmapFigParams p = machine_params(m, args);
   p.lookups_per_read = lookups_per_read;
   const std::vector<int>& threads = m.threads(args.full);
@@ -42,23 +33,20 @@ inline void fig34_machine(Runner& runner, const Machine& m, const Args& args,
                   updates * 100, reader_desc);
     // Headers are emit-only tasks so they land between the right rows.
     runner.submit({}, [text = std::string(header) + format_series_header(),
-                       out = opt.series.out] {
+                       out = opt.out] {
       if (out) {
         out(text);
       } else {
         std::fputs(text.c_str(), stdout);
       }
     });
-    hashmap_series(runner, "TLE", m, p, threads, make_tle(), opt.series);
-    hashmap_series(runner, "RWL", m, p, threads, make_rwl(), opt.series);
-    hashmap_series(runner, "BRLock", m, p, threads, make_brlock(), opt.series);
+    hashmap_series(runner, "TLE", m, p, threads, make_tle(), opt);
+    hashmap_series(runner, "RWL", m, p, threads, make_rwl(), opt);
+    hashmap_series(runner, "BRLock", m, p, threads, make_brlock(), opt);
     if (is_power8) {
-      hashmap_series(runner, "RW-LE", m, p, threads, make_rwle(), opt.series);
+      hashmap_series(runner, "RW-LE", m, p, threads, make_rwle(), opt);
     }
-    hashmap_series(runner, "SpRWL", m, p, threads,
-                   make_sprwl(core::SchedulingVariant::kFull,
-                              opt.sprwl_batched_scan),
-                   opt.series);
+    hashmap_series(runner, "SpRWL", m, p, threads, make_sprwl(), opt);
   }
 }
 
@@ -66,7 +54,7 @@ inline void fig34_machine(Runner& runner, const Machine& m, const Args& args,
 
 /// Fig. 3 — long readers (10 lookups per read critical section).
 inline void fig3_suite(Runner& runner, const Args& args,
-                       const SuiteOptions& opt = {}) {
+                       const SeriesOptions& opt = {}) {
   if (args.want_profile("broadwell")) {
     detail::fig34_machine(runner, broadwell_machine(), args, 10, "fig3", opt);
   }
@@ -77,7 +65,7 @@ inline void fig3_suite(Runner& runner, const Args& args,
 
 /// Fig. 4 — short readers (1 lookup per read critical section).
 inline void fig4_suite(Runner& runner, const Args& args,
-                       const SuiteOptions& opt = {}) {
+                       const SeriesOptions& opt = {}) {
   if (args.want_profile("broadwell")) {
     detail::fig34_machine(runner, broadwell_machine(), args, 1, "fig4", opt);
   }

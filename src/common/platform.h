@@ -103,9 +103,12 @@ namespace detail {
 // The per-thread state lives here (defined in platform.cpp) so the facade
 // functions below can inline into the simulator/engine hot paths — they
 // run tens of millions of times per bench data point, and a cross-TU call
-// per virtual-cycle charge is measurable at that rate.
-extern thread_local ExecutionContext* t_context;
-extern thread_local int t_thread_id;
+// per virtual-cycle charge is measurable at that rate. `constinit` tells
+// other TUs the initializer is constant, so no access goes through a
+// dynamic TLS-init check (one per access without it, and UBSan reports a
+// null load in that check's code path).
+extern constinit thread_local ExecutionContext* t_context;
+extern constinit thread_local int t_thread_id;
 std::uint64_t real_now() noexcept;
 void real_pause() noexcept;
 void real_wait_until(std::uint64_t t) noexcept;

@@ -7,7 +7,7 @@
 namespace sprwl::htm {
 
 std::atomic<Engine*> Engine::g_current{nullptr};
-thread_local Engine* Engine::t_current = nullptr;
+constinit thread_local Engine* Engine::t_current = nullptr;
 
 const char* to_string(AbortCause c) noexcept {
   switch (c) {

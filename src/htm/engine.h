@@ -84,12 +84,7 @@ class AbortException {
 /// (registered or HTM-first) read.
 class SnapshotMiss {};
 
-/// Sized in whole 16-byte malloc granules (alignas), so fewer member
-/// changes alter its size: workloads embed an Engine in front of data whose
-/// rows are not line-aligned (TPC-C), where any size change shifts that
-/// data's cache-line geometry and, with it, virtual time. A stricter
-/// alignment would realign every stack frame holding an Engine.
-class alignas(16) Engine {
+class Engine {
  public:
   explicit Engine(EngineConfig cfg = {});
   ~Engine();
@@ -522,7 +517,7 @@ class alignas(16) Engine {
   std::vector<std::unique_ptr<Descriptor>> descriptors_;
 
   static std::atomic<Engine*> g_current;
-  static thread_local Engine* t_current;
+  static constinit thread_local Engine* t_current;
 
   friend class EngineScope;
 };

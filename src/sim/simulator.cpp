@@ -4,7 +4,6 @@
 #include <cstring>
 #include <cxxabi.h>
 #include <exception>
-#include <queue>
 #include <thread>
 
 #include "common/costs.h"
@@ -338,13 +337,13 @@ void Simulator::prepare_fiber(Fiber& f) {
 
 #endif
 
-// Fiber→fiber handoff: the yielding fiber f re-queues itself, takes the
-// ready-set minimum m and switches straight to m's stack — the scheduler
-// stack is not touched, halving the context switches of a yield. Schedule
-// equivalence with the trampoline: f yields only because f.time >
-// next_wake_ (the minimum's time), so f's key exceeds the minimum, and
-// taking the minimum before inserting f selects exactly the entry the
-// trampoline's insert-then-pop would have returned (never f itself).
+// Fiber→fiber handoff, the only way an uncontrolled fiber yields: f
+// re-queues itself, takes the ready-set minimum m and switches straight to
+// m's stack — the scheduler stack is not touched. f yields only because
+// f.time > next_wake_ (the minimum's time), so f's key exceeds the minimum,
+// and taking the minimum before inserting f selects exactly the entry an
+// insert-then-pop would return (never f itself): the schedule is the
+// (time, id) order the header describes.
 void Simulator::direct_switch_from(Fiber& f) {
   const std::uint64_t e = ready_pop();
   ready_push(ReadySet::key(f.time, f.id));
@@ -372,14 +371,6 @@ void Simulator::direct_switch_from(Fiber& f) {
 #endif
 }
 
-void Simulator::yield_from(Fiber& f) {
-  if (direct_switch_) {
-    direct_switch_from(f);
-  } else {
-    yield_to_scheduler(f);
-  }
-}
-
 void Simulator::deschedule_current_until(std::uint64_t until) {
   if (running_ == nullptr) return;  // not called from a fiber: nothing to do
   ++preemptions_;
@@ -394,12 +385,8 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
     throw std::invalid_argument("Simulator: more than 1024 fibers");
   if (cfg_.max_virtual_time >= (1ULL << (64 - ReadySet::kIdBits)))
     throw std::invalid_argument("Simulator: max_virtual_time >= 2^54");
-  if (cfg_.policy != nullptr && cfg_.legacy_ready_queue)
-    throw std::invalid_argument(
-        "Simulator: controlled mode is incompatible with legacy_ready_queue");
   body_ = &body;
   controlled_ = cfg_.policy != nullptr;
-  direct_switch_ = cfg_.direct_switch && !cfg_.legacy_ready_queue && !controlled_;
   // Defensive per-run reset: results always describe this run, whatever
   // state a previous run (or an exception unwinding out of one) left.
   preemptions_ = 0;
@@ -421,23 +408,17 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
     f->id = i;
     f->jitter = static_cast<std::uint32_t>(i) * 2654435761u + 1u;
     f->sim = this;
-    // Legacy mode reproduces the original allocation behavior: a fresh
-    // zero-initialized stack per fiber per run, nothing pooled.
-    f->stack = cfg_.legacy_ready_queue
-                   ? std::make_unique<char[]>(cfg_.stack_bytes)
-                   : acquire_stack(cfg_.stack_bytes);
+    f->stack = acquire_stack(cfg_.stack_bytes);
     f->exec_ctx.sim = this;
     f->exec_ctx.fiber = f.get();
     f->exec_ctx.enable_sched_points(controlled_);
     f->pending = PendingOp{i, SchedKind::kStart, 0};
     prepare_fiber(*f);
-    if (!cfg_.legacy_ready_queue && !controlled_) ready_push(ReadySet::key(0, i));
+    if (!controlled_) ready_push(ReadySet::key(0, i));
     fibers_.push_back(std::move(f));
   }
 
-  if (cfg_.legacy_ready_queue) {
-    schedule_loop_legacy();
-  } else if (controlled_) {
+  if (controlled_) {
     schedule_loop_controlled();
   } else {
     schedule_loop();
@@ -451,9 +432,7 @@ void Simulator::run(int nthreads, const std::function<void(int)>& body) {
       first_error = f->error;
       first_error_time = f->time;
     }
-    if (!cfg_.legacy_ready_queue) {
-      release_stack(cfg_.stack_bytes, std::move(f->stack));
-    }
+    release_stack(cfg_.stack_bytes, std::move(f->stack));
   }
   fibers_.clear();
   body_ = nullptr;
@@ -469,57 +448,12 @@ void Simulator::schedule_loop() {
     running_ = &f;
     ++stats_.switches;
     switch_to_fiber(f);
-    // Under direct switching control returns here only when a fiber
-    // *exits*, and `running_` then names that fiber (not necessarily f —
-    // the handoffs moved on). Under the trampoline it is f, yielded or
-    // done, exactly as before.
-    Fiber& ran = *running_;
+    // Fibers hand off to each other directly, so control returns here only
+    // when a fiber *exits* (not necessarily f — the handoffs moved on).
     running_ = nullptr;
     platform::set_context(nullptr);
-    if (!ran.done) ready_push(ReadySet::key(ran.time, ran.id));
     // If a fiber errored out, the remaining ones either finish or hit the
     // virtual-time limit deterministically; run() reports the earliest error.
-  }
-}
-
-// The pre-overhaul scheduler, preserved verbatim in behavior as the
-// measurable wall-clock baseline (SimConfig::legacy_ready_queue): binary
-// std::priority_queue ready set, every activation through the trampoline.
-// It produces the exact same schedule as schedule_loop + direct switching,
-// just slower — perf_pipeline quantifies by how much.
-void Simulator::schedule_loop_legacy() {
-  // The original two-field entry with a field-wise comparator, not the
-  // packed key the ready set uses — the baseline must not inherit the
-  // overhaul's representation wins.
-  struct LegacyEntry {
-    std::uint64_t time;
-    int id;
-    bool operator>(const LegacyEntry& o) const noexcept {
-      return time != o.time ? time > o.time : id > o.id;
-    }
-  };
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>,
-                      std::greater<LegacyEntry>>
-      ready;
-  for (auto& f : fibers_) ready.push(LegacyEntry{f->time, f->id});
-  stats_.heap_pushes += fibers_.size();
-  while (!ready.empty()) {
-    const LegacyEntry e = ready.top();
-    ready.pop();
-    ++stats_.heap_pops;
-    Fiber& f = *fibers_[static_cast<std::size_t>(e.id)];
-    next_wake_ = ready.empty() ? ~0ULL : ready.top().time;
-    platform::set_context(&f.exec_ctx);
-    running_ = &f;
-    ++stats_.switches;
-    switch_to_fiber(f);
-    Fiber& ran = *running_;
-    running_ = nullptr;
-    platform::set_context(nullptr);
-    if (!ran.done) {
-      ready.push(LegacyEntry{ran.time, ran.id});
-      ++stats_.heap_pushes;
-    }
   }
 }
 
@@ -700,7 +634,7 @@ std::uintptr_t Simulator::canonical_obj(std::uintptr_t raw) {
 void Simulator::fiber_advance(Fiber& f, std::uint64_t cycles) {
   f.time += cycles;
   if (f.time > cfg_.max_virtual_time) throw SimTimeLimitError(f.time);
-  if (f.time > next_wake_) yield_from(f);
+  if (f.time > next_wake_) direct_switch_from(f);
 }
 
 void Simulator::fiber_wait_until(Fiber& f, std::uint64_t t) {
@@ -708,7 +642,7 @@ void Simulator::fiber_wait_until(Fiber& f, std::uint64_t t) {
     f.time = t;
     if (f.time > cfg_.max_virtual_time) throw SimTimeLimitError(f.time);
   }
-  if (f.time > next_wake_) yield_from(f);
+  if (f.time > next_wake_) direct_switch_from(f);
 }
 
 void run_real_threads(int nthreads, const std::function<void(int)>& body) {

@@ -36,14 +36,12 @@
 //    advance by similar amounts, so it almost always re-enters at or near
 //    the back: taking the minimum is a head bump and the re-insert is one
 //    compare plus a few shifts, with no data-dependent tree walk;
-//  * when a yielding fiber already knows the next runnable fiber (the
-//    ready-set minimum), it switches to it *directly* instead of bouncing
-//    through the scheduler stack — one context switch per handoff instead
-//    of two, which halves switches on ping-pong workloads
-//    (SimConfig::direct_switch; disable to get the classic trampoline).
-//    The schedule is identical either way: a fiber yields only when its
-//    clock passed the minimum, so insert-self-then-take-min selects exactly
-//    the fiber the trampoline's pop would have selected;
+//  * a yielding fiber already knows the next runnable fiber (the ready-set
+//    minimum), so it switches to it *directly* instead of bouncing through
+//    the scheduler stack — one context switch per handoff instead of two.
+//    The scheduler stack runs only when a run starts and after a fiber
+//    exits. (Controlled mode parks every fiber on the scheduler stack
+//    instead: its policy, not the clock, picks the next fiber);
 //  * the libstdc++ exception globals swapped at every switch are located
 //    once per run(), not per switch;
 //  * fiber stacks are recycled through a thread-local pool instead of being
@@ -78,21 +76,10 @@ struct SimConfig {
   /// 20e9 cycles = 10 virtual seconds at the default 2 GHz — far beyond any
   /// test or bench window, small enough that deadlock tests fail fast.
   std::uint64_t max_virtual_time = 20ULL * 1000 * 1000 * 1000;
-  /// Fiber→fiber handoff without the scheduler trampoline (see the header
-  /// comment). Schedules are bit-identical with it on or off; off costs one
-  /// extra context switch per yield and exists as the measurable baseline.
-  bool direct_switch = true;
-  /// Faithful reproduction of the original scheduler, kept as the oracle
-  /// the scheduler tests compare against and as bench/perf_pipeline's
-  /// "serial_old" baseline: ready set in a binary std::priority_queue, a
-  /// fresh zero-initialized stack per fiber per run() (no pooling), always
-  /// through the trampoline (direct_switch is ignored). The schedule — and therefore every virtual-time result — is
-  /// bit-identical to the default scheduler; only wall-clock cost differs.
-  bool legacy_ready_queue = false;
   /// Controlled-scheduler mode (systematic testing, src/check/): when set,
   /// virtual-time order no longer drives scheduling. Every pause, timed
   /// wait and fault::checkpoint() parks the fiber, and the policy chooses
-  /// which parked fiber runs next. Incompatible with legacy_ready_queue.
+  /// which parked fiber runs next.
   SchedulePolicy* policy = nullptr;
   /// Controlled mode: hard cap on decisions per run — a second livelock
   /// backstop (the primary one is no_progress_bound) and the bound that
@@ -217,7 +204,6 @@ class Simulator {
   struct FiberContext;
 
   void schedule_loop();
-  void schedule_loop_legacy();
   void schedule_loop_controlled();
   /// Parks the running fiber at a decision point (controlled mode only).
   void controlled_point(SchedKind kind, std::uintptr_t obj);
@@ -230,7 +216,6 @@ class Simulator {
   std::uintptr_t canonical_obj(std::uintptr_t raw);
   void fiber_advance(Fiber& f, std::uint64_t cycles);
   void fiber_wait_until(Fiber& f, std::uint64_t t);
-  void yield_from(Fiber& f);
   void yield_to_scheduler(Fiber& f);
   void direct_switch_from(Fiber& f);
   void switch_to_fiber(Fiber& f);
@@ -263,14 +248,13 @@ class Simulator {
   unsigned char sched_eh_state_[2 * sizeof(void*)] = {};
   unsigned char* eh_globals_ = nullptr;
   // AddressSanitizer fiber bookkeeping; unused outside ASan builds. A
-  // fiber's first activation may now come from another fiber (direct
+  // fiber's first activation may come from another fiber (direct
   // switch), so fiber_body only records the origin stack as the scheduler's
   // when from_scheduler_ says the activation came from schedule_loop.
   void* sched_fake_stack_ = nullptr;
   const void* sched_stack_bottom_ = nullptr;
   std::size_t sched_stack_size_ = 0;
   bool from_scheduler_ = false;
-  bool direct_switch_ = false;  // cfg_.direct_switch, resolved at run() entry
   std::uint64_t next_wake_ = 0;
   std::uint64_t final_time_ = 0;
   std::uint64_t preemptions_ = 0;

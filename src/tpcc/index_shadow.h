@@ -51,7 +51,9 @@ class IndexShadow {
     return static_cast<std::size_t>(htm::detail::mix64(key) % leaf_.size());
   }
 
-  htm::Shared<std::uint64_t> root_;
+  // On its own line, so the root's line geometry does not depend on where
+  // the enclosing Database sits (stack offset, neighbouring objects).
+  alignas(kCacheLineSize) htm::Shared<std::uint64_t> root_;
   // Unpadded on purpose: eight cells per line, like keys sharing a page.
   aligned_vector<htm::Shared<std::uint64_t>> inner_;
   mutable aligned_vector<htm::Shared<std::uint64_t>> leaf_;

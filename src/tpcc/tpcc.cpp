@@ -19,7 +19,7 @@ struct Database::District {
         no_queue(static_cast<std::size_t>(s.order_ring)) {}
 
   DistrictRow row;
-  std::vector<CustomerRow> customers;
+  aligned_vector<CustomerRow> customers;
   aligned_vector<OrderRow> orders;           // ring keyed by o_id % ring
   aligned_vector<OrderLineRow> order_lines;  // ring slot * kMaxOrderLines + l
   aligned_vector<htm::Shared<std::uint32_t>> no_queue;  // undelivered o_ids
@@ -27,7 +27,7 @@ struct Database::District {
   htm::Shared<std::uint32_t> no_tail;  // producer cursor (monotonic)
 };
 
-struct Database::Warehouse {
+struct alignas(kCacheLineSize) Database::Warehouse {
   explicit Warehouse(const Scale& s) : stock(static_cast<std::size_t>(s.items)) {
     districts.reserve(static_cast<std::size_t>(s.districts_per_warehouse));
     for (int d = 0; d < s.districts_per_warehouse; ++d) {

@@ -15,6 +15,7 @@
 #include "check/registry.h"
 #include "fault/fault.h"
 
+#include "../support/artifact_dir.h"
 #include "../support/seed_replay.h"
 
 namespace sprwl::check {
@@ -76,7 +77,7 @@ TEST(CheckerLocks, BrokenScanCaughtWithMinimizedDeterministicRepro) {
   const Workload w;
   ExploreOptions opt;
   opt.lock_name = broken_lock_name();
-  opt.artifact_dir = ::testing::TempDir();
+  opt.artifact_dir = testutil::artifact_dir();
   opt.seed = 99;
   const RunFn run = make_runner(broken_lock_name(), w);
   const ExploreReport rep = explore_dfs(run, w, opt);
@@ -137,7 +138,7 @@ TEST(CheckerLocks, ShardedBrokenScanCaughtWithDeterministicRepro) {
   const Workload w;
   ExploreOptions opt;
   opt.lock_name = "SpRWL-sharded-broken";
-  opt.artifact_dir = ::testing::TempDir();
+  opt.artifact_dir = testutil::artifact_dir();
   opt.seed = 123;
   const RunFn run = make_runner("SpRWL-sharded-broken", w);
   const ExploreReport rep = explore_dfs(run, w, opt);
@@ -187,7 +188,7 @@ TEST(CheckerLocks, BravoBrokenRevokeCaughtWithDeterministicRepro) {
   const Workload w;
   ExploreOptions opt;
   opt.lock_name = "SpRWL-bravo-broken";
-  opt.artifact_dir = ::testing::TempDir();
+  opt.artifact_dir = testutil::artifact_dir();
   opt.seed = 123;
   const RunFn run = make_runner("SpRWL-bravo-broken", w);
   const ExploreReport rep = explore_dfs(run, w, opt);
@@ -243,7 +244,7 @@ TEST(CheckerLocks, BravoNumaBrokenDrainCaughtWithDeterministicRepro) {
   const Workload w;
   ExploreOptions opt;
   opt.lock_name = "SpRWL-bravo-numa-broken";
-  opt.artifact_dir = ::testing::TempDir();
+  opt.artifact_dir = testutil::artifact_dir();
   opt.seed = 123;
   const RunFn run = make_runner("SpRWL-bravo-numa-broken", w);
   const ExploreReport rep = explore_dfs(run, w, opt);
@@ -329,7 +330,7 @@ TEST(CheckerLocks, TimeoutBrokenCaughtWithDeterministicRepro) {
   const Workload w;
   ExploreOptions opt;
   opt.lock_name = "SpRWL-timeout-broken";
-  opt.artifact_dir = ::testing::TempDir();
+  opt.artifact_dir = testutil::artifact_dir();
   opt.seed = 123;
   const RunFn run = make_runner("SpRWL-timeout-broken", w);
   const ExploreReport rep = explore_dfs(run, w, opt);
@@ -382,7 +383,7 @@ TEST(CheckerLocks, LeaseBrokenValidationCaughtWithDeterministicRepro) {
   const Workload w;
   ExploreOptions opt;
   opt.lock_name = "SpRWL-lease-broken";
-  opt.artifact_dir = ::testing::TempDir();
+  opt.artifact_dir = testutil::artifact_dir();
   opt.seed = 123;
   const RunFn run = make_runner("SpRWL-lease-broken", w);
   const ExploreReport rep = explore_dfs(run, w, opt);
@@ -416,7 +417,7 @@ TEST(CheckerLocks, ArtifactRoundTripsTimedWorkloadFields) {
   a.workload.timed_reads = true;
   a.workload.read_deadlines = {1, 400000};
   a.violation = "none";
-  const std::string path = write_artifact(a, ::testing::TempDir());
+  const std::string path = write_artifact(a, testutil::artifact_dir());
   ReproArtifact b;
   ASSERT_TRUE(read_artifact(path, &b)) << path;
   EXPECT_TRUE(b.workload.timed_reads);

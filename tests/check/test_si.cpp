@@ -15,6 +15,8 @@
 #include "check/registry.h"
 #include "check/si.h"
 
+#include "../support/artifact_dir.h"
+
 namespace sprwl::check {
 namespace {
 
@@ -124,7 +126,7 @@ TEST(SiSpec, MvccBrokenCaughtWithDeterministicRepro) {
   w.broken_snapshot = true;
   ExploreOptions opt;
   opt.lock_name = "SpRWL-mvcc-broken";
-  opt.artifact_dir = ::testing::TempDir();
+  opt.artifact_dir = testutil::artifact_dir();
   opt.seed = 123;
   const RunFn run = make_runner("SpRWL-mvcc-broken", w);
   const ExploreReport rep = explore_dfs(run, w, opt);
@@ -164,7 +166,7 @@ TEST(SiSpec, ArtifactRoundTripsSnapshotWorkloadFields) {
   a.workload.retain_versions = 3;
   a.workload.broken_snapshot = false;
   a.violation = "none";
-  const std::string path = write_artifact(a, ::testing::TempDir());
+  const std::string path = write_artifact(a, testutil::artifact_dir());
   ReproArtifact b;
   ASSERT_TRUE(read_artifact(path, &b)) << path;
   EXPECT_TRUE(b.workload.snapshot_reads);

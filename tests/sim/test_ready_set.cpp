@@ -1,9 +1,10 @@
 // The scheduler's ready set against std::priority_queue: the set on its
-// own under random push / pop traffic, and whole simulator
-// runs (direct switching and trampoline) against the legacy scheduler,
-// whose ready set is a std::priority_queue. Keys are unique, so any correct
-// ordered set yields the same schedule; these tests pin that ReadySet is
-// one, including ties in time, far-future wakeups and 1..1024 fibers.
+// own under random push / pop traffic, and whole simulator runs against
+// schedule digests taken when a std::priority_queue scheduler still ran
+// beside it and produced the same schedules. Keys are unique, so any
+// correct ordered set yields the same schedule; these tests pin that
+// ReadySet is one, including ties in time, far-future wakeups and 1..1024
+// fibers.
 #include "sim/ready_set.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 
 #include "common/rng.h"
 #include "sim/simulator.h"
+
+#include "../support/schedule_digest.h"
 
 namespace sprwl::sim {
 namespace {
@@ -93,7 +96,8 @@ struct SimRun {
 
 // Random per-fiber costs with many exact ties (small cost alphabet) and
 // occasional far-future timed waits.
-SimRun run_sim(SimConfig cfg, int nfibers, int steps, std::uint64_t seed) {
+SimRun run_sim(int nfibers, int steps, std::uint64_t seed) {
+  SimConfig cfg;
   cfg.stack_bytes = 32 * 1024;
   Simulator sim(cfg);
   SimRun r;
@@ -115,26 +119,23 @@ SimRun run_sim(SimConfig cfg, int nfibers, int steps, std::uint64_t seed) {
 }
 
 TEST(ReadySet, SimulatorScheduleMatchesPriorityQueueScheduler) {
-  for (const int n : {1, 2, 5, 28, 200, 1024}) {
-    const int steps = n >= 200 ? 12 : 150;
-    SimConfig direct;
-    SimConfig trampoline;
-    trampoline.direct_switch = false;
-    SimConfig legacy;
-    legacy.legacy_ready_queue = true;
-    const SimRun a = run_sim(direct, n, steps, 11);
-    const SimRun b = run_sim(trampoline, n, steps, 11);
-    const SimRun c = run_sim(legacy, n, steps, 11);
-    EXPECT_EQ(a.order, c.order) << "direct vs priority_queue, n=" << n;
-    EXPECT_EQ(b.order, c.order) << "trampoline vs priority_queue, n=" << n;
-    EXPECT_EQ(a.final_time, c.final_time);
-    EXPECT_EQ(b.final_time, c.final_time);
-    // Ready-set traffic is a property of the schedule: the trampoline and
-    // the legacy scheduler push and pop once per activation.
-    EXPECT_EQ(b.stats.heap_pushes, c.stats.heap_pushes);
-    EXPECT_EQ(b.stats.heap_pops, c.stats.heap_pops);
-    EXPECT_EQ(a.stats.heap_pushes, a.stats.heap_pops);
-    EXPECT_EQ(a.stats.switches, c.stats.switches);
+  struct Pin {
+    int n;
+    std::uint64_t digest;    // schedule_digest of the priority-queue run
+    std::uint64_t switches;  // its activation count
+  };
+  constexpr Pin kPins[] = {
+      {1, 0x37c04acca01bd8d6ULL, 1},        {2, 0x1a87544b59969841ULL, 28},
+      {5, 0x21897a4b1f2f9773ULL, 430},      {28, 0xd50a04cc31b03c8eULL, 3829},
+      {200, 0x2229812c26b3ce1fULL, 2587},   {1024, 0x04dcc83ce482957fULL, 13299},
+  };
+  for (const Pin& pin : kPins) {
+    const int steps = pin.n >= 200 ? 12 : 150;
+    const SimRun a = run_sim(pin.n, steps, 11);
+    EXPECT_EQ(testutil::schedule_digest(a.order, a.final_time), pin.digest)
+        << "n=" << pin.n;
+    EXPECT_EQ(a.stats.switches, pin.switches) << "n=" << pin.n;
+    EXPECT_EQ(a.stats.heap_pushes, a.stats.heap_pops) << "n=" << pin.n;
   }
 }
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <vector>
+
 #include "core/sprwl.h"
 #include "locks/brlock.h"
 #include "locks/posix_rwlock.h"
@@ -161,6 +165,68 @@ TEST(TpccConcurrency, ReadersObserveConsistentMoney) {
   });
   EXPECT_EQ(violations, 0u);
   EXPECT_TRUE(db.check_warehouse_ytd());
+}
+
+// Virtual time must not follow the memory layout. Every TPC-C object or
+// array that holds Shared cells starts a cache line (the index roots, the
+// warehouse and customer rows), so neither where the Database sits inside its
+// enclosing object nor what the heap allocated before it changes which
+// lines a transaction touches. The same short mix, with the Database at
+// four 16-byte steps inside its enclosing object and after two heap pads,
+// must replay to the cycle.
+template <std::size_t kLead>
+struct Enclosed {
+  explicit Enclosed(const Scale& s) : db(s) {}
+  std::array<char, kLead> lead{};
+  Database db;
+};
+
+template <std::size_t kLead>
+TpccRunResult run_enclosed(std::size_t pad_bytes) {
+  const std::vector<char> pad(pad_bytes, 1);  // live for the whole run
+  const int threads = 4;
+  htm::EngineConfig ecfg;
+  ecfg.capacity = htm::kBroadwell;
+  ecfg.max_threads = threads;
+  htm::Engine engine(ecfg);
+  auto enclosed = std::make_unique<Enclosed<kLead>>(test_scale(threads));
+  enclosed->db.populate();
+  core::SpRWLock lock{core::Config::variant(core::SchedulingVariant::kFull, threads)};
+  TpccDriverConfig dc = driver_config(threads);
+  dc.measure_cycles = 1'000'000;
+  sim::Simulator sim;
+  TpccRunResult r = run_tpcc(sim, engine, lock, enclosed->db, dc);
+  EXPECT_EQ(pad.size(), pad_bytes);
+  EXPECT_EQ(enclosed->db.raw_total_balance_drift(), 0);
+  return r;
+}
+
+TEST(TpccConcurrency, VirtualTimeIsIndependentOfMemoryLayout) {
+  const std::vector<TpccRunResult> runs{
+      run_enclosed<16>(0),  run_enclosed<32>(0),    run_enclosed<48>(0),
+      run_enclosed<64>(0),  run_enclosed<16>(24),   run_enclosed<16>(3000),
+  };
+  const TpccRunResult& a = runs.front();
+  EXPECT_GT(a.committed(), 100u);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const TpccRunResult& b = runs[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a.new_orders, b.new_orders);
+    EXPECT_EQ(a.payments, b.payments);
+    EXPECT_EQ(a.order_statuses, b.order_statuses);
+    EXPECT_EQ(a.deliveries, b.deliveries);
+    EXPECT_EQ(a.stock_levels, b.stock_levels);
+    EXPECT_EQ(a.read_latency.mean(), b.read_latency.mean());
+    EXPECT_EQ(a.write_latency.mean(), b.write_latency.mean());
+    EXPECT_EQ(a.reader_aborts, b.reader_aborts);
+    EXPECT_EQ(a.lock_stats.reads.unins, b.lock_stats.reads.unins);
+    EXPECT_EQ(a.lock_stats.reads.htm, b.lock_stats.reads.htm);
+    EXPECT_EQ(a.lock_stats.writes.htm, b.lock_stats.writes.htm);
+    EXPECT_EQ(a.lock_stats.writes.gl, b.lock_stats.writes.gl);
+    EXPECT_EQ(a.lock_stats.aborts.total(), b.lock_stats.aborts.total());
+    EXPECT_EQ(a.engine_stats.aborts_capacity, b.engine_stats.aborts_capacity);
+    EXPECT_EQ(a.engine_stats.aborts_conflict, b.engine_stats.aborts_conflict);
+  }
 }
 
 }  // namespace
