@@ -14,26 +14,15 @@ namespace {
 
 double run_point(const Machine& m, const HashmapFigParams& p, int threads,
                  core::Tracking tracking) {
-  htm::EngineConfig ec;
-  ec.capacity = m.capacity_at(threads);
-  ec.max_threads = threads;
-  ec.seed = p.seed;
-  htm::Engine engine(ec);
-  workloads::HashMap map = make_figure_map(p, threads);
-  core::Config lc = core::Config::variant(core::SchedulingVariant::kFull, threads);
-  lc.reader_htm_first = false;
-  lc.tracking = tracking;
-  core::SpRWLock lock{lc};
-  workloads::DriverConfig dc;
-  dc.threads = threads;
-  dc.update_ratio = p.update_ratio;
-  dc.lookups_per_read = p.lookups_per_read;
-  dc.key_space = p.key_space;
-  dc.warmup_cycles = p.warmup_cycles;
-  dc.measure_cycles = p.measure_cycles;
-  dc.seed = p.seed;
-  sim::Simulator sim;
-  return run_hashmap(sim, engine, lock, map, dc).throughput_tx_s();
+  return hashmap_point(m, p, threads,
+                       [tracking](int n) {
+                         core::Config lc = core::Config::variant(
+                             core::SchedulingVariant::kFull, n);
+                         lc.reader_htm_first = false;
+                         lc.tracking = tracking;
+                         return std::make_unique<core::SpRWLock>(lc);
+                       })
+      .throughput_tx_s();
 }
 
 void run(const Args& args) {

@@ -19,44 +19,19 @@
 namespace sprwl::bench {
 namespace {
 
-struct VariantResult {
-  double tx = 0;
-  Breakdown b;
-  double rd_lat = 0, wr_lat = 0;
-};
-
-VariantResult run_variant(const Machine& m, const HashmapFigParams& p,
-                          int threads, bool use_snzi, bool reader_htm_first) {
-  htm::EngineConfig ec;
-  ec.capacity = m.capacity_at(threads);
-  ec.max_threads = threads;
-  ec.seed = p.seed;
-  htm::Engine engine(ec);
-  workloads::HashMap map = make_figure_map(p, threads);
-  core::Config lc = core::Config::variant(core::SchedulingVariant::kFull, threads);
-  lc.tracking = use_snzi ? core::Tracking::kSnzi : core::Tracking::kFlags;
-  lc.reader_htm_first = reader_htm_first;
-  // The paper's prototype uses a shallow SNZI tree: queries stay one
-  // word, but short readers contend on the few leaves — the very
-  // trade-off this figure quantifies.
-  lc.snzi_levels = 3;
-  auto lock = std::make_unique<core::SpRWLock>(lc);
-  workloads::DriverConfig dc;
-  dc.threads = threads;
-  dc.update_ratio = p.update_ratio;
-  dc.lookups_per_read = p.lookups_per_read;
-  dc.key_space = p.key_space;
-  dc.warmup_cycles = p.warmup_cycles;
-  dc.measure_cycles = p.measure_cycles;
-  dc.seed = p.seed;
-  sim::Simulator sim;
-  const workloads::RunResult r = run_hashmap(sim, engine, *lock, map, dc);
-  VariantResult out;
-  out.tx = r.throughput_tx_s();
-  out.b = make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-  out.rd_lat = r.read_latency.mean();
-  out.wr_lat = r.write_latency.mean();
-  return out;
+workloads::RunResult run_variant(const Machine& m, const HashmapFigParams& p,
+                                 int threads, bool use_snzi,
+                                 bool reader_htm_first) {
+  return hashmap_point(m, p, threads, [use_snzi, reader_htm_first](int n) {
+    core::Config lc = core::Config::variant(core::SchedulingVariant::kFull, n);
+    lc.tracking = use_snzi ? core::Tracking::kSnzi : core::Tracking::kFlags;
+    lc.reader_htm_first = reader_htm_first;
+    // The paper's prototype uses a shallow SNZI tree: queries stay one
+    // word, but short readers contend on the few leaves — the very
+    // trade-off this figure quantifies.
+    lc.snzi_levels = 3;
+    return std::make_unique<core::SpRWLock>(lc);
+  });
 }
 
 int fig6_main(const Args& args) {
@@ -95,7 +70,7 @@ int fig6_main(const Args& args) {
     }
     // Both variants of one size are independent points; the combined rows
     // print once both computed, in size order.
-    auto res = std::make_shared<std::array<VariantResult, 2>>();
+    auto res = std::make_shared<std::array<workloads::RunResult, 2>>();
     runner.submit([res, m, p, threads, reader_htm_first] {
       (*res)[0] = run_variant(m, p, threads, false, reader_htm_first);
     });
@@ -104,16 +79,14 @@ int fig6_main(const Args& args) {
           (*res)[1] = run_variant(m, p, threads, true, reader_htm_first);
         },
         [res, size, threads] {
-          const VariantResult& flags = (*res)[0];
-          const VariantResult& snzi = (*res)[1];
-          std::printf("%8d | %12.3e | %12.3e | %8.2f\n", size, flags.tx,
-                      snzi.tx, snzi.tx > 0 ? flags.tx / snzi.tx : 0.0);
+          const double flags = (*res)[0].throughput_tx_s();
+          const double snzi = (*res)[1].throughput_tx_s();
+          std::printf("%8d | %12.3e | %12.3e | %8.2f\n", size, flags, snzi,
+                      snzi > 0 ? flags / snzi : 0.0);
           std::printf("         flags: ");
-          print_series_row("SpRWL", threads, flags.tx, flags.b, flags.rd_lat,
-                           flags.wr_lat);
+          print_series_row("SpRWL", threads, (*res)[0]);
           std::printf("         snzi:  ");
-          print_series_row("SNZI", threads, snzi.tx, snzi.b, snzi.rd_lat,
-                           snzi.wr_lat);
+          print_series_row("SNZI", threads, (*res)[1]);
         });
   }
   runner.drain();

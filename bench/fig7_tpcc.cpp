@@ -47,7 +47,7 @@ void tpcc_series(Runner& runner, const char* lock_name, const Machine& m,
                  const Args& args, const std::vector<int>& threads,
                  int warehouses, MakeLock make_lock) {
   for (const int n : threads) {
-    auto point = std::make_shared<tpcc::TpccRunResult>();
+    auto point = std::make_shared<workloads::RunResult>();
     runner.submit(
         [point, m, args, n, warehouses, make_lock] {
           htm::EngineConfig ec;
@@ -70,12 +70,7 @@ void tpcc_series(Runner& runner, const char* lock_name, const Machine& m,
           *point = run_tpcc(sim, engine, *lock, db, dc);
         },
         [point, lock_name = std::string(lock_name), n] {
-          const Breakdown b = make_breakdown(point->engine_stats,
-                                             point->lock_stats,
-                                             point->reader_aborts);
-          print_series_row(lock_name.c_str(), n, point->throughput_tx_s(), b,
-                           point->read_latency.mean(),
-                           point->write_latency.mean());
+          print_series_row(lock_name.c_str(), n, *point);
         });
   }
 }

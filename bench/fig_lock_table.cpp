@@ -35,7 +35,6 @@
 // Per-point host wall time is recorded as `wall_ms` (Runner::submit_timed)
 // and deliberately kept OUT of the identity-compared strings.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -190,10 +189,7 @@ void json_run(JsonWriter& j, const std::string& variant, int threads,
 
 int run(int argc, char** argv) {
   const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = args.smoke;
   const Machine m = broadwell_machine();
   Params p;
   if (smoke) {

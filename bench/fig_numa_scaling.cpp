@@ -33,12 +33,12 @@
 // throughput is at least the global table's at every 2+-socket point
 // under both models (`bravo_sharded_beats_global`), and the 1-socket
 // home-directory rows are byte-identical to the migratory ones
-// (`bravo_identity_1socket`). `--smoke` shrinks every sweep for CI. Exit
+// (`bravo_identity_1socket`). `--smoke` shrinks every sweep. Exit
 // status is non-zero if any identity or bravo acceptance check fails.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,123 +86,72 @@ struct NumaPoint {
   }
 };
 
-/// Submits one (sockets, threads, layout, seed) run. Like hashmap_series,
-/// but the engine carries the socket topology (and forced owner tracking)
-/// and the lock the sharded-tracking switch — SeriesOptions has no engine
-/// hook, and the scan counters live on SpRWLock, not in LockStats.
+/// The lock's config at `threads` on the point's socket topology.
+using MakeConfig =
+    std::function<core::Config(int threads, const sim::Topology& topology)>;
+
+/// Flat or socket-sharded reader tracking (Config::socket_sharded_tracking).
+MakeConfig tracking_config(bool sharded) {
+  return [sharded](int n, const sim::Topology& topology) {
+    core::Config c = core::Config::variant(core::SchedulingVariant::kFull, n);
+    c.topology = topology;
+    c.socket_sharded_tracking = sharded;
+    return c;
+  };
+}
+
+/// A bias-enabled lock whose BRAVO ReaderTable is either one global slot
+/// array or per-socket shards (bravo::Config::shard_by_socket).
+MakeConfig bravo_config(bool sharded_table) {
+  return [sharded_table](int n, const sim::Topology& topology) {
+    bravo::ReaderTable::Config bc;
+    bc.max_threads = n;
+    bc.topology = topology;
+    bc.shard_by_socket = sharded_table;
+    auto table = std::make_shared<bravo::ReaderTable>(bc);
+    core::Config c = core::Config::variant(core::SchedulingVariant::kFull, n);
+    c.topology = topology;
+    c.reader_htm_first = false;
+    c.bravo_bias = true;
+    c.bravo_table = table;
+    return c;
+  };
+}
+
+/// Submits one (sockets, threads, lock, seed) hash-map point whose engine
+/// carries the socket topology (line-owner tracking as asked) and whose
+/// SpRWLock comes from make_config. The run inherits whatever g_costs is
+/// active when the batch executes — the caller owns setting/restoring it
+/// around a drained batch. Rows are named `<name>/<sockets>s`; the scan
+/// counters live on SpRWLock, not in LockStats, so they are read from the
+/// lock after the run.
 void numa_run(Runner& runner, const Machine& m, HashmapFigParams p,
-              int sockets, int n, bool sharded, bool track_owners,
-              std::uint64_t seed,
+              int sockets, int n, bool track_owners, std::uint64_t seed,
+              const char* name, const MakeConfig& make_config,
               const std::function<void(const std::string&)>& out,
               const std::function<void(const NumaRun&)>& observe) {
   p.seed = seed;
   auto run = std::make_shared<NumaRun>();
   run->seed = seed;
   runner.submit(
-      [run, m, p, n, sockets, sharded, track_owners] {
+      [run, m, p, n, sockets, track_owners, make_config] {
         run->remote_cross = g_costs.remote_cross;
         htm::EngineConfig ec;
-        ec.capacity = m.capacity_at(n);
-        ec.max_threads = n;
-        ec.seed = p.seed;
         ec.topology = sim::Topology::split(n, sockets);
         ec.track_line_owners = track_owners;
-        htm::Engine engine(ec);
-        workloads::HashMap map = make_figure_map(p, n);
-        core::Config c =
-            core::Config::variant(core::SchedulingVariant::kFull, n);
-        c.topology = ec.topology;
-        c.socket_sharded_tracking = sharded;
-        core::SpRWLock lock(c);
-        workloads::DriverConfig dc;
-        dc.threads = n;
-        dc.update_ratio = p.update_ratio;
-        dc.lookups_per_read = p.lookups_per_read;
-        dc.key_space = p.key_space;
-        dc.warmup_cycles = p.warmup_cycles;
-        dc.measure_cycles = p.measure_cycles;
-        dc.seed = p.seed;
-        sim::Simulator sim;
-        run->run = run_hashmap(sim, engine, lock, map, dc);
-        run->scan_cycles = lock.commit_scan_cycles();
-        run->scans = lock.commit_scan_count();
+        std::optional<core::SpRWLock> lock;
+        run->run = hashmap_point(
+            m, p, n,
+            [&](int threads) {
+              return &lock.emplace(make_config(threads, ec.topology));
+            },
+            ec);
+        run->scan_cycles = lock->commit_scan_cycles();
+        run->scans = lock->commit_scan_count();
       },
-      [run, sharded, sockets, n, out, observe] {
-        if (out) {
-          const workloads::RunResult& r = run->run;
-          const Breakdown b =
-              make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-          const std::string name = std::string(sharded ? "sharded" : "flat") +
-                                   "/" + std::to_string(sockets) + "s";
-          out(format_series_row(name.c_str(), n, r.throughput_tx_s(), b,
-                                r.read_latency.mean(),
-                                r.write_latency.mean()));
-        }
-        if (observe) observe(*run);
-      });
-}
-
-/// Submits one BRAVO (sockets, table-layout, seed) run: the read-mostly
-/// hash-map workload under a bias-enabled SpRWLock whose ReaderTable is
-/// either one global slot array or per-socket shards
-/// (bravo::Config::shard_by_socket). The run inherits whatever
-/// g_costs.ownership is active when the batch executes — the caller owns
-/// setting/restoring the model around a drained batch.
-void bravo_run(Runner& runner, const Machine& m, HashmapFigParams p,
-               int sockets, int n, bool sharded_table, std::uint64_t seed,
-               const std::function<void(const std::string&)>& out,
-               const std::function<void(const NumaRun&)>& observe) {
-  p.seed = seed;
-  auto run = std::make_shared<NumaRun>();
-  run->seed = seed;
-  runner.submit(
-      [run, m, p, n, sockets, sharded_table] {
-        run->remote_cross = g_costs.remote_cross;
-        htm::EngineConfig ec;
-        ec.capacity = m.capacity_at(n);
-        ec.max_threads = n;
-        ec.seed = p.seed;
-        ec.topology = sim::Topology::split(n, sockets);
-        ec.track_line_owners = true;
-        htm::Engine engine(ec);
-        workloads::HashMap map = make_figure_map(p, n);
-        bravo::ReaderTable::Config bc;
-        bc.max_threads = n;
-        bc.topology = ec.topology;
-        bc.shard_by_socket = sharded_table;
-        auto table = std::make_shared<bravo::ReaderTable>(bc);
-        core::Config c =
-            core::Config::variant(core::SchedulingVariant::kFull, n);
-        c.topology = ec.topology;
-        c.reader_htm_first = false;
-        c.bravo_bias = true;
-        c.bravo_table = table;
-        core::SpRWLock lock(c);
-        workloads::DriverConfig dc;
-        dc.threads = n;
-        dc.update_ratio = p.update_ratio;
-        dc.lookups_per_read = p.lookups_per_read;
-        dc.key_space = p.key_space;
-        dc.warmup_cycles = p.warmup_cycles;
-        dc.measure_cycles = p.measure_cycles;
-        dc.seed = p.seed;
-        sim::Simulator sim;
-        run->run = run_hashmap(sim, engine, lock, map, dc);
-        run->scan_cycles = lock.commit_scan_cycles();
-        run->scans = lock.commit_scan_count();
-      },
-      [run, sharded_table, sockets, n, out, observe] {
-        if (out) {
-          const workloads::RunResult& r = run->run;
-          const Breakdown b =
-              make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-          const std::string name =
-              std::string(sharded_table ? "bshard" : "bglob") + "/" +
-              std::to_string(sockets) + "s";
-          out(format_series_row(name.c_str(), n, r.throughput_tx_s(), b,
-                                r.read_latency.mean(),
-                                r.write_latency.mean()));
-        }
+      [run, row = std::string(name) + "/" + std::to_string(sockets) + "s", n,
+       out, observe] {
+        if (out) out(format_series_row(row.c_str(), n, run->run));
         if (observe) observe(*run);
       });
 }
@@ -245,10 +194,7 @@ const NumaPoint* find(const std::vector<NumaPoint>& pts, int sockets,
 
 int run(int argc, char** argv) {
   const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = args.smoke;
   const Machine m = broadwell_machine();
   HashmapFigParams p = machine_params(m, args);
   if (args.measure_cycles == 0 && !args.full) {
@@ -274,10 +220,12 @@ int run(int argc, char** argv) {
   {
     Runner runner(jobs);
     for (const int n : threads) {
-      numa_run(runner, m, p, 1, n, false, true, args.seed,
+      numa_run(runner, m, p, 1, n, true, args.seed, "flat",
+               tracking_config(false),
                [&tracked_rows](const std::string& s) { tracked_rows += s; },
                {});
-      numa_run(runner, m, p, 1, n, false, false, args.seed,
+      numa_run(runner, m, p, 1, n, false, args.seed, "flat",
+               tracking_config(false),
                [&plain_rows](const std::string& s) { plain_rows += s; }, {});
     }
     runner.drain();
@@ -305,7 +253,8 @@ int run(int argc, char** argv) {
           pt.threads = n;
           pt.lock = sharded ? "sharded" : "flat";
           for (const std::uint64_t seed : seeds) {
-            numa_run(runner, m, p, s, n, sharded, true, seed, {},
+            numa_run(runner, m, p, s, n, true, seed, pt.lock.c_str(),
+                     tracking_config(sharded), {},
                      [&pt](const NumaRun& r) { pt.runs.push_back(r); });
           }
         }
@@ -340,8 +289,9 @@ int run(int argc, char** argv) {
         pt.threads = sens_threads;
         pt.lock = sharded ? "sharded" : "flat";
         for (const std::uint64_t seed : seeds) {
-          numa_run(runner, m, p, sens_sockets, sens_threads, sharded, true,
-                   seed, {}, [&pt](const NumaRun& r) { pt.runs.push_back(r); });
+          numa_run(runner, m, p, sens_sockets, sens_threads, true, seed,
+                   pt.lock.c_str(), tracking_config(sharded), {},
+                   [&pt](const NumaRun& r) { pt.runs.push_back(r); });
         }
       }
       runner.drain();
@@ -399,8 +349,9 @@ int run(int argc, char** argv) {
             std::function<void(const std::string&)> out;
             if (s == 1 && seed == seeds.front())
               out = [id_rows](const std::string& r) { *id_rows += r; };
-            bravo_run(runner, m, bp, s, bt, sharded, seed, out,
-                      [&pt](const NumaRun& r) { pt.runs.push_back(r); });
+            numa_run(runner, m, bp, s, bt, true, seed,
+                     sharded ? "bshard" : "bglob", bravo_config(sharded), out,
+                     [&pt](const NumaRun& r) { pt.runs.push_back(r); });
           }
         }
       }

@@ -19,12 +19,11 @@
 // at the widest scan, where small rings overflow under the write bursts
 // and fall back to registered reads.
 //
-// Results land in BENCH_mvcc.json; --smoke runs a reduced sweep and
+// Results land in BENCH_mvcc.json; --smoke runs a reduced sweep. Every run
 // enforces the acceptance properties (writer p99 flat within 2x across the
 // >=100x width span with snapshot on; super-linear degradation with it
 // off; off-api trace identity), exiting nonzero on violation.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -233,10 +232,7 @@ void write_json(const std::vector<Row>& rows, bool acceptance_ok, bool smoke,
 int main(int argc, char** argv) {
   using namespace sprwl::bench;
   const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = args.smoke;
   const std::uint64_t measure =
       args.measure_cycles != 0
           ? args.measure_cycles

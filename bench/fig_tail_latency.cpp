@@ -19,12 +19,11 @@
 // A storm regime composes the overload with a fault::FaultPlan interrupt
 // storm (spurious HTM aborts), the adversarial case for the speculation-
 // based locks. Results land in BENCH_tail.json; --smoke runs a reduced
-// sweep and enforces the acceptance properties (bounded p999 + nonzero
+// sweep. Every run enforces the acceptance properties (bounded p999 + nonzero
 // shed with admission on; p999 growth across horizons with it off),
 // exiting nonzero on violation.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -424,10 +423,7 @@ void sweep_lock(const char* name, MakeLock&& make_lock, const Params& p,
 int main(int argc, char** argv) {
   using namespace sprwl::bench;
   const Args args = Args::parse(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = args.smoke;
   Params p;
   p.seed = args.seed;
   if (smoke) p.requests = 600;

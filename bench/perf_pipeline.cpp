@@ -41,10 +41,10 @@ ModeResult run_mode(const char* name, int jobs, const Args& args) {
   r.jobs = jobs;
   SeriesOptions opt;
   opt.out = [&r](const std::string& s) { r.output += s; };
-  opt.observe = [&r](const SeriesPoint& pt) {
+  opt.observe = [&r](const workloads::RunResult& run) {
     ++r.points;
-    r.switches += pt.sim_stats.switches;
-    r.direct_switches += pt.sim_stats.direct_switches;
+    r.switches += run.sim_stats.switches;
+    r.direct_switches += run.sim_stats.direct_switches;
   };
   const auto t0 = std::chrono::steady_clock::now();
   {

@@ -5,15 +5,18 @@
 // Every bench binary runs with reduced defaults (seconds, not minutes) and
 // accepts:
 //   --full                paper-scale thread sweeps and longer windows
+//   --smoke               the reduced CI sweep (benches that have one)
 //   --profile=broadwell|power8|both
 //   --measure=<cycles>    measurement window in virtual cycles
 //   --seed=<n>
+// Anything else, or a malformed value, exits with status 2.
 #pragma once
 
 #include <cassert>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,12 +24,13 @@
 #include "common/histogram.h"
 #include "htm/htm.h"
 #include "locks/stats.h"
-#include "workloads/driver.h"
+#include "workloads/closed_loop.h"
 
 namespace sprwl::bench {
 
 struct Args {
   bool full = false;
+  bool smoke = false;
   std::string profile = "both";
   std::uint64_t measure_cycles = 0;  // 0 = per-bench default
   std::uint64_t seed = 42;
@@ -37,17 +41,23 @@ struct Args {
       const std::string arg = argv[i];
       if (arg == "--full") {
         a.full = true;
+      } else if (arg == "--smoke") {
+        a.smoke = true;
       } else if (arg.rfind("--profile=", 0) == 0) {
         a.profile = arg.substr(10);
+        if (a.profile != "broadwell" && a.profile != "power8" &&
+            a.profile != "both") {
+          reject(arg);
+        }
       } else if (arg.rfind("--measure=", 0) == 0) {
-        a.measure_cycles = std::strtoull(arg.c_str() + 10, nullptr, 10);
+        a.measure_cycles = number(arg, 10);
       } else if (arg.rfind("--seed=", 0) == 0) {
-        a.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+        a.seed = number(arg, 7);
       } else if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "options: --full  --profile=broadwell|power8|both  "
-            "--measure=<cycles>  --seed=<n>\n");
+        std::printf("%s", kUsage);
         std::exit(0);
+      } else {
+        reject(arg);
       }
     }
     return a;
@@ -55,6 +65,28 @@ struct Args {
 
   bool want_profile(const char* name) const {
     return profile == "both" || profile == name;
+  }
+
+ private:
+  static constexpr const char* kUsage =
+      "options: --full  --smoke  --profile=broadwell|power8|both  "
+      "--measure=<cycles>  --seed=<n>\n";
+
+  [[noreturn]] static void reject(const std::string& arg) {
+    std::fprintf(stderr, "bad option: %s\n%s", arg.c_str(), kUsage);
+    std::exit(2);
+  }
+
+  /// The decimal value after `arg`'s first `prefix` characters.
+  static std::uint64_t number(const std::string& arg, std::size_t prefix) {
+    const std::string v = arg.substr(prefix);
+    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+      reject(arg);
+    }
+    errno = 0;
+    const std::uint64_t n = std::strtoull(v.c_str(), nullptr, 10);
+    if (errno == ERANGE) reject(arg);
+    return n;
   }
 };
 
@@ -172,17 +204,21 @@ inline std::string format_series_header() {
   return buf;
 }
 
-inline std::string format_series_row(const char* lock, int threads, double tx_s,
-                                     const Breakdown& b, double rd_lat,
-                                     double wr_lat) {
+/// One table row: the lock's name and thread count, then the run's
+/// throughput, abort and commit-mode breakdown and mean latencies.
+inline std::string format_series_row(const char* lock, int threads,
+                                     const workloads::RunResult& r) {
+  const Breakdown b =
+      make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
   char buf[256];
   std::snprintf(
       buf, sizeof buf,
       "%-10s %4d | %10.3e | %6.1f %6.1f %6.1f %6.1f %6.1f | %5.1f %5.1f %5.1f "
       "%5.1f %5.1f | %10.0f %10.0f\n",
-      lock, threads, tx_s, b.abort_rate, b.ab_conflict, b.ab_capacity,
-      b.ab_reader, b.ab_explicit, b.commit_htm, b.commit_rot, b.commit_gl,
-      b.commit_unins, b.commit_pess, rd_lat, wr_lat);
+      lock, threads, r.throughput_tx_s(), b.abort_rate, b.ab_conflict,
+      b.ab_capacity, b.ab_reader, b.ab_explicit, b.commit_htm, b.commit_rot,
+      b.commit_gl, b.commit_unins, b.commit_pess, r.read_latency.mean(),
+      r.write_latency.mean());
   return buf;
 }
 
@@ -190,10 +226,9 @@ inline void print_series_header() {
   std::fputs(format_series_header().c_str(), stdout);
 }
 
-inline void print_series_row(const char* lock, int threads, double tx_s,
-                             const Breakdown& b, double rd_lat, double wr_lat) {
-  std::fputs(format_series_row(lock, threads, tx_s, b, rd_lat, wr_lat).c_str(),
-             stdout);
+inline void print_series_row(const char* lock, int threads,
+                             const workloads::RunResult& r) {
+  std::fputs(format_series_row(lock, threads, r).c_str(), stdout);
 }
 
 }  // namespace sprwl::bench

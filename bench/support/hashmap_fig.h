@@ -1,8 +1,9 @@
-// Shared runner for the hash-map figures (Figs. 3-6): builds the map at the
+// Shared runner for the hash-map figures (Figs. 3-6, the ablations and the
+// NUMA sweep): hashmap_point builds one data point — the map at the
 // per-machine population the paper uses (sized so that the 10-lookup reader
-// exceeds HTM capacity while a single update fits), runs the mixed workload
-// under a given lock for each thread count, and prints one series row per
-// point.
+// exceeds HTM capacity while a single update fits) under a given lock — and
+// runs the mixed workload; hashmap_series runs one point per thread count
+// and prints one series row per point.
 //
 // Points are submitted to a bench::Runner: each (lock, thread-count) pair
 // is an independent experiment — its own Engine, map, lock and Simulator —
@@ -72,21 +73,38 @@ inline workloads::HashMap make_figure_map(const HashmapFigParams& p,
   return map;
 }
 
-/// Everything one data point produced, available to SeriesOptions::observe
-/// at emit time (declaration order).
-struct SeriesPoint {
-  std::string lock;
-  int threads = 0;
-  workloads::RunResult run;
-  sim::SimStats sim_stats;        ///< scheduler counters of the point's run
-  std::uint64_t final_time = 0;   ///< virtual end time of the point's run
-};
+/// One hash-map data point: the engine (`ec` with the machine's capacity at
+/// `threads`, `threads` contexts and the point's seed), the figure map and
+/// make_lock(threads), built in that order, then one closed-loop run.
+/// make_lock returns anything that dereferences to the lock: a unique_ptr,
+/// or a pointer to a lock the caller keeps to read after the run.
+template <class MakeLock>
+workloads::RunResult hashmap_point(const Machine& m, const HashmapFigParams& p,
+                                   int threads, MakeLock make_lock,
+                                   htm::EngineConfig ec = {}) {
+  ec.capacity = m.capacity_at(threads);
+  ec.max_threads = threads;
+  ec.seed = p.seed;
+  htm::Engine engine(ec);
+  workloads::HashMap map = make_figure_map(p, threads);
+  auto lock = make_lock(threads);
+  workloads::DriverConfig dc;
+  dc.threads = threads;
+  dc.update_ratio = p.update_ratio;
+  dc.lookups_per_read = p.lookups_per_read;
+  dc.key_space = p.key_space;
+  dc.warmup_cycles = p.warmup_cycles;
+  dc.measure_cycles = p.measure_cycles;
+  dc.seed = p.seed;
+  sim::Simulator sim;
+  return workloads::run_hashmap(sim, engine, *lock, map, dc);
+}
 
 struct SeriesOptions {
   /// Row sink; default prints to stdout. Runs at emit time, in order.
   std::function<void(const std::string&)> out;
   /// Per-point hook after the row is emitted (aggregation, JSON).
-  std::function<void(const SeriesPoint&)> observe;
+  std::function<void(const workloads::RunResult&)> observe;
 };
 
 /// Submits one point per thread count to `runner`. make_lock(threads)
@@ -98,45 +116,18 @@ void hashmap_series(Runner& runner, const char* lock_name, const Machine& m,
                     const HashmapFigParams& p, const std::vector<int>& threads,
                     MakeLock make_lock, const SeriesOptions& opt = {}) {
   for (const int n : threads) {
-    auto point = std::make_shared<SeriesPoint>();
-    point->lock = lock_name;
-    point->threads = n;
+    auto run = std::make_shared<workloads::RunResult>();
     runner.submit(
-        [point, m, p, n, make_lock] {
-          htm::EngineConfig ec;
-          ec.capacity = m.capacity_at(n);
-          ec.max_threads = n;
-          ec.seed = p.seed;
-          htm::Engine engine(ec);
-          workloads::HashMap map = make_figure_map(p, n);
-          auto lock = make_lock(n);
-          workloads::DriverConfig dc;
-          dc.threads = n;
-          dc.update_ratio = p.update_ratio;
-          dc.lookups_per_read = p.lookups_per_read;
-          dc.key_space = p.key_space;
-          dc.warmup_cycles = p.warmup_cycles;
-          dc.measure_cycles = p.measure_cycles;
-          dc.seed = p.seed;
-          sim::Simulator sim;
-          point->run = run_hashmap(sim, engine, *lock, map, dc);
-          point->sim_stats = sim.stats();
-          point->final_time = sim.final_time();
-        },
-        [point, out = opt.out, observe = opt.observe] {
-          const workloads::RunResult& r = point->run;
-          const Breakdown b =
-              make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-          const std::string row =
-              format_series_row(point->lock.c_str(), point->threads,
-                                r.throughput_tx_s(), b, r.read_latency.mean(),
-                                r.write_latency.mean());
+        [run, m, p, n, make_lock] { *run = hashmap_point(m, p, n, make_lock); },
+        [run, lock = std::string(lock_name), n, out = opt.out,
+         observe = opt.observe] {
+          const std::string row = format_series_row(lock.c_str(), n, *run);
           if (out) {
             out(row);
           } else {
             std::fputs(row.c_str(), stdout);
           }
-          if (observe) observe(*point);
+          if (observe) observe(*run);
         });
   }
 }

@@ -35,18 +35,19 @@ int main() {
   dc.warmup_cycles = 300'000;
   dc.measure_cycles = 5'000'000;
   sim::Simulator sim;
-  const tpcc::TpccRunResult r = run_tpcc(sim, engine, lock, db, dc);
+  const workloads::RunResult r = run_tpcc(sim, engine, lock, db, dc);
+  const auto count = [&r](tpcc::CsId id) {
+    return static_cast<unsigned long long>(r.ops[id]);
+  };
 
   std::printf("TPC-C on %d warehouses / %d threads under SpRWL\n",
               scale.warehouses, kThreads);
   std::printf("  throughput    : %.3e tx/s\n", r.throughput_tx_s());
-  std::printf("  new-order     : %llu\n", static_cast<unsigned long long>(r.new_orders));
-  std::printf("  payment       : %llu\n", static_cast<unsigned long long>(r.payments));
-  std::printf("  order-status  : %llu\n",
-              static_cast<unsigned long long>(r.order_statuses));
-  std::printf("  delivery      : %llu\n", static_cast<unsigned long long>(r.deliveries));
-  std::printf("  stock-level   : %llu\n",
-              static_cast<unsigned long long>(r.stock_levels));
+  std::printf("  new-order     : %llu\n", count(tpcc::kCsNewOrder));
+  std::printf("  payment       : %llu\n", count(tpcc::kCsPayment));
+  std::printf("  order-status  : %llu\n", count(tpcc::kCsOrderStatus));
+  std::printf("  delivery      : %llu\n", count(tpcc::kCsDelivery));
+  std::printf("  stock-level   : %llu\n", count(tpcc::kCsStockLevel));
   const auto& w = r.lock_stats.writes;
   const auto& rd = r.lock_stats.reads;
   std::printf("  updates       : %.1f%% HTM, %.1f%% global lock\n",

@@ -7,15 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/costs.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "htm/engine.h"
-#include "locks/stats.h"
 #include "sim/simulator.h"
 #include "tpcc/tpcc.h"
+#include "workloads/closed_loop.h"
 
 namespace sprwl::tpcc {
 
@@ -41,123 +38,47 @@ struct TpccDriverConfig {
   std::uint64_t seed = 1;
 };
 
-struct TpccRunResult {
-  std::uint64_t new_orders = 0;
-  std::uint64_t payments = 0;
-  std::uint64_t order_statuses = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t stock_levels = 0;
-  double duration_cycles = 0;
-  LatencyHistogram read_latency;   // Order-Status + Stock-Level
-  LatencyHistogram write_latency;  // New-Order + Payment + Delivery
-  locks::LockStats lock_stats;
-  htm::EngineStats engine_stats;
-  std::uint64_t reader_aborts = 0;
-
-  std::uint64_t committed() const noexcept {
-    return new_orders + payments + order_statuses + deliveries + stock_levels;
-  }
-  double throughput_tx_s() const noexcept {
-    if (duration_cycles <= 0) return 0;
-    return static_cast<double>(committed()) / duration_cycles * g_costs.ghz * 1e9;
-  }
-};
-
-namespace detail {
+/// Runs the mix for cfg.measure_cycles of virtual time after a warmup. Each
+/// fiber's home warehouse is tid % warehouses + 1. The result counts each
+/// transaction type under its CsId in ops[]; reads are Order-Status plus
+/// Stock-Level, writes New-Order, Payment and Delivery.
 template <class Lock>
-std::uint64_t reader_abort_count(const Lock& lock) {
-  if constexpr (requires { lock.reader_abort_count(); }) {
-    return lock.reader_abort_count();
-  } else {
-    return 0;
-  }
-}
-}  // namespace detail
-
-template <class Lock>
-TpccRunResult run_tpcc(sim::Simulator& sim, htm::Engine& engine, Lock& lock,
-                       Database& db, const TpccDriverConfig& cfg) {
-  struct ThreadResult {
-    std::uint64_t counts[5] = {0, 0, 0, 0, 0};
-    LatencyHistogram read_latency, write_latency;
-  };
-  std::vector<ThreadResult> results(static_cast<std::size_t>(cfg.threads));
-
-  engine.reset_stats();
-  lock.reset_stats();
-
-  const std::uint64_t measure_start = cfg.warmup_cycles;
-  const std::uint64_t measure_end = cfg.warmup_cycles + cfg.measure_cycles;
+workloads::RunResult run_tpcc(sim::Simulator& sim, htm::Engine& engine,
+                              Lock& lock, Database& db,
+                              const TpccDriverConfig& cfg) {
   const int warehouses = db.scale().warehouses;
-
-  // Installed once around the whole run, on the calling thread — see
-  // workloads/driver.h for why a per-fiber scope would be wrong.
-  htm::EngineScope scope(engine);
-  sim.run(cfg.threads, [&](int tid) {
-    Rng rng(cfg.seed * 0x2545F4914F6CDD1DULL + static_cast<std::uint64_t>(tid));
-    ThreadResult& mine = results[static_cast<std::size_t>(tid)];
-    const int home_w = tid % warehouses + 1;
-    for (;;) {
-      const std::uint64_t t0 = platform::now();
-      if (t0 >= measure_end) break;
-      const bool measured = t0 >= measure_start;
+  return workloads::run_closed_loop(sim, engine, lock, cfg, [&](int tid) {
+    return [&, home_w = tid % warehouses + 1,
+            rng = Rng(cfg.seed * 0x2545F4914F6CDD1DULL +
+                      static_cast<std::uint64_t>(tid))]() mutable
+           -> workloads::Section {
       const double u = rng.next_double();
       if (u < cfg.p_stock_level) {
         const StockLevelInput in = db.make_stock_level_input(rng, home_w);
         lock.read(kCsStockLevel, [&] { db.stock_level(in); });
-        if (measured) {
-          ++mine.counts[4];
-          mine.read_latency.record(platform::now() - t0);
-        }
-      } else if (u < cfg.p_stock_level + cfg.p_order_status) {
+        return {kCsStockLevel, false};
+      }
+      if (u < cfg.p_stock_level + cfg.p_order_status) {
         const OrderStatusInput in = db.make_order_status_input(rng, home_w);
         lock.read(kCsOrderStatus, [&] { db.order_status(in); });
-        if (measured) {
-          ++mine.counts[2];
-          mine.read_latency.record(platform::now() - t0);
-        }
-      } else if (u < cfg.p_stock_level + cfg.p_order_status + cfg.p_delivery) {
+        return {kCsOrderStatus, false};
+      }
+      if (u < cfg.p_stock_level + cfg.p_order_status + cfg.p_delivery) {
         const DeliveryInput in = db.make_delivery_input(rng, home_w);
         lock.write(kCsDelivery, [&] { db.delivery(in); });
-        if (measured) {
-          ++mine.counts[3];
-          mine.write_latency.record(platform::now() - t0);
-        }
-      } else if (u < cfg.p_stock_level + cfg.p_order_status + cfg.p_delivery +
-                         cfg.p_payment) {
+        return {kCsDelivery, true};
+      }
+      if (u < cfg.p_stock_level + cfg.p_order_status + cfg.p_delivery +
+                  cfg.p_payment) {
         const PaymentInput in = db.make_payment_input(rng, home_w);
         lock.write(kCsPayment, [&] { db.payment(in); });
-        if (measured) {
-          ++mine.counts[1];
-          mine.write_latency.record(platform::now() - t0);
-        }
-      } else {
-        const NewOrderInput in = db.make_new_order_input(rng, home_w);
-        lock.write(kCsNewOrder, [&] { db.new_order(in); });
-        if (measured) {
-          ++mine.counts[0];
-          mine.write_latency.record(platform::now() - t0);
-        }
+        return {kCsPayment, true};
       }
-      platform::advance(g_costs.local_work);
-    }
+      const NewOrderInput in = db.make_new_order_input(rng, home_w);
+      lock.write(kCsNewOrder, [&] { db.new_order(in); });
+      return {kCsNewOrder, true};
+    };
   });
-
-  TpccRunResult out;
-  for (const ThreadResult& r : results) {
-    out.new_orders += r.counts[0];
-    out.payments += r.counts[1];
-    out.order_statuses += r.counts[2];
-    out.deliveries += r.counts[3];
-    out.stock_levels += r.counts[4];
-    out.read_latency.merge(r.read_latency);
-    out.write_latency.merge(r.write_latency);
-  }
-  out.duration_cycles = static_cast<double>(cfg.measure_cycles);
-  out.lock_stats = lock.stats();
-  out.engine_stats = engine.stats();
-  out.reader_aborts = detail::reader_abort_count(lock);
-  return out;
 }
 
 }  // namespace sprwl::tpcc

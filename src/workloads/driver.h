@@ -1,7 +1,7 @@
-// Generic workload driver: runs a lock-protected hash-map workload under
-// the virtual-time simulator and collects everything the paper's plots
-// need — throughput, per-type latencies, commit-mode breakdown and abort
-// breakdown.
+// Hash-map workload driver: the mixed lookup/insert/delete workload of the
+// paper's Section 4.1 as one closed-loop window (workloads/closed_loop.h)
+// under the virtual-time simulator — throughput, per-type latencies,
+// commit-mode breakdown and abort breakdown.
 //
 // The driver is templated on the lock type; every lock in this library
 // exposes the same region interface (read(cs_id, f) / write(cs_id, f)),
@@ -9,15 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "common/costs.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "htm/engine.h"
-#include "locks/stats.h"
 #include "sim/simulator.h"
+#include "workloads/closed_loop.h"
 #include "workloads/hashmap.h"
 
 namespace sprwl::workloads {
@@ -30,115 +26,37 @@ struct DriverConfig {
   std::uint64_t warmup_cycles = 1'000'000;
   std::uint64_t measure_cycles = 10'000'000;
   std::uint64_t seed = 1;
-  int read_cs_id = 0;
-  int write_cs_id = 1;
 };
 
-struct RunResult {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  double duration_cycles = 0;
-  LatencyHistogram read_latency;
-  LatencyHistogram write_latency;
-  locks::LockStats lock_stats;
-  htm::EngineStats engine_stats;
-  std::uint64_t reader_aborts = 0;  ///< SpRWL / RW-LE "reader" abort class
-
-  std::uint64_t committed() const noexcept { return reads + writes; }
-
-  /// Committed critical sections per second of virtual time.
-  double throughput_tx_s() const noexcept {
-    if (duration_cycles <= 0) return 0;
-    return static_cast<double>(committed()) / duration_cycles * g_costs.ghz * 1e9;
-  }
-};
-
-namespace detail {
-
-template <class Lock>
-std::uint64_t reader_abort_count(const Lock& lock) {
-  if constexpr (requires { lock.reader_abort_count(); }) {
-    return lock.reader_abort_count();
-  } else {
-    return 0;
-  }
-}
-
-}  // namespace detail
-
-/// Runs the mixed lookup/insert/delete workload of Section 4.1 for
-/// cfg.measure_cycles of virtual time after a warmup, and aggregates
-/// per-thread results. Deterministic given cfg.seed.
+/// Runs cfg.measure_cycles of virtual time after a warmup. Reads are
+/// critical section 0 (cfg.lookups_per_read lookups), writes section 1 (an
+/// insert or an erase). Deterministic given cfg.seed.
 template <class Lock>
 RunResult run_hashmap(sim::Simulator& sim, htm::Engine& engine, Lock& lock,
                       HashMap& map, const DriverConfig& cfg) {
-  struct ThreadResult {
-    std::uint64_t reads = 0, writes = 0;
-    LatencyHistogram read_latency, write_latency;
-  };
-  std::vector<ThreadResult> results(static_cast<std::size_t>(cfg.threads));
-
-  engine.reset_stats();
-  lock.reset_stats();
-
-  const std::uint64_t measure_start = cfg.warmup_cycles;
-  const std::uint64_t measure_end = cfg.warmup_cycles + cfg.measure_cycles;
-
-  // Installed once around the whole run (not per fiber): fibers finish at
-  // different virtual times, and a per-fiber scope would uninstall the
-  // engine under the feet of the fibers still running. Scoping on the
-  // calling thread also keeps concurrent bench workers isolated — the
-  // engine resolves through a thread-local first, and every fiber of this
-  // simulator runs on this OS thread.
-  htm::EngineScope scope(engine);
-  sim.run(cfg.threads, [&](int tid) {
-    Rng rng(cfg.seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(tid));
-    ThreadResult& mine = results[static_cast<std::size_t>(tid)];
-    for (;;) {
-      const std::uint64_t t0 = platform::now();
-      if (t0 >= measure_end) break;
-      const bool measured = t0 >= measure_start;
+  return run_closed_loop(sim, engine, lock, cfg, [&](int tid) {
+    return [&, rng = Rng(cfg.seed * 0x9e3779b97f4a7c15ULL +
+                         static_cast<std::uint64_t>(tid))]() mutable {
       if (rng.next_bool(cfg.update_ratio)) {
         const std::uint64_t key = rng.next_below(cfg.key_space);
         const bool do_insert = rng.next_bool(0.5);
-        lock.write(cfg.write_cs_id, [&] {
+        lock.write(1, [&] {
           if (do_insert) {
             map.insert(key, key * 3 + 1);
           } else {
             map.erase(key);
           }
         });
-        if (measured) {
-          ++mine.writes;
-          mine.write_latency.record(platform::now() - t0);
-        }
-      } else {
-        lock.read(cfg.read_cs_id, [&] {
-          for (int i = 0; i < cfg.lookups_per_read; ++i) {
-            map.lookup(rng.next_below(cfg.key_space));
-          }
-        });
-        if (measured) {
-          ++mine.reads;
-          mine.read_latency.record(platform::now() - t0);
-        }
+        return Section{1, true};
       }
-      platform::advance(g_costs.local_work);  // between-ops private work
-    }
+      lock.read(0, [&] {
+        for (int i = 0; i < cfg.lookups_per_read; ++i) {
+          map.lookup(rng.next_below(cfg.key_space));
+        }
+      });
+      return Section{0, false};
+    };
   });
-
-  RunResult out;
-  for (const ThreadResult& r : results) {
-    out.reads += r.reads;
-    out.writes += r.writes;
-    out.read_latency.merge(r.read_latency);
-    out.write_latency.merge(r.write_latency);
-  }
-  out.duration_cycles = static_cast<double>(cfg.measure_cycles);
-  out.lock_stats = lock.stats();
-  out.engine_stats = engine.stats();
-  out.reader_aborts = detail::reader_abort_count(lock);
-  return out;
 }
 
 }  // namespace sprwl::workloads

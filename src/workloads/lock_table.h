@@ -30,17 +30,14 @@
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
-#include <vector>
 
 #include "common/aligned.h"
-#include "common/costs.h"
-#include "common/histogram.h"
-#include "common/platform.h"
 #include "common/rng.h"
 #include "core/sprwl.h"
 #include "htm/engine.h"
 #include "htm/shared.h"
 #include "sim/simulator.h"
+#include "workloads/closed_loop.h"
 
 namespace sprwl::workloads {
 
@@ -231,7 +228,7 @@ class LockTable {
     return s;
   }
 
-  std::uint64_t reader_aborts() const {
+  std::uint64_t reader_abort_count() const {
     std::uint64_t n = 0;
     for (const auto& l : locks_) n += l.reader_abort_count();
     return n;
@@ -270,102 +267,47 @@ class LockTable {
 struct LockTableDriverConfig {
   int threads = 4;
   double update_ratio = 0.01;
-  double zipf_theta = 0.99;
   bool leaf_scan = true;
   std::uint64_t warmup_cycles = 200'000;
   std::uint64_t measure_cycles = 2'000'000;
   std::uint64_t seed = 1;
-  int read_cs_id = 0;
-  int write_cs_id = 1;
 };
 
-struct LockTableRunResult {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  /// Reads whose invariant check failed — torn reads. Always 0 for a
-  /// correct lock; the broken checker variants exist to make it nonzero.
+struct LockTableRunResult : RunResult {
+  /// Reads whose invariant check failed — torn reads, warmup included.
+  /// Always 0 for a correct lock; the broken checker variants exist to make
+  /// it nonzero.
   std::uint64_t invariant_failures = 0;
-  double duration_cycles = 0;
-  LatencyHistogram read_latency;
-  LatencyHistogram write_latency;
-  locks::LockStats lock_stats;
-  htm::EngineStats engine_stats;
-  std::uint64_t reader_aborts = 0;
   LockTable::Totals totals;
-
-  std::uint64_t committed() const noexcept { return reads + writes; }
-  double throughput_tx_s() const noexcept {
-    if (duration_cycles <= 0) return 0;
-    return static_cast<double>(committed()) / duration_cycles * g_costs.ghz *
-           1e9;
-  }
 };
 
-/// Runs the zipfian per-key-lock workload for cfg.measure_cycles of virtual
-/// time after a warmup. Deterministic given cfg.seed. Each operation draws
-/// a zipfian rank, scrambles it to a key, and takes THAT key's lock — reads
-/// verify the key's invariant pair (plus the optional leaf scan), writes
-/// bump it.
+/// Runs the zipfian (theta 0.99) per-key-lock workload for
+/// cfg.measure_cycles of virtual time after a warmup. Deterministic given
+/// cfg.seed. Each operation draws a zipfian rank, scrambles it to a key, and
+/// takes THAT key's lock — reads (section 0) verify the key's invariant pair
+/// (plus the optional leaf scan), writes (section 1) bump it.
 inline LockTableRunResult run_lock_table(sim::Simulator& sim,
                                          htm::Engine& engine, LockTable& table,
                                          const LockTableDriverConfig& cfg) {
-  struct ThreadResult {
-    std::uint64_t reads = 0, writes = 0, failures = 0;
-    LatencyHistogram read_latency, write_latency;
-  };
-  std::vector<ThreadResult> results(static_cast<std::size_t>(cfg.threads));
-
-  engine.reset_stats();
-  table.reset_stats();
-
-  const Zipfian zipf(table.keys(), cfg.zipf_theta);
-  const std::uint64_t measure_start = cfg.warmup_cycles;
-  const std::uint64_t measure_end = cfg.warmup_cycles + cfg.measure_cycles;
-
-  htm::EngineScope scope(engine);
-  sim.run(cfg.threads, [&](int tid) {
-    Rng rng(cfg.seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(tid));
-    ThreadResult& mine = results[static_cast<std::size_t>(tid)];
-    for (;;) {
-      const std::uint64_t t0 = platform::now();
-      if (t0 >= measure_end) break;
-      const bool measured = t0 >= measure_start;
+  const Zipfian zipf(table.keys());
+  std::uint64_t torn = 0;  // every fiber runs on this OS thread
+  const auto make_op = [&](int tid) {
+    return [&, rng = Rng(cfg.seed * 0x9e3779b97f4a7c15ULL +
+                         static_cast<std::uint64_t>(tid))]() mutable {
       const std::uint64_t key = table.key_of_rank(zipf.next(rng));
       core::SpRWLock& lock = table.lock_of(key);
       if (rng.next_bool(cfg.update_ratio)) {
-        lock.write(cfg.write_cs_id, [&] { table.bump_key(key); });
-        if (measured) {
-          ++mine.writes;
-          mine.write_latency.record(platform::now() - t0);
-        }
-      } else {
-        bool ok = true;
-        lock.read(cfg.read_cs_id,
-                  [&] { ok = table.verify_key(key, cfg.leaf_scan); });
-        if (!ok) ++mine.failures;
-        if (measured) {
-          ++mine.reads;
-          mine.read_latency.record(platform::now() - t0);
-        }
+        lock.write(1, [&] { table.bump_key(key); });
+        return Section{1, true};
       }
-      platform::advance(g_costs.local_work);
-    }
-  });
-
-  LockTableRunResult out;
-  for (const ThreadResult& r : results) {
-    out.reads += r.reads;
-    out.writes += r.writes;
-    out.invariant_failures += r.failures;
-    out.read_latency.merge(r.read_latency);
-    out.write_latency.merge(r.write_latency);
-  }
-  out.duration_cycles = static_cast<double>(cfg.measure_cycles);
-  out.lock_stats = table.stats();
-  out.engine_stats = engine.stats();
-  out.reader_aborts = table.reader_aborts();
-  out.totals = table.totals();
-  return out;
+      bool ok = true;
+      lock.read(0, [&] { ok = table.verify_key(key, cfg.leaf_scan); });
+      if (!ok) ++torn;
+      return Section{0, false};
+    };
+  };
+  return {run_closed_loop(sim, engine, table, cfg, make_op), torn,
+          table.totals()};
 }
 
 }  // namespace sprwl::workloads

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sprwl::bench {
 namespace {
 
@@ -75,6 +77,50 @@ TEST(Args, BothProfileMatchesEverything) {
   const Args a = Args::parse(2, const_cast<char**>(argv));
   EXPECT_TRUE(a.want_profile("broadwell"));
   EXPECT_TRUE(a.want_profile("power8"));
+}
+
+TEST(Args, ParsesSmoke) {
+  const char* argv[] = {"bench", "--smoke"};
+  const Args a = Args::parse(2, const_cast<char**>(argv));
+  EXPECT_TRUE(a.smoke);
+  EXPECT_FALSE(a.full);
+}
+
+/// Parses one option the way a bench's main would.
+Args parse_one(const char* arg) {
+  const char* argv[] = {"bench", arg};
+  return Args::parse(2, const_cast<char**>(argv));
+}
+
+// A malformed or unknown option stops the bench with status 2 and a message
+// naming it; none may run the bench on a default or a zero instead.
+TEST(ArgsDeathTest, RejectsUnknownProfile) {
+  for (const char* arg : {"--profile=broadwel", "--profile=", "--profile=power9"}) {
+    EXPECT_EXIT(parse_one(arg), testing::ExitedWithCode(2),
+                std::string("bad option: ") + arg);
+  }
+}
+
+TEST(ArgsDeathTest, RejectsMalformedMeasure) {
+  for (const char* arg : {"--measure=abc", "--measure=", "--measure=-5",
+                          "--measure=12k", "--measure=99999999999999999999"}) {
+    EXPECT_EXIT(parse_one(arg), testing::ExitedWithCode(2),
+                std::string("bad option: ") + arg);
+  }
+}
+
+TEST(ArgsDeathTest, RejectsMalformedSeed) {
+  for (const char* arg : {"--seed=abc", "--seed=", "--seed= 7", "--seed=7.5"}) {
+    EXPECT_EXIT(parse_one(arg), testing::ExitedWithCode(2),
+                std::string("bad option: ") + arg);
+  }
+}
+
+TEST(ArgsDeathTest, RejectsUnknownFlags) {
+  for (const char* arg : {"--fulll", "--smoke=1", "--measure", "full", "-x"}) {
+    EXPECT_EXIT(parse_one(arg), testing::ExitedWithCode(2),
+                std::string("bad option: ") + arg);
+  }
 }
 
 TEST(JsonWriter, ObjectsArraysAndScalars) {

@@ -92,8 +92,8 @@ SuiteCapture run_suite(int jobs, std::uint64_t seed) {
   SuiteCapture cap;
   SeriesOptions opt;
   opt.out = [&cap](const std::string& s) { cap.rows += s; };
-  opt.observe = [&cap](const SeriesPoint& pt) {
-    cap.final_times.push_back(pt.final_time);
+  opt.observe = [&cap](const workloads::RunResult& r) {
+    cap.final_times.push_back(r.final_time);
   };
   const Machine m = broadwell_machine();
   HashmapFigParams p;
@@ -147,45 +147,26 @@ SuiteCapture run_numa_suite(int jobs, std::uint64_t seed) {
   Runner runner(jobs);
   for (const int n : {2, 4}) {
     for (const bool sharded : {false, true}) {
-      auto point = std::make_shared<SeriesPoint>();
-      point->lock = sharded ? "sharded" : "flat";
-      point->threads = n;
+      auto run = std::make_shared<workloads::RunResult>();
       runner.submit(
-          [point, m, p, n, sharded] {
+          [run, m, p, n, sharded] {
             htm::EngineConfig ec;
-            ec.capacity = m.capacity_at(n);
-            ec.max_threads = n;
-            ec.seed = p.seed;
             ec.topology = sim::Topology::split(n, 2);
             ec.track_line_owners = true;
-            htm::Engine engine(ec);
-            workloads::HashMap map = make_figure_map(p, n);
-            core::Config c =
-                core::Config::variant(core::SchedulingVariant::kFull, n);
-            c.topology = ec.topology;
-            c.socket_sharded_tracking = sharded;
-            core::SpRWLock lock(c);
-            workloads::DriverConfig dc;
-            dc.threads = n;
-            dc.update_ratio = p.update_ratio;
-            dc.lookups_per_read = p.lookups_per_read;
-            dc.key_space = p.key_space;
-            dc.warmup_cycles = p.warmup_cycles;
-            dc.measure_cycles = p.measure_cycles;
-            dc.seed = p.seed;
-            sim::Simulator sim;
-            point->run = run_hashmap(sim, engine, lock, map, dc);
-            point->final_time = sim.final_time();
+            *run = hashmap_point(
+                m, p, n,
+                [&ec, sharded](int threads) {
+                  core::Config c = core::Config::variant(
+                      core::SchedulingVariant::kFull, threads);
+                  c.topology = ec.topology;
+                  c.socket_sharded_tracking = sharded;
+                  return std::make_unique<core::SpRWLock>(c);
+                },
+                ec);
           },
-          [point, &cap] {
-            const workloads::RunResult& r = point->run;
-            const Breakdown b =
-                make_breakdown(r.engine_stats, r.lock_stats, r.reader_aborts);
-            cap.rows += format_series_row(point->lock.c_str(), point->threads,
-                                          r.throughput_tx_s(), b,
-                                          r.read_latency.mean(),
-                                          r.write_latency.mean());
-            cap.final_times.push_back(point->final_time);
+          [run, n, sharded, &cap] {
+            cap.rows += format_series_row(sharded ? "sharded" : "flat", n, *run);
+            cap.final_times.push_back(run->final_time);
           });
     }
   }

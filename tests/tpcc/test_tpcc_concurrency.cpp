@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "../support/run_digest.h"
 #include "core/sprwl.h"
 #include "locks/brlock.h"
 #include "locks/posix_rwlock.h"
@@ -50,11 +51,11 @@ void run_and_check(Lock& lock, int threads) {
   Database db(test_scale(threads));
   db.populate();
   sim::Simulator sim;
-  const TpccRunResult r = run_tpcc(sim, engine, lock, db, driver_config(threads));
+  const workloads::RunResult r = run_tpcc(sim, engine, lock, db, driver_config(threads));
 
   EXPECT_GT(r.committed(), 100u);
-  EXPECT_GT(r.payments, r.deliveries);  // mix sanity: 43% vs 4%
-  EXPECT_GT(r.stock_levels, r.order_statuses);
+  EXPECT_GT(r.ops[kCsPayment], r.ops[kCsDelivery]);  // mix sanity: 43% vs 4%
+  EXPECT_GT(r.ops[kCsStockLevel], r.ops[kCsOrderStatus]);
   EXPECT_TRUE(db.check_warehouse_ytd());
   EXPECT_TRUE(db.check_next_order_id());
   EXPECT_TRUE(db.check_new_order_queue());
@@ -109,7 +110,7 @@ TEST(TpccConcurrency, SpRWLCommitsUpdatesInHardware) {
   Database db(test_scale(threads));
   db.populate();
   sim::Simulator sim;
-  const TpccRunResult r = run_tpcc(sim, engine, lock, db, driver_config(threads));
+  const workloads::RunResult r = run_tpcc(sim, engine, lock, db, driver_config(threads));
   const auto& w = r.lock_stats.writes;
   EXPECT_GT(w.htm, w.gl);  // most updates elided
   EXPECT_GT(r.lock_stats.reads.unins + r.lock_stats.reads.htm, 0u);
@@ -182,7 +183,7 @@ struct Enclosed {
 };
 
 template <std::size_t kLead>
-TpccRunResult run_enclosed(std::size_t pad_bytes) {
+workloads::RunResult run_enclosed(std::size_t pad_bytes) {
   const std::vector<char> pad(pad_bytes, 1);  // live for the whole run
   const int threads = 4;
   htm::EngineConfig ecfg;
@@ -195,27 +196,23 @@ TpccRunResult run_enclosed(std::size_t pad_bytes) {
   TpccDriverConfig dc = driver_config(threads);
   dc.measure_cycles = 1'000'000;
   sim::Simulator sim;
-  TpccRunResult r = run_tpcc(sim, engine, lock, enclosed->db, dc);
+  workloads::RunResult r = run_tpcc(sim, engine, lock, enclosed->db, dc);
   EXPECT_EQ(pad.size(), pad_bytes);
   EXPECT_EQ(enclosed->db.raw_total_balance_drift(), 0);
   return r;
 }
 
 TEST(TpccConcurrency, VirtualTimeIsIndependentOfMemoryLayout) {
-  const std::vector<TpccRunResult> runs{
+  const std::vector<workloads::RunResult> runs{
       run_enclosed<16>(0),  run_enclosed<32>(0),    run_enclosed<48>(0),
       run_enclosed<64>(0),  run_enclosed<16>(24),   run_enclosed<16>(3000),
   };
-  const TpccRunResult& a = runs.front();
+  const workloads::RunResult& a = runs.front();
   EXPECT_GT(a.committed(), 100u);
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    const TpccRunResult& b = runs[i];
+    const workloads::RunResult& b = runs[i];
     SCOPED_TRACE(i);
-    EXPECT_EQ(a.new_orders, b.new_orders);
-    EXPECT_EQ(a.payments, b.payments);
-    EXPECT_EQ(a.order_statuses, b.order_statuses);
-    EXPECT_EQ(a.deliveries, b.deliveries);
-    EXPECT_EQ(a.stock_levels, b.stock_levels);
+    EXPECT_EQ(a.ops, b.ops);
     EXPECT_EQ(a.read_latency.mean(), b.read_latency.mean());
     EXPECT_EQ(a.write_latency.mean(), b.write_latency.mean());
     EXPECT_EQ(a.reader_aborts, b.reader_aborts);
@@ -227,6 +224,14 @@ TEST(TpccConcurrency, VirtualTimeIsIndependentOfMemoryLayout) {
     EXPECT_EQ(a.engine_stats.aborts_capacity, b.engine_stats.aborts_capacity);
     EXPECT_EQ(a.engine_stats.aborts_conflict, b.engine_stats.aborts_conflict);
   }
+}
+
+// Pinned results: one digest over every RunResult field of the mix above
+// (per-type counts, both latency histograms, lock, engine and simulator
+// stats, reader aborts, final time), taken before the three drivers shared
+// one closed loop.
+TEST(TpccConcurrency, SpRWLRunMatchesPinnedDigest) {
+  EXPECT_EQ(testutil::run_digest(run_enclosed<16>(0)), 0x35e5af5c28fe5e12ULL);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "../support/run_digest.h"
 #include "common/rng.h"
 #include "core/bravo.h"
 #include "htm/htm.h"
@@ -249,6 +250,42 @@ TEST(LockTable, VirtualTimeIsIndependentOfHeapLayout) {
   EXPECT_EQ(a.totals.revocations, b.totals.revocations);
   EXPECT_EQ(a.totals.revoke_cycles, b.totals.revoke_cycles);
   EXPECT_EQ(a.totals.locks_with_plane, b.totals.locks_with_plane);
+}
+
+// Pinned results: one digest over every field of a BRAVO run on a
+// 2-socket, socket-sharded reader table with the coherence model live —
+// per-id counts, both latency histograms, lock, engine and simulator stats,
+// reader aborts, final time, torn reads and the table's totals — taken
+// before the three drivers shared one closed loop.
+TEST(LockTable, ShardedBravoTwoSocketRunMatchesPinnedDigest) {
+  const int threads = 4;
+  htm::EngineConfig ec;
+  ec.max_threads = threads;
+  ec.topology = sim::Topology::split(threads, 2);
+  ec.track_line_owners = true;
+  htm::Engine engine(ec);
+  LockTable::Config c;
+  c.keys = 1 << 10;
+  c.lock = flat_lock_cfg(threads);
+  c.lock.bravo_bias = true;
+  c.lock.topology = ec.topology;
+  bravo::ReaderTable::Config tc;
+  tc.max_threads = threads;
+  tc.topology = ec.topology;
+  tc.shard_by_socket = true;
+  c.lock.bravo_table = std::make_shared<bravo::ReaderTable>(tc);
+  LockTable table(c);
+  sim::Simulator sim;
+  LockTableDriverConfig dc;
+  dc.threads = threads;
+  dc.update_ratio = 0.05;
+  dc.warmup_cycles = 5'000;
+  dc.measure_cycles = 200'000;
+  dc.seed = 9;
+  const LockTableRunResult r = run_lock_table(sim, engine, table, dc);
+  EXPECT_EQ(r.invariant_failures, 0u);
+  EXPECT_GT(r.totals.bias_reads, 0u);
+  EXPECT_EQ(testutil::run_digest(r), 0x85099a0be695e72eULL);
 }
 
 TEST(LockTable, TotalsArithmetic) {
