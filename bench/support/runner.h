@@ -19,17 +19,22 @@
 //    the ablation benches rescaling g_costs) must drain() before mutating.
 //
 // The pool size comes from SPRWL_BENCH_JOBS (default: hardware
-// concurrency). jobs=1 runs every compute inline on the calling thread in
+// concurrency); a value that is not a positive decimal integer exits with
+// status 2. jobs=1 runs every compute inline on the calling thread in
 // submission order — the serial baseline the determinism test compares
 // against.
 #pragma once
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,12 +45,20 @@ class Runner {
  public:
   using Fn = std::function<void()>;
 
-  /// SPRWL_BENCH_JOBS if set and positive, else hardware concurrency
-  /// (at least 1).
+  /// SPRWL_BENCH_JOBS if set, else hardware concurrency (at least 1). A
+  /// set value that is not a positive decimal integer stops the bench with
+  /// status 2 and a message naming it, as a malformed option does.
   static int jobs_from_env() {
     if (const char* env = std::getenv("SPRWL_BENCH_JOBS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 1) return static_cast<int>(v);
+      const std::string v = env;
+      if (!v.empty() && v.find_first_not_of("0123456789") == std::string::npos) {
+        errno = 0;
+        const unsigned long long n = std::strtoull(env, nullptr, 10);
+        if (errno != ERANGE && n >= 1 && n <= INT_MAX) return static_cast<int>(n);
+      }
+      std::fprintf(stderr,
+                   "bad SPRWL_BENCH_JOBS: %s (want a positive integer)\n", env);
+      std::exit(2);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? static_cast<int>(hw) : 1;

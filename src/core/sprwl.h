@@ -35,11 +35,16 @@
 // Per-lock tracking state (state array, reader tracker, scheduling clocks,
 // EMAs, stats) lives in a lazily allocated Plane, never built for locks
 // that only see bias-path or HTM-path readers. Building it charges no
-// virtual time, so runs are bit-identical with eager allocation.
+// virtual time, so runs are bit-identical with eager allocation. The plane
+// holds one line per thread (the words other threads poll), eight estimate
+// slots per kind, and one lock-wide block of relaxed statistics counters:
+// 2,832 bytes with the shell for a 28-thread variant(kFull) lock.
 //
 // Duration estimates use a per-critical-section-id exponential moving
 // average sampled on a single thread (§3.2.1); critical sections are
-// identified by the integer cs_id passed to read()/write().
+// identified by the integer cs_id passed to read()/write(). Ids map to
+// cs_id % 8, so ids 0-7 each have their own estimate and ids that are
+// equal modulo 8 share one.
 #pragma once
 
 #include <algorithm>
@@ -108,11 +113,12 @@ class alignas(kCacheLineSize) SpRWLock {
   /// sample is taken), and how many such scans there were. The NUMA bench
   /// divides them to show the sharded scan's smaller read set.
   std::uint64_t commit_scan_cycles() const {
-    return sum(&PerThread::scan_cycles);
+    return counter(Counters::kScanCycles);
   }
-  std::uint64_t commit_scan_count() const { return sum(&PerThread::scans); }
+  std::uint64_t commit_scan_count() const { return counter(Counters::kScans); }
 
-  /// Executes f as a read-only critical section identified by cs_id.
+  /// Executes f as a read-only critical section identified by cs_id (its
+  /// duration estimate is slot cs_id % 8; see the header comment).
   template <class F>
   void read(int cs_id, F&& f) {
     read_impl(cs_id, locks::kNoDeadline, std::forward<F>(f));
@@ -298,13 +304,14 @@ class alignas(kCacheLineSize) SpRWLock {
       read_estimate_hint_.store(ema.estimate(), std::memory_order_relaxed);
       tracker.adapt(read_estimate(p, cs_id));
     }
-    p.modes_.record_read(locks::CommitMode::kUnins);
+    p.counters_.add(Counters::kUninsReads);
     bias_.after_read(tid);
     return locks::AcquireResult::kAcquired;
   }
 
  public:
-  /// Executes f as an update critical section identified by cs_id.
+  /// Executes f as an update critical section identified by cs_id (its
+  /// duration estimate is slot cs_id % 8, as for read()).
   template <class F>
   void write(int cs_id, F&& f) {
     write_impl(cs_id, locks::kNoDeadline, std::forward<F>(f));
@@ -344,14 +351,14 @@ class alignas(kCacheLineSize) SpRWLock {
     // acquired — once it is held, the write runs to completion.
     int attempts = 0;
     const auto escalate = [&](locks::Escalation why) -> bool {
-      plane().modes_.record_escalation(why);
+      plane().counters_.add_escalation(why);
       trace::emit(why == locks::Escalation::kStalledReader
                       ? trace::Event::kStalledReaderEscalate
                       : trace::Event::kWriteSglEnter,
                   static_cast<std::uint32_t>(attempts));
       if (!fallback_write(cs_id, tid, deadline, f)) return false;
       trace::emit(trace::Event::kWriteSglExit);
-      plane().modes_.record_write(locks::CommitMode::kGl);
+      plane().counters_.add(Counters::kGlWrites);
       return true;
     };
     const auto timed_out = [&]() -> locks::AcquireResult {
@@ -399,23 +406,19 @@ class alignas(kCacheLineSize) SpRWLock {
         trace::emit(trace::Event::kWriteHtmCommit,
                     static_cast<std::uint32_t>(attempts));
         // Inline counter (like htm_reads_): recording through the plane's
-        // per-thread ModeRecorder would allocate the plane for a lock whose
-        // only traffic is HTM commits — exactly the cold case the lazy
-        // plane exists for. stats() merges the counters, so totals match.
+        // counters would allocate the plane for a lock whose only traffic
+        // is HTM commits — exactly the cold case the lazy plane exists
+        // for. stats() merges the counters, so totals match.
         htm_writes_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
-      plane().modes_.record_abort(status, kCodeLockBusy, kCodeReader);
-      const bool lock_busy = status.cause == htm::AbortCause::kExplicit &&
-                             status.code == kCodeLockBusy;
-      const bool reader_abort = status.cause == htm::AbortCause::kExplicit &&
-                                status.code == kCodeReader;
+      const locks::AbortClass why = classify(status);
+      Counters& counters = plane().counters_;
+      counters.add_abort(why);
+      const bool lock_busy = why == locks::AbortClass::kLockBusy;
+      const bool reader_abort = why == locks::AbortClass::kReader;
       if (reader_abort) {
-        if (Plane* p = plane_peek()) {
-          ++p->of(tid).reader_aborts;
-        } else {
-          cold_reader_aborts_.fetch_add(1, std::memory_order_relaxed);
-        }
+        counters.add(Counters::kReaderAborts);
         trace::emit(trace::Event::kWriteAbortReader);
       }
       if (status.cause == htm::AbortCause::kCapacity) {
@@ -431,7 +434,7 @@ class alignas(kCacheLineSize) SpRWLock {
         --attempts;
         retrying = false;
         stalled = false;
-        plane().modes_.record_escalation(locks::Escalation::kLemmingAvoided);
+        counters.add_escalation(locks::Escalation::kLemmingAvoided);
         trace::emit(trace::Event::kLemmingAvoided);
         continue;
       }
@@ -486,7 +489,7 @@ class alignas(kCacheLineSize) SpRWLock {
  public:
   locks::LockStats stats() const {
     locks::LockStats s;
-    if (const Plane* p = plane_peek()) s = p->modes_.snapshot();
+    if (const Plane* p = plane_peek()) s = p->counters_.snapshot();
     s.reads.htm += htm_reads_.load(std::memory_order_relaxed);
     s.reads.unins += bias_.reads();
     s.writes.htm += htm_writes_.load(std::memory_order_relaxed);
@@ -496,20 +499,15 @@ class alignas(kCacheLineSize) SpRWLock {
   /// Writer aborts caused by an active reader (the paper's "reader" abort
   /// class, reported separately from other explicit aborts).
   std::uint64_t reader_abort_count() const {
-    return cold_reader_aborts_.load(std::memory_order_relaxed) +
-           sum(&PerThread::reader_aborts);
+    return counter(Counters::kReaderAborts);
   }
 
   void reset_stats() {
-    if (Plane* p = plane_.load(std::memory_order_acquire)) {
-      p->modes_.reset();
-      for (auto& t : p->threads_) t.reader_aborts = t.scan_cycles = t.scans = 0;
-    }
+    if (Plane* p = plane_peek()) p->counters_.reset();
     htm_reads_.store(0, std::memory_order_relaxed);
     htm_writes_.store(0, std::memory_order_relaxed);
     snapshot_reads_.store(0, std::memory_order_relaxed);
     snapshot_fallbacks_.store(0, std::memory_order_relaxed);
-    cold_reader_aborts_.store(0, std::memory_order_relaxed);
     bias_.reset_stats();
   }
 
@@ -568,7 +566,8 @@ class alignas(kCacheLineSize) SpRWLock {
   static const char* name() noexcept { return "SpRWL"; }
 
  private:
-  static constexpr std::size_t kEmaSlots = 256;
+  /// Per-section estimate slots: cs_id maps to cs_id % kEmaSlots.
+  static constexpr std::size_t kEmaSlots = 8;
   /// Thread that samples critical-section durations (§3.2.1).
   static constexpr int kSamplerTid = 0;
   /// Expected duration, in cycles, used before the first sample arrives.
@@ -580,19 +579,68 @@ class alignas(kCacheLineSize) SpRWLock {
   /// Floor of the stalled-reader watchdog's threshold.
   static constexpr std::uint64_t kReaderStallSlackCycles = 64'000;
 
-  /// One line per thread, written only by that thread (other threads poll
-  /// it): the scheduling clocks and waits of Algs. 2/3 and §3.3, plus its
-  /// reader-abort and commit-scan counters.
+  /// One line per thread, written only by that thread and polled by the
+  /// others: the scheduling clocks and waits of Algs. 2/3 and §3.3.
   struct alignas(kCacheLineSize) PerThread {
     std::atomic<std::uint64_t> clock_w{0};      ///< expected end as a writer
     std::atomic<std::uint64_t> clock_r{0};      ///< expected end as a reader
     std::atomic<int> waiting_for{-1};           ///< writer it waits on (Alg. 2)
     std::atomic<std::uint64_t> waiting_ver{0};  ///< versioned-SGL wait (§3.3)
-    std::uint64_t reader_aborts = 0;
-    std::uint64_t scan_cycles = 0;  ///< commit scans that found no reader
-    std::uint64_t scans = 0;
   };
   static_assert(sizeof(PerThread) == kCacheLineSize);
+
+  /// The plane's statistics: one relaxed atomic per counter, shared by
+  /// every thread and bumped uncharged, as htm_reads_ is in the shell. It
+  /// holds the LockStats counters SpRWL records (unins reads, GL writes,
+  /// the abort classes and the escalations) and the reader-abort and
+  /// commit-scan counters; stats() adds the shell's own.
+  class Counters {
+   public:
+    enum Id : std::size_t {
+      kUninsReads,
+      kGlWrites,
+      kAborts,  ///< one per locks::AbortClass
+      kEscalations = kAborts + locks::kAbortClasses,  ///< per locks::Escalation
+      kReaderAborts = kEscalations + locks::kEscalations,
+      kScanCycles,  ///< cycles of commit scans that found no reader
+      kScans,
+      kCount,
+    };
+
+    void add(std::size_t id, std::uint64_t n = 1) noexcept {
+      n_[id].fetch_add(n, std::memory_order_relaxed);
+    }
+    void add_abort(locks::AbortClass c) noexcept {
+      add(kAborts + static_cast<std::size_t>(c));
+    }
+    void add_escalation(locks::Escalation e) noexcept {
+      add(kEscalations + static_cast<std::size_t>(e));
+    }
+    std::uint64_t get(std::size_t id) const noexcept {
+      return n_[id].load(std::memory_order_relaxed);
+    }
+
+    locks::LockStats snapshot() const noexcept {
+      locks::LockStats s;
+      s.reads.unins = get(kUninsReads);
+      s.writes.gl = get(kGlWrites);
+      for (std::size_t c = 0; c < locks::kAbortClasses; ++c) {
+        s.aborts.add(static_cast<locks::AbortClass>(c), get(kAborts + c));
+      }
+      for (std::size_t e = 0; e < locks::kEscalations; ++e) {
+        s.escalations.add(static_cast<locks::Escalation>(e),
+                          get(kEscalations + e));
+      }
+      return s;
+    }
+
+    void reset() noexcept {
+      for (auto& c : n_) c.store(0, std::memory_order_relaxed);
+    }
+
+   private:
+    std::atomic<std::uint64_t> n_[kCount] = {};
+  };
 
   /// Everything whose size scales with max_threads (or holds a tree).
   /// Construction is plain allocation and raw stores — no engine access —
@@ -601,15 +649,12 @@ class alignas(kCacheLineSize) SpRWLock {
     Plane(const Config& cfg, TrackerFactory make_tracker)
         : state_(cfg),
           tracker_(make_tracker(cfg, state_)),
-          threads_(static_cast<std::size_t>(cfg.max_threads)),
-          modes_(cfg.max_threads) {}
+          threads_(static_cast<std::size_t>(cfg.max_threads)) {}
 
     /// Heap bytes of the plane (per-lock footprint accounting).
     std::size_t bytes() const {
-      std::size_t b = sizeof(Plane) + state_.bytes() + tracker_->bytes();
-      b += threads_.capacity() * sizeof(PerThread);
-      b += modes_.footprint_bytes();
-      return b;
+      return sizeof(Plane) + state_.bytes() + tracker_->bytes() +
+             threads_.capacity() * sizeof(PerThread);
     }
 
     PerThread& of(int tid) { return threads_[static_cast<std::size_t>(tid)]; }
@@ -619,7 +664,8 @@ class alignas(kCacheLineSize) SpRWLock {
     std::vector<PerThread> threads_;
     DurationEma read_ema_[kEmaSlots];
     DurationEma write_ema_[kEmaSlots];
-    locks::ModeRecorder modes_;
+    /// Every thread writes these lines; the fields above are read-mostly.
+    alignas(kCacheLineSize) Counters counters_;
   };
 
   static std::size_t ema_slot(int cs_id) noexcept {
@@ -645,13 +691,14 @@ class alignas(kCacheLineSize) SpRWLock {
     return plane_.load(std::memory_order_acquire);
   }
 
-  /// Total of one per-thread counter; 0 without a plane.
-  std::uint64_t sum(std::uint64_t PerThread::*field) const {
-    std::uint64_t n = 0;
-    if (const Plane* p = plane_peek()) {
-      for (const auto& t : p->threads_) n += t.*field;
-    }
-    return n;
+  /// One plane counter; 0 without a plane.
+  std::uint64_t counter(std::size_t id) const {
+    const Plane* p = plane_peek();
+    return p != nullptr ? p->counters_.get(id) : 0;
+  }
+
+  static locks::AbortClass classify(const htm::TxStatus& status) noexcept {
+    return locks::classify_abort(status, kCodeLockBusy, kCodeReader);
   }
 
   /// The lazily allocated tracking plane; builds it on first call.
@@ -723,7 +770,7 @@ class alignas(kCacheLineSize) SpRWLock {
         f();
       });
       if (status.committed()) return true;
-      plane().modes_.record_abort(status, kCodeLockBusy, kCodeReader);
+      plane().counters_.add_abort(classify(status));
       if (status.cause == htm::AbortCause::kCapacity ||
           attempts >= kReaderHtmRetries) {
         return false;
@@ -738,8 +785,8 @@ class alignas(kCacheLineSize) SpRWLock {
     const std::uint64_t scan_start = platform::now();
     if (readers_visible(*engine, tid)) engine->abort_tx(kCodeReader);
     if (Plane* p = plane_peek()) {
-      p->of(tid).scan_cycles += platform::now() - scan_start;
-      ++p->of(tid).scans;
+      p->counters_.add(Counters::kScanCycles, platform::now() - scan_start);
+      p->counters_.add(Counters::kScans);
     }
   }
 
@@ -883,7 +930,6 @@ class alignas(kCacheLineSize) SpRWLock {
   std::atomic<std::uint64_t> snapshot_fallbacks_{0};
   std::atomic<std::uint64_t> htm_reads_{0};
   std::atomic<std::uint64_t> htm_writes_{0};
-  std::atomic<std::uint64_t> cold_reader_aborts_{0};
   /// Latest sampled reader-duration EMA, published by the sampler thread for
   /// the stalled-reader watchdog (which runs on *writer* threads).
   std::atomic<std::uint64_t> read_estimate_hint_{0};

@@ -25,29 +25,31 @@ const char* to_string(AbortCause c) noexcept {
   return "?";
 }
 
-Engine::Engine(EngineConfig cfg)
-    : cfg_(cfg),
-      spurious_rate_(cfg.spurious_abort_rate),
-      table_mask_((1ULL << cfg.table_bits) - 1),
-      table_(1ULL << cfg.table_bits),
-      line_ids_(cfg.table_bits) {
+namespace {
+
+/// Validates cfg before any member sizes a table from it.
+const EngineConfig& checked(const EngineConfig& cfg) {
   if (cfg.max_threads <= 0) throw std::invalid_argument("max_threads must be > 0");
   if (cfg.table_bits < 4 || cfg.table_bits > 28)
     throw std::invalid_argument("table_bits out of range [4,28]");
-  track_owners_ =
-      cfg.track_line_owners || cfg.topology.sockets > 1 || cfg.topology.nodes > 1;
-  if (track_owners_) {
-    owners_ = std::vector<std::atomic<std::uint32_t>>(1ULL << cfg.table_bits);
-  }
-  retain_ = cfg.retain_versions;
-  if (retain_ != 0) {
-    // One K-slot ring per table index (~24 bytes/slot): callers enabling
-    // retention size table_bits to the workload's line count, not the
-    // 2^20 default.
-    line_hist_ = std::vector<LineHist>(1ULL << cfg.table_bits);
-    version_ring_ =
-        std::vector<VersionSlot>((1ULL << cfg.table_bits) * retain_);
-  }
+  return cfg;
+}
+
+}  // namespace
+
+Engine::Engine(EngineConfig cfg)
+    : cfg_(checked(cfg)),
+      spurious_rate_(cfg.spurious_abort_rate),
+      table_mask_((1ULL << cfg.table_bits) - 1),
+      table_(std::size_t{1} << cfg.table_bits),
+      line_ids_(cfg.table_bits),
+      track_owners_(cfg.track_line_owners || cfg.topology.sockets > 1 ||
+                    cfg.topology.nodes > 1),
+      owners_(track_owners_ ? table_.size() : 0),
+      retain_(cfg.retain_versions),
+      // One K-slot ring per table index.
+      line_hist_(retain_ != 0 ? table_.size() : 0),
+      version_ring_(table_.size() * retain_) {
   descriptors_.reserve(static_cast<std::size_t>(cfg.max_threads));
   std::uint64_t seed_state = cfg.seed;
   for (int i = 0; i < cfg.max_threads; ++i) {
@@ -128,7 +130,7 @@ void Engine::begin_attempt(Descriptor& d, bool rot) {
 void Engine::extend(Descriptor& d) {
   const std::uint64_t new_rv = gvc_.load(std::memory_order_acquire);
   for (const ReadEntry& e : d.reads) {
-    const std::uint64_t v = table_[e.line].load(std::memory_order_acquire);
+    const std::uint64_t v = table_.at(e.line).load(std::memory_order_acquire);
     if (v != e.version) abort_internal(AbortCause::kConflict);
   }
   d.rv = new_rv;
@@ -137,7 +139,7 @@ void Engine::extend(Descriptor& d) {
 std::uint64_t Engine::coherence_extra(std::uint32_t line, bool is_write) noexcept {
   const int tid = platform::thread_id();
   if (tid < 0) return 0;  // no dense id -> no socket; leave ownership alone
-  std::atomic<std::uint32_t>& slot = owners_[line];
+  const std::atomic_ref<std::uint32_t> slot = owners_.at(line);
   if (g_costs.ownership == CostModel::kHomeDirectory) {
     return home_directory_extra(slot, tid, is_write);
   }
@@ -163,7 +165,7 @@ std::uint64_t Engine::coherence_extra(std::uint32_t line, bool is_write) noexcep
   return g_costs.remote_cross;
 }
 
-std::uint64_t Engine::home_directory_extra(std::atomic<std::uint32_t>& slot,
+std::uint64_t Engine::home_directory_extra(std::atomic_ref<std::uint32_t> slot,
                                            int tid, bool is_write) noexcept {
   // Within a simulator run fibers are serialized at decision points and the
   // real-thread stress suites only assert *counters*, never exact virtual
@@ -235,10 +237,10 @@ std::uint64_t Engine::tx_read(const std::atomic<std::uint64_t>& cell) {
     // Line already in the read set: it must still hold the version we
     // recorded, otherwise our snapshot is broken.
     const std::uint64_t recorded = d.reads[slot].version;
-    const std::uint64_t v1 = table_[line].load(std::memory_order_acquire);
+    const std::uint64_t v1 = table_.at(line).load(std::memory_order_acquire);
     if (v1 != recorded) abort_internal(AbortCause::kConflict);
     const std::uint64_t val = cell.load(std::memory_order_acquire);
-    if (table_[line].load(std::memory_order_acquire) != recorded)
+    if (table_.at(line).load(std::memory_order_acquire) != recorded)
       abort_internal(AbortCause::kConflict);
     return val;
   }
@@ -247,13 +249,13 @@ std::uint64_t Engine::tx_read(const std::atomic<std::uint64_t>& cell) {
     abort_internal(AbortCause::kCapacity);
 
   for (;;) {
-    const std::uint64_t v1 = table_[line].load(std::memory_order_acquire);
+    const std::uint64_t v1 = table_.at(line).load(std::memory_order_acquire);
     if ((v1 & kLockedBit) != 0) {  // a commit is mid-publish on this line
       platform::pause();
       continue;
     }
     const std::uint64_t val = cell.load(std::memory_order_acquire);
-    const std::uint64_t v2 = table_[line].load(std::memory_order_acquire);
+    const std::uint64_t v2 = table_.at(line).load(std::memory_order_acquire);
     if (v1 != v2) continue;
     if (v1 > d.rv) extend(d);  // throws AbortException on failure
     d.reads.push_back(ReadEntry{line, v1});
@@ -298,10 +300,10 @@ std::uint64_t Engine::tx_read_line_or(const std::atomic<std::uint64_t>* first,
   if (!inserted) {
     // Line already in the read set: same stability protocol as tx_read.
     const std::uint64_t recorded = d.reads[slot].version;
-    if (table_[line].load(std::memory_order_acquire) != recorded)
+    if (table_.at(line).load(std::memory_order_acquire) != recorded)
       abort_internal(AbortCause::kConflict);
     const std::uint64_t val = load_or();
-    if (table_[line].load(std::memory_order_acquire) != recorded)
+    if (table_.at(line).load(std::memory_order_acquire) != recorded)
       abort_internal(AbortCause::kConflict);
     return val;
   }
@@ -310,13 +312,13 @@ std::uint64_t Engine::tx_read_line_or(const std::atomic<std::uint64_t>* first,
     abort_internal(AbortCause::kCapacity);
 
   for (;;) {
-    const std::uint64_t v1 = table_[line].load(std::memory_order_acquire);
+    const std::uint64_t v1 = table_.at(line).load(std::memory_order_acquire);
     if ((v1 & kLockedBit) != 0) {  // a commit is mid-publish on this line
       platform::pause();
       continue;
     }
     const std::uint64_t val = load_or();
-    const std::uint64_t v2 = table_[line].load(std::memory_order_acquire);
+    const std::uint64_t v2 = table_.at(line).load(std::memory_order_acquire);
     if (v1 != v2) continue;
     if (v1 > d.rv) extend(d);  // throws AbortException on failure
     d.reads.push_back(ReadEntry{line, v1});
@@ -351,7 +353,7 @@ void Engine::tx_write(std::atomic<std::uint64_t>& cell, std::uint64_t v) {
 }
 
 std::uint64_t Engine::lock_line(std::uint32_t line, std::uint64_t& retries) {
-  std::atomic<std::uint64_t>& slot = table_[line];
+  const std::atomic_ref<std::uint64_t> slot = table_.at(line);
   for (;;) {
     std::uint64_t v = slot.load(std::memory_order_acquire);
     if ((v & kLockedBit) != 0) {
@@ -412,7 +414,8 @@ void Engine::commit_publish(Descriptor& d) {
             abort_internal(AbortCause::kConflict);
         } else {
           // Any lock bit here belongs to another writer -> conflict.
-          const std::uint64_t v = table_[e.line].load(std::memory_order_acquire);
+          const std::uint64_t v =
+              table_.at(e.line).load(std::memory_order_acquire);
           if (v != e.version) abort_internal(AbortCause::kConflict);
         }
       }
@@ -452,7 +455,7 @@ void Engine::commit_publish(Descriptor& d) {
     for (const WriteEntry& w : d.writes)
       w.cell->store(w.value, std::memory_order_release);
     for (std::size_t i = 0; i < lines.size(); ++i)
-      table_[lines[i]].store(wv, std::memory_order_release);
+      table_.at(lines[i]).store(wv, std::memory_order_release);
     d.last_wv = wv;
     d.publishing.store(false, std::memory_order_release);
     publish_count_.fetch_sub(1, std::memory_order_release);
@@ -460,8 +463,8 @@ void Engine::commit_publish(Descriptor& d) {
     // Conflict or virtual-time limit: restore the pre-lock version words
     // (nothing was written back; any wv drawn just leaves a clock gap).
     while (held-- > 0)
-      table_[lines[held]].store(d.locked_versions[held],
-                                std::memory_order_release);
+      table_.at(lines[held]).store(d.locked_versions[held],
+                                   std::memory_order_release);
     if (publishing) {
       d.publishing.store(false, std::memory_order_release);
       publish_count_.fetch_sub(1, std::memory_order_release);
@@ -529,7 +532,7 @@ bool Engine::nontx_publish(std::uint32_t line, std::atomic<std::uint64_t>& cell,
                       (retain_ != 0 ? g_costs.store : 0));
     if (expected != nullptr &&
         cell.load(std::memory_order_acquire) != *expected) {
-      table_[line].store(prelock, std::memory_order_release);
+      table_.at(line).store(prelock, std::memory_order_release);
       return false;
     }
     const std::uint64_t wv = gvc_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -539,10 +542,10 @@ bool Engine::nontx_publish(std::uint32_t line, std::atomic<std::uint64_t>& cell,
                      min_pin);
     }
     cell.store(desired, std::memory_order_release);
-    table_[line].store(wv, std::memory_order_release);
+    table_.at(line).store(wv, std::memory_order_release);
     note_publish(wv);
   } catch (...) {
-    table_[line].store(prelock, std::memory_order_release);
+    table_.at(line).store(prelock, std::memory_order_release);
     throw;
   }
   // A writer that validated this line *before* our bump is still inside
@@ -598,9 +601,9 @@ void Engine::history_append(std::uint32_t line,
                             std::uint64_t old_value, std::uint64_t wv,
                             std::uint64_t& min_pin) {
   LineHist& h = line_hist_[line];
-  const std::uint64_t s0 = h.seq.load(std::memory_order_relaxed);
+  const std::uint64_t s0 = word(h.seq).load(std::memory_order_relaxed);
   assert((s0 & 1) == 0 && "concurrent ring append despite the line lock");
-  const std::uint64_t n = h.count.load(std::memory_order_relaxed);
+  const std::uint64_t n = word(h.count).load(std::memory_order_relaxed);
   const std::size_t base = static_cast<std::size_t>(line) * retain_;
   std::uint64_t reclaimed_floor = 0;
   if (n >= retain_) {
@@ -610,29 +613,30 @@ void Engine::history_append(std::uint32_t line,
     // overwrite goes unrecorded: the floor rises to wv and the affected
     // snapshots fall back to the stall path (version_overflows).
     const std::uint64_t oldest =
-        version_ring_[base + static_cast<std::size_t>(n % retain_)]
-            .replaced_at.load(std::memory_order_relaxed);
+        word(version_ring_[base + static_cast<std::size_t>(n % retain_)]
+                 .replaced_at)
+            .load(std::memory_order_relaxed);
     if (min_pin == kNoSnapshot - 1) min_pin = min_live_pin();
     if (oldest > min_pin) {
-      h.seq.store(s0 + 1, std::memory_order_release);
-      if (wv > h.floor.load(std::memory_order_relaxed))
-        h.floor.store(wv, std::memory_order_relaxed);
-      h.seq.store(s0 + 2, std::memory_order_release);
+      word(h.seq).store(s0 + 1, std::memory_order_release);
+      if (wv > word(h.floor).load(std::memory_order_relaxed))
+        word(h.floor).store(wv, std::memory_order_relaxed);
+      word(h.seq).store(s0 + 2, std::memory_order_release);
       overflows_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     reclaimed_floor = oldest;
   }
-  h.seq.store(s0 + 1, std::memory_order_release);
-  if (reclaimed_floor > h.floor.load(std::memory_order_relaxed))
-    h.floor.store(reclaimed_floor, std::memory_order_relaxed);
+  word(h.seq).store(s0 + 1, std::memory_order_release);
+  if (reclaimed_floor > word(h.floor).load(std::memory_order_relaxed))
+    word(h.floor).store(reclaimed_floor, std::memory_order_relaxed);
   VersionSlot& s = version_ring_[base + static_cast<std::size_t>(n % retain_)];
-  s.addr.store(reinterpret_cast<std::uintptr_t>(cell),
+  word(s.addr).store(reinterpret_cast<std::uintptr_t>(cell),
                std::memory_order_relaxed);
-  s.value.store(old_value, std::memory_order_relaxed);
-  s.replaced_at.store(wv, std::memory_order_relaxed);
-  h.count.store(n + 1, std::memory_order_relaxed);
-  h.seq.store(s0 + 2, std::memory_order_release);
+  word(s.value).store(old_value, std::memory_order_relaxed);
+  word(s.replaced_at).store(wv, std::memory_order_relaxed);
+  word(h.count).store(n + 1, std::memory_order_relaxed);
+  word(h.seq).store(s0 + 2, std::memory_order_release);
   // Ring-occupancy high water (live retained entries on this line): the
   // adaptive-K signal. CAS loop so racing real-thread appends never lose a
   // maximum; uncontended it is one relaxed load.
@@ -692,11 +696,11 @@ std::uint64_t Engine::snapshot_read(const std::atomic<std::uint64_t>& cell) {
   const std::uint32_t line = line_of(addr);
   if (track_owners_) charge_coherence(line);
   for (;;) {
-    const std::uint64_t v1 = table_[line].load(std::memory_order_acquire);
+    const std::uint64_t v1 = table_.at(line).load(std::memory_order_acquire);
     if ((v1 & kLockedBit) == 0 && v1 <= snap) {
       // Line unchanged since the pin: current memory is the snapshot value.
       const std::uint64_t val = cell.load(std::memory_order_acquire);
-      if (table_[line].load(std::memory_order_acquire) == v1) return val;
+      if (table_.at(line).load(std::memory_order_acquire) == v1) return val;
       continue;  // raced a publish; reinspect
     }
     if (cfg_.broken_snapshot_too_new) {  // checker self-validation only
@@ -708,14 +712,14 @@ std::uint64_t Engine::snapshot_read(const std::atomic<std::uint64_t>& cell) {
     // the line is never waited on unless its commit belongs in this
     // snapshot.
     platform::advance(g_costs.load);
-    const LineHist& h = line_hist_[line];
-    const std::uint64_t s0 = h.seq.load(std::memory_order_acquire);
+    LineHist& h = line_hist_[line];
+    const std::uint64_t s0 = word(h.seq).load(std::memory_order_acquire);
     if ((s0 & 1) != 0) {  // append in flight
       platform::pause();
       continue;
     }
-    const std::uint64_t fl = h.floor.load(std::memory_order_acquire);
-    const std::uint64_t n = h.count.load(std::memory_order_acquire);
+    const std::uint64_t fl = word(h.floor).load(std::memory_order_acquire);
+    const std::uint64_t n = word(h.count).load(std::memory_order_acquire);
     const std::size_t base = static_cast<std::size_t>(line) * retain_;
     // Oldest-first: per-line replaced_at is monotone (appends happen under
     // the line lock, which orders the wv fetch_adds), so the first entry
@@ -724,15 +728,15 @@ std::uint64_t Engine::snapshot_read(const std::atomic<std::uint64_t>& cell) {
     std::uint64_t found_value = 0;
     for (std::uint64_t i = n > retain_ ? n - retain_ : 0; i < n && !found;
          ++i) {
-      const VersionSlot& s =
+      VersionSlot& s =
           version_ring_[base + static_cast<std::size_t>(i % retain_)];
-      if (s.addr.load(std::memory_order_relaxed) == addr &&
-          s.replaced_at.load(std::memory_order_relaxed) > snap) {
-        found_value = s.value.load(std::memory_order_relaxed);
+      if (word(s.addr).load(std::memory_order_relaxed) == addr &&
+          word(s.replaced_at).load(std::memory_order_relaxed) > snap) {
+        found_value = word(s.value).load(std::memory_order_relaxed);
         found = true;
       }
     }
-    if (h.seq.load(std::memory_order_acquire) != s0) continue;  // ring moved
+    if (word(h.seq).load(std::memory_order_acquire) != s0) continue;  // ring moved
     if (snap < fl) {
       // The ring no longer covers the pin: the oldest needed version was
       // reclaimed or never retained. Fall back to the stall path.
@@ -756,7 +760,7 @@ std::uint64_t Engine::snapshot_read(const std::atomic<std::uint64_t>& cell) {
     // ring after the load catches a racing overwrite — every publish
     // appends before it stores.
     const std::uint64_t val = cell.load(std::memory_order_acquire);
-    if (h.seq.load(std::memory_order_acquire) != s0) continue;
+    if (word(h.seq).load(std::memory_order_acquire) != s0) continue;
     ++d.snap_hits;
     return val;
   }

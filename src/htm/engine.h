@@ -57,6 +57,7 @@
 #include "common/costs.h"
 #include "common/platform.h"
 #include "common/rng.h"
+#include "common/zero_pages.h"
 #include "htm/htm.h"
 #include "htm/line_ids.h"
 #include "htm/line_set.h"
@@ -366,17 +367,21 @@ class Engine {
   // retry if it moved. `floor` is the oldest version the ring still fully
   // covers: reclaiming (or failing to retain) an entry raises it, and a
   // lookup whose pin is below the floor (re-validated inside the seqlock
-  // window) misses instead of returning a hole-punched history.
+  // window) misses instead of returning a hole-punched history. The words
+  // live in zero pages and are accessed only through word() below.
   struct VersionSlot {
-    std::atomic<std::uint64_t> addr{0};
-    std::atomic<std::uint64_t> value{0};
-    std::atomic<std::uint64_t> replaced_at{0};
+    std::uint64_t addr;
+    std::uint64_t value;
+    std::uint64_t replaced_at;
   };
   struct alignas(64) LineHist {
-    std::atomic<std::uint64_t> seq{0};    // seqlock generation; odd = mutating
-    std::atomic<std::uint64_t> count{0};  // entries ever appended (ring pos)
-    std::atomic<std::uint64_t> floor{0};  // history complete for pins >= floor
+    std::uint64_t seq;    // seqlock generation; odd = mutating
+    std::uint64_t count;  // entries ever appended (ring pos)
+    std::uint64_t floor;  // history complete for pins >= floor
   };
+  static std::atomic_ref<std::uint64_t> word(std::uint64_t& w) noexcept {
+    return std::atomic_ref<std::uint64_t>(w);
+  }
 
   /// Records `old_value` (the pre-publish content of `cell`) as the line's
   /// state before version `wv`. Caller holds the line's versioned lock.
@@ -434,8 +439,8 @@ class Engine {
 
   /// Home-directory leg of coherence_extra (see above). `slot` is the
   /// line's owner word, `tid` the accessor's dense id.
-  std::uint64_t home_directory_extra(std::atomic<std::uint32_t>& slot, int tid,
-                                     bool is_write) noexcept;
+  std::uint64_t home_directory_extra(std::atomic_ref<std::uint32_t> slot,
+                                     int tid, bool is_write) noexcept;
 
   // Home-directory owner-word layout: bit 31 marks a touched line, bits
   // 24..30 hold the home socket, bits 0..23 the sharer-socket mask (sockets
@@ -482,7 +487,10 @@ class Engine {
   EngineConfig cfg_;
   std::atomic<double> spurious_rate_;
   std::uint64_t table_mask_;
-  std::vector<std::atomic<std::uint64_t>> table_;
+  // The per-line tables (versions here, owners and MVCC rings below) are
+  // zero pages committed on first touch (common/zero_pages.h): an engine
+  // holds resident memory only for the lines a run touches.
+  ZeroPages<std::uint64_t> table_;
   LineIdMap line_ids_;  // first-touch line ids (see line_of)
   std::atomic<std::uint64_t> gvc_{0};
   std::atomic<int> active_rots_{0};
@@ -494,16 +502,16 @@ class Engine {
   std::atomic<std::uint64_t> nontx_retries_{0};
   std::atomic<std::uint64_t> drains_{0};
   // Owner tracking (resolved from cfg at construction). owners_ maps the
-  // dense line id to last-owner tid + 1 (0 = untouched) and is allocated
-  // only when tracking is on — the default engine pays neither the memory
-  // nor any branch beyond the track_owners_ test.
-  bool track_owners_ = false;
-  std::vector<std::atomic<std::uint32_t>> owners_;
-  // MVCC state, allocated only when retain_versions > 0 (the default engine
-  // pays neither the memory nor any branch beyond the retain_ test).
-  std::uint32_t retain_ = 0;
-  std::vector<LineHist> line_hist_;
-  std::vector<VersionSlot> version_ring_;  // (1 << table_bits) * retain_
+  // dense line id to its owner word (0 = untouched) and is mapped only when
+  // tracking is on — the default engine pays neither the address space nor
+  // any branch beyond the track_owners_ test.
+  bool track_owners_;
+  ZeroPages<std::uint32_t> owners_;
+  // MVCC state, mapped only when retain_versions > 0 (the default engine
+  // pays neither the address space nor any branch beyond the retain_ test).
+  std::uint32_t retain_;
+  ZeroPages<LineHist> line_hist_;
+  ZeroPages<VersionSlot> version_ring_;  // (1 << table_bits) * retain_
   std::atomic<std::uint64_t> overflows_{0};
   // High-water of live retained entries across all rings since the last
   // reset_stats() (EngineStats::ring_occupancy_max).

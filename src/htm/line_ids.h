@@ -25,27 +25,23 @@
 // Addresses are folded modulo 2^48, the user address space of x86-64 and
 // AArch64 Linux.
 //
-// Storage: one anonymous mmap per map, reserved up front (MAP_NORESERVE)
-// and touched only where nodes are installed, so nothing is allocated
-// during a run and the process heap layout never depends on which lines
-// a run touches. The reservation covers the worst case — every id on its
-// own region — so the directory cannot fill before the id limit does. It
-// is address space only (~2.8 GiB at the default 2^20-entry table), but
-// under strict overcommit accounting (vm.overcommit_memory=2) it counts
-// against the commit limit.
+// Storage: one ZeroPages mapping per map (common/zero_pages.h), reserved up
+// front and touched only where nodes are installed, so nothing is
+// allocated during a run and the process heap layout never depends on
+// which lines a run touches. The reservation covers the worst case — every
+// id on its own region — so the directory cannot fill before the id limit
+// does. It is address space only (~2.8 GiB at the default 2^20-entry
+// table).
 // Past `limit()` ids, a line not seen before takes the address-hash index
 // instead (deterministic aliasing; never reached by the shipped workloads)
 // and installs nothing.
 #pragma once
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <new>
 
+#include "common/zero_pages.h"
 #include "htm/line_set.h"
 
 namespace sprwl::htm {
@@ -60,20 +56,15 @@ class LineIdMap {
   /// 2^23.
   explicit LineIdMap(int table_bits)
       : table_mask_((std::uint64_t{1} << table_bits) - 1),
-        limit_(1u << std::clamp(table_bits, 14, 23)) {
-    // Racing real threads may each overshoot the limit by one id, and a
-    // thread that loses that race may leave one mid node and one id page
-    // behind; kRaceSlack lines of headroom cover it.
-    unit_cap_ = 1 + (std::uint64_t{limit_} + kRaceSlack) *
-                        (kMidUnits + kPageUnits);
-    bytes_ = (kRootWords + unit_cap_ * kUnitWords) * sizeof(std::uint32_t);
-    void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    root_ = static_cast<std::uint32_t*>(p);
-    units_ = root_ + kRootWords;
-  }
-  ~LineIdMap() { munmap(root_, bytes_); }
+        limit_(1u << std::clamp(table_bits, 14, 23)),
+        // Racing real threads may each overshoot the limit by one id, and a
+        // thread that loses that race may leave one mid node and one id
+        // page behind; kRaceSlack lines of headroom cover it.
+        unit_cap_(1 + (std::uint64_t{limit_} + kRaceSlack) *
+                          (kMidUnits + kPageUnits)),
+        words_(kRootWords + unit_cap_ * kUnitWords),
+        root_(words_.data()),
+        units_(root_ + kRootWords) {}
 
   LineIdMap(const LineIdMap&) = delete;
   LineIdMap& operator=(const LineIdMap&) = delete;
@@ -179,10 +170,10 @@ class LineIdMap {
 
   std::uint64_t table_mask_;
   std::uint32_t limit_;
-  std::uint64_t unit_cap_ = 0;
-  std::size_t bytes_ = 0;
-  std::uint32_t* root_ = nullptr;
-  std::uint32_t* units_ = nullptr;
+  std::uint64_t unit_cap_;
+  ZeroPages<std::uint32_t> words_;
+  std::uint32_t* root_;
+  std::uint32_t* units_;
   // Unit 0 is never handed out, so a node index is never 0 (empty).
   std::atomic<std::uint64_t> next_unit_{1};
   std::atomic<std::uint32_t> next_id_{0};

@@ -2,10 +2,13 @@
 //
 // The paper's evaluation breaks critical sections down by the mode in which
 // they eventually committed: HTM, ROT, GL (pessimistic fallback) and Unins
-// (SpRWL's uninstrumented reader path). Every lock in this library keeps
-// per-thread padded counters so the harness can regenerate those plots.
+// (SpRWL's uninstrumented reader path). The baseline locks keep per-thread
+// padded counters (ModeRecorder); SpRWL keeps one lock-wide block of
+// relaxed atomics (core/sprwl.h) so a hot lock's plane stays small. Both
+// fill the same LockStats and classify aborts through classify_abort().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +31,41 @@ enum class Escalation : std::uint8_t {
   kBudgetExhausted,  ///< virtual-time retry budget exceeded (abort storm)
   kLemmingAvoided,   ///< lock-busy abort forgiven: attempt not counted
 };
+inline constexpr std::size_t kEscalations = 5;
+static_assert(static_cast<std::size_t>(Escalation::kLemmingAvoided) + 1 ==
+              kEscalations);
+
+/// The class of one failed HTM attempt, as this library reports it: the
+/// engine's cause, with explicit aborts split by the lock's own codes.
+enum class AbortClass : std::uint8_t {
+  kConflict,
+  kCapacity,
+  kLockBusy,  ///< explicit: the subscription found the fallback lock held
+  kReader,    ///< explicit: SpRWL/RW-LE "reader" abort class
+  kOther,     ///< any other explicit code
+  kSpurious,
+};
+inline constexpr std::size_t kAbortClasses = 6;
+static_assert(static_cast<std::size_t>(AbortClass::kSpurious) + 1 ==
+              kAbortClasses);
+
+/// Classifies one failed attempt (`status.cause` is not kNone).
+/// `lock_busy_code` and `reader_code` are the lock's explicit-abort codes;
+/// a reader_code of 0 means the lock has no reader class.
+constexpr AbortClass classify_abort(const htm::TxStatus& status,
+                                    std::uint8_t lock_busy_code,
+                                    std::uint8_t reader_code = 0) noexcept {
+  switch (status.cause) {
+    case htm::AbortCause::kConflict: return AbortClass::kConflict;
+    case htm::AbortCause::kCapacity: return AbortClass::kCapacity;
+    case htm::AbortCause::kSpurious: return AbortClass::kSpurious;
+    case htm::AbortCause::kNone:
+    case htm::AbortCause::kExplicit: break;
+  }
+  if (status.code == lock_busy_code) return AbortClass::kLockBusy;
+  if (reader_code != 0 && status.code == reader_code) return AbortClass::kReader;
+  return AbortClass::kOther;
+}
 
 /// Per-lock abort-cause breakdown. The engine keeps aggregate counters for
 /// every transaction in the process; these are the same causes attributed
@@ -43,6 +81,16 @@ struct AbortBreakdown {
   std::uint64_t total() const noexcept {
     return conflict + capacity + explicit_lock_busy + explicit_reader +
            explicit_other + spurious;
+  }
+  void add(AbortClass c, std::uint64_t n = 1) noexcept {
+    switch (c) {
+      case AbortClass::kConflict: conflict += n; break;
+      case AbortClass::kCapacity: capacity += n; break;
+      case AbortClass::kLockBusy: explicit_lock_busy += n; break;
+      case AbortClass::kReader: explicit_reader += n; break;
+      case AbortClass::kOther: explicit_other += n; break;
+      case AbortClass::kSpurious: spurious += n; break;
+    }
   }
   AbortBreakdown& operator+=(const AbortBreakdown& o) noexcept {
     conflict += o.conflict;
@@ -64,6 +112,15 @@ struct EscalationCounts {
   std::uint64_t lemming_avoided = 0;
   std::uint64_t fallbacks() const noexcept {
     return retry_exhausted + capacity + stalled_reader + budget_exhausted;
+  }
+  void add(Escalation e, std::uint64_t n = 1) noexcept {
+    switch (e) {
+      case Escalation::kRetryExhausted: retry_exhausted += n; break;
+      case Escalation::kCapacity: capacity += n; break;
+      case Escalation::kStalledReader: stalled_reader += n; break;
+      case Escalation::kBudgetExhausted: budget_exhausted += n; break;
+      case Escalation::kLemmingAvoided: lemming_avoided += n; break;
+    }
   }
   EscalationCounts& operator+=(const EscalationCounts& o) noexcept {
     retry_exhausted += o.retry_exhausted;
@@ -121,39 +178,14 @@ class ModeRecorder {
   void record_read(CommitMode m) { mine().reads.bump(m); }
   void record_write(CommitMode m) { mine().writes.bump(m); }
 
-  /// Attributes one failed HTM attempt to this lock. `lock_busy_code` and
-  /// `reader_code` are the lock's explicit-abort codes, used to split
-  /// explicit aborts into the classes the paper plots.
+  /// Attributes one failed HTM attempt to this lock (see classify_abort).
   void record_abort(const htm::TxStatus& status, std::uint8_t lock_busy_code,
                     std::uint8_t reader_code = 0) {
-    AbortBreakdown& b = mine().aborts;
-    switch (status.cause) {
-      case htm::AbortCause::kNone: break;
-      case htm::AbortCause::kConflict: ++b.conflict; break;
-      case htm::AbortCause::kCapacity: ++b.capacity; break;
-      case htm::AbortCause::kSpurious: ++b.spurious; break;
-      case htm::AbortCause::kExplicit:
-        if (status.code == lock_busy_code) {
-          ++b.explicit_lock_busy;
-        } else if (reader_code != 0 && status.code == reader_code) {
-          ++b.explicit_reader;
-        } else {
-          ++b.explicit_other;
-        }
-        break;
-    }
+    if (status.committed()) return;
+    mine().aborts.add(classify_abort(status, lock_busy_code, reader_code));
   }
 
-  void record_escalation(Escalation e) {
-    EscalationCounts& c = mine().escalations;
-    switch (e) {
-      case Escalation::kRetryExhausted: ++c.retry_exhausted; break;
-      case Escalation::kCapacity: ++c.capacity; break;
-      case Escalation::kStalledReader: ++c.stalled_reader; break;
-      case Escalation::kBudgetExhausted: ++c.budget_exhausted; break;
-      case Escalation::kLemmingAvoided: ++c.lemming_avoided; break;
-    }
-  }
+  void record_escalation(Escalation e) { mine().escalations.add(e); }
 
   LockStats snapshot() const {
     LockStats s;

@@ -44,12 +44,17 @@ namespace sprwl::workloads {
 /// Zipfian rank generator after Gray et al. (SIGMOD'94), the YCSB
 /// formulation: next() returns a rank in [0, n) where rank 0 is the most
 /// popular. The O(n) zeta precomputation runs once at construction; next()
-/// is constant-time. Deterministic given the caller's Rng.
+/// is constant-time. Deterministic given the caller's Rng. theta must lie
+/// in [0, 1): at 1 the exponent 1 / (1 - theta) is infinite and next()
+/// returns only ranks 0, 1 and n - 1.
 class Zipfian {
  public:
   explicit Zipfian(std::uint64_t n, double theta = 0.99)
       : n_(n), theta_(theta) {
     if (n < 2) throw std::invalid_argument("Zipfian needs n >= 2");
+    if (!(theta >= 0.0 && theta < 1.0)) {  // NaN fails both comparisons
+      throw std::invalid_argument("Zipfian needs theta in [0, 1)");
+    }
     double zn = 0.0;
     double z2 = 0.0;
     for (std::uint64_t i = 1; i <= n; ++i) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
+
+#include "bench/support/runner.h"
 
 namespace sprwl::bench {
 namespace {
@@ -120,6 +123,23 @@ TEST(ArgsDeathTest, RejectsUnknownFlags) {
   for (const char* arg : {"--fulll", "--smoke=1", "--measure", "full", "-x"}) {
     EXPECT_EXIT(parse_one(arg), testing::ExitedWithCode(2),
                 std::string("bad option: ") + arg);
+  }
+}
+
+// SPRWL_BENCH_JOBS follows the same rule as the options: anything but a
+// positive decimal integer stops the bench (it used to run "abc" on every
+// core and "2x" on two).
+TEST(RunnerDeathTest, RejectsMalformedJobs) {
+  for (const char* v : {"abc", "2x", "0", "", "-3", " 4", "4.0",
+                        "2147483648", "99999999999999999999"}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("SPRWL_BENCH_JOBS", v, 1);
+          Runner::jobs_from_env();
+        },
+        testing::ExitedWithCode(2),
+        std::string("bad SPRWL_BENCH_JOBS: ") + v + " \\(")
+        << v;
   }
 }
 

@@ -74,8 +74,6 @@ TEST(Runner, ComputeExceptionPropagatesAtDrain) {
 TEST(Runner, JobsFromEnvHonorsOverride) {
   ::setenv("SPRWL_BENCH_JOBS", "3", 1);
   EXPECT_EQ(Runner::jobs_from_env(), 3);
-  ::setenv("SPRWL_BENCH_JOBS", "0", 1);
-  EXPECT_GE(Runner::jobs_from_env(), 1);  // invalid: fall back to hardware
   ::unsetenv("SPRWL_BENCH_JOBS");
   EXPECT_GE(Runner::jobs_from_env(), 1);
 }

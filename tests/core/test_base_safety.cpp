@@ -3,9 +3,12 @@
 // the virtual-time simulator.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "common/platform.h"
+#include "common/rng.h"
 #include "core/sprwl.h"
 #include "htm/shared.h"
 #include "sim/simulator.h"
@@ -231,6 +234,64 @@ TEST(SpRWLBase, WriterRetriesAfterReaderAbortAndEventuallyCommitsInHtm) {
   EXPECT_EQ(lock.stats().writes.htm, 1u);
   EXPECT_GE(lock.reader_abort_count(), 1u);
   EXPECT_EQ(x.v.raw_load(), 1u);
+}
+
+// The plane's statistics are lock-wide relaxed atomics that every thread
+// bumps. On real threads (and under the TSan leg's -R RealThread) none may
+// lose an increment: the totals equal the operations run, and the abort and
+// commit counts equal the engine's, since this lock runs every transaction.
+TEST(SpRWLStatsRealThread, CountersLoseNoIncrement) {
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kOps = 1'000;
+  htm::EngineConfig ec;
+  ec.max_threads = kThreads;
+  htm::Engine engine{ec};
+  htm::EngineScope scope(engine);
+  Config cfg = Config::variant(SchedulingVariant::kFull, kThreads);
+  cfg.reader_htm_first = false;  // every read lands on the plane's counter
+  cfg.max_retries = 2;           // some writers fall back to the SGL
+  SpRWLock lock{cfg};
+  struct alignas(64) Pair {
+    htm::Shared<std::uint64_t> a, b;
+  };
+  Pair p;
+  std::atomic<std::uint64_t> reads{0}, writes{0}, torn{0};
+  sim::run_real_threads(kThreads, [&](int tid) {
+    Rng rng(static_cast<std::uint64_t>(tid) + 1);
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+      if (rng.next_bool(0.25)) {
+        lock.write(1, [&] {
+          const std::uint64_t v = p.a.load() + 1;
+          p.a.store(v);
+          p.b.store(v);
+        });
+        writes.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        lock.read(0, [&] {
+          if (p.a.load() != p.b.load()) torn.fetch_add(1);
+        });
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(torn.load(), 0u);
+  ASSERT_EQ(reads.load() + writes.load(), kThreads * kOps);
+  EXPECT_EQ(p.a.raw_load(), writes.load());
+  const locks::LockStats s = lock.stats();
+  const htm::EngineStats es = engine.stats();
+  EXPECT_EQ(s.reads.unins, reads.load());
+  EXPECT_EQ(s.reads.total(), reads.load());
+  EXPECT_EQ(s.writes.htm + s.writes.gl, writes.load());
+  EXPECT_EQ(s.writes.total(), writes.load());
+  EXPECT_EQ(s.writes.htm, es.commits_htm);
+  EXPECT_EQ(s.aborts.conflict, es.aborts_conflict);
+  EXPECT_EQ(s.aborts.capacity, es.aborts_capacity);
+  EXPECT_EQ(s.aborts.spurious, es.aborts_spurious);
+  EXPECT_EQ(s.aborts.explicit_lock_busy + s.aborts.explicit_reader +
+                s.aborts.explicit_other,
+            es.aborts_explicit);
+  EXPECT_EQ(s.aborts.explicit_reader, lock.reader_abort_count());
+  EXPECT_GE(lock.commit_scan_count(), s.writes.htm);
 }
 
 }  // namespace

@@ -361,7 +361,7 @@ TEST(Bravo, FullVariantPlaneFootprint) {
   EXPECT_EQ(lock.footprint_bytes(), sizeof(SpRWLock));
   (void)lock.snzi_leaf_count();  // builds the plane; no engine access
   ASSERT_TRUE(lock.has_plane());
-  EXPECT_EQ(lock.footprint_bytes(), 12'040u);
+  EXPECT_EQ(lock.footprint_bytes(), 2'832u);
 }
 
 // Concurrency stress on REAL threads (also the TSan CI leg: -R

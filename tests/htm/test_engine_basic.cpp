@@ -1,4 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <vector>
 
 #include "common/platform.h"
 #include "htm/engine.h"
@@ -15,6 +21,41 @@ class EngineBasic : public ::testing::Test {
   EngineScope scope_;
   ThreadIdScope tid_;
 };
+
+/// Resident bytes of this process (/proc/self/statm counts pages).
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size = 0;
+  std::int64_t resident = 0;
+  statm >> size >> resident;
+  return resident * sysconf(_SC_PAGESIZE);
+}
+
+// The per-line tables are zero pages committed on first touch, so building
+// an engine commits none of them. A default engine used to commit 8 MB
+// (its 2^20-entry version table), an owner-tracking one 12 MB, and an MVCC
+// one at 2^16 lines 10 MB; nine of them now commit about 0.5 MB. The
+// 4 MB bound leaves room for one 2 MB huge page of heap where transparent
+// huge pages are always on. Four threads keep the per-thread descriptors
+// (about 10 KB each, 1.3 MB at the default 128) out of the measurement.
+TEST(EngineMemory, ConstructionCommitsNoTablePages) {
+  EngineConfig plain;
+  plain.max_threads = 4;
+  EngineConfig owners = plain;
+  owners.track_line_owners = true;
+  EngineConfig mvcc = plain;
+  mvcc.table_bits = 16;
+  mvcc.retain_versions = 4;
+  const std::int64_t before = resident_bytes();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (int i = 0; i < 3; ++i) {
+    for (const EngineConfig& c : {plain, owners, mvcc}) {
+      engines.push_back(std::make_unique<Engine>(c));
+    }
+  }
+  EXPECT_LT(resident_bytes() - before, std::int64_t{4} << 20);
+}
 
 TEST_F(EngineBasic, CommitPublishesWrites) {
   Shared<int> x(1);

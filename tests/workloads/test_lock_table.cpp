@@ -4,9 +4,12 @@
 // scale-out regime where footprint and cold-lock laziness matter.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "../support/run_digest.h"
@@ -37,6 +40,20 @@ core::Config bravo_lock_cfg(int threads) {
 TEST(Zipfian, RejectsDegenerateDomain) {
   EXPECT_THROW(Zipfian(0), std::invalid_argument);
   EXPECT_THROW(Zipfian(1), std::invalid_argument);
+}
+
+// theta >= 1 makes the exponent 1 / (1 - theta) infinite (next() then
+// returned only ranks 0, 1 and n - 1); a negative or NaN theta is no skew.
+TEST(Zipfian, RejectsThetaOutsideZeroToOne) {
+  for (const double theta : {1.0, 1.5, -0.1, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(Zipfian(1024, theta), std::invalid_argument) << theta;
+  }
+  for (const double theta : {0.0, 0.5, 0.999}) {
+    const Zipfian z(1024, theta);
+    Rng rng(3);
+    for (int i = 0; i < 1000; ++i) EXPECT_LT(z.next(rng), 1024u) << theta;
+  }
 }
 
 TEST(Zipfian, DeterministicAndInBounds) {
@@ -146,18 +163,26 @@ TEST(LockTable, BravoRunIsCorrectAndMostLocksStayCold) {
   EXPECT_GT(res.totals.bias_reads, 0u) << "hot reads took the fast path";
   EXPECT_GT(res.totals.locks_with_plane, 0u) << "hot keys saw writers";
   // The zipfian tail: the overwhelming majority of locks never needed a
-  // plane, so the mean bytes/lock stays far below what the old eager
-  // layout paid (a full plane for every lock).
+  // plane. Planes are the only per-lock bytes that scale with the thread
+  // count; here they are under a quarter of the table's bytes, where a
+  // plane on every lock (the old eager layout) would make them most of it.
   EXPECT_LT(res.totals.locks_with_plane, c.keys / 4);
-  std::size_t planed_footprint = 0;
-  for (std::uint64_t k = 0; k < c.keys && planed_footprint == 0; ++k) {
-    if (table.lock_of(k).has_plane()) {
-      planed_footprint = table.lock_of(k).footprint_bytes();
-    }
+  std::size_t cold = 0;    // a lock's shell (plus its bias telemetry)
+  std::size_t planed = 0;  // the same with its plane
+  for (std::uint64_t k = 0; k < c.keys; ++k) {
+    const core::SpRWLock& l = table.lock_of(k);
+    (l.has_plane() ? planed : cold) = l.footprint_bytes();
   }
-  ASSERT_GT(planed_footprint, sizeof(core::SpRWLock));
-  EXPECT_LT(res.totals.bytes_per_lock(),
-            static_cast<double>(planed_footprint) / 4);
+  ASSERT_GT(planed, cold);
+  const std::size_t plane_bytes = res.totals.lock_bytes - c.keys * cold;
+  EXPECT_EQ(plane_bytes, res.totals.locks_with_plane * (planed - cold));
+  const std::size_t table_bytes =
+      res.totals.lock_bytes + res.totals.shared_table_bytes;
+  EXPECT_LT(plane_bytes * 4, table_bytes);
+  EXPECT_GT((planed - cold) * 2, planed);
+  // This seeded run's footprint, exactly.
+  EXPECT_EQ(table_bytes, 1'840'272u);
+  EXPECT_DOUBLE_EQ(res.totals.bytes_per_lock(), 449.28515625);
 }
 
 TEST(LockTable, FlatRunIsCorrect) {
@@ -285,7 +310,8 @@ TEST(LockTable, ShardedBravoTwoSocketRunMatchesPinnedDigest) {
   const LockTableRunResult r = run_lock_table(sim, engine, table, dc);
   EXPECT_EQ(r.invariant_failures, 0u);
   EXPECT_GT(r.totals.bias_reads, 0u);
-  EXPECT_EQ(testutil::run_digest(r), 0x85099a0be695e72eULL);
+  EXPECT_EQ(r.totals.lock_bytes, 511'488u);
+  EXPECT_EQ(testutil::run_digest(r), 0xbe808bc1523e17f0ULL);
 }
 
 TEST(LockTable, TotalsArithmetic) {
