@@ -42,7 +42,7 @@ class SkipLastSlotTable : public bravo::ReaderTable {
  public:
   using ReaderTable::ReaderTable;
   bool wait_for_readers_of(std::uint32_t lock_id, std::uint64_t deadline,
-                           std::uint64_t*, std::size_t) override {
+                           std::uint64_t*) override {
     return drain_range(0, slot_count() - 1, tag_of(lock_id), deadline);
   }
 };

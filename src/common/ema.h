@@ -19,7 +19,7 @@ class DurationEma {
   /// Record one duration sample (cycles). Called by the sampler thread only.
   /// alpha is the weight of the newest sample; the paper's prototype uses a
   /// small constant so the estimate tracks workload shifts quickly without
-  /// jitter (core::Config::ema_alpha, 1/8 as in RTT estimators).
+  /// jitter (core::SpRWLock::kEmaAlpha, 1/8 as in RTT estimators).
   void record(std::uint64_t cycles, double alpha) noexcept {
     const std::uint64_t cur = value_.load(std::memory_order_relaxed);
     if (cur == 0) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "common/platform.h"
 #include "common/scope_exit.h"
@@ -33,6 +34,14 @@ class BiasFront {
   /// slow-path reader ever registered, or ask the tracker.
   enum class Scan { kReaders, kNoPlane, kAskTracker };
 
+  /// Consecutive reader-only acquisitions (a streak any writer resets)
+  /// before a reader tries to re-arm a revoked bias.
+  static constexpr std::uint64_t kRebiasReads = 16;
+  /// Revocation-cost-proportional inhibition (the BRAVO paper's rule): a
+  /// re-bias is also suppressed until the bias has been off for this
+  /// multiple of the sampled revocation latency.
+  static constexpr double kRebiasCooldown = 8.0;
+
   explicit BiasFront(const Config& cfg) {
     if (!cfg.bravo_bias) return;
     const bravo::ReaderTable* t = cfg.bravo_table.get();
@@ -47,8 +56,6 @@ class BiasFront {
           "lock's max_threads");
     }
     table_ = cfg.bravo_table.get();
-    rebias_reads_ = static_cast<std::uint64_t>(cfg.bravo_rebias_reads);
-    rebias_cooldown_ = cfg.bravo_rebias_cooldown;
     lock_id_ = table_->register_lock();
     word_.raw_store(kOn);  // read-only cold locks never build a plane
     if (table_->sharded()) {
@@ -102,7 +109,7 @@ class BiasFront {
     return Read::kDone;
   }
 
-  /// Re-bias, after every slow or HTM read: after bravo_rebias_reads
+  /// Re-bias, after every slow or HTM read: after kRebiasReads
   /// consecutive reader-only acquisitions (writers reset the streak) and
   /// once the revocation-EMA cooldown has passed — a sharded table's uses
   /// the reader's own shard's EMA — re-arm the bias. The decision peeks raw
@@ -110,7 +117,7 @@ class BiasFront {
   /// version bump aborts any writer that already subscribed the bias word.
   void after_read(int tid) {
     if (table_ == nullptr) return;
-    if (streak_.fetch_add(1, std::memory_order_relaxed) + 1 < rebias_reads_) {
+    if (streak_.fetch_add(1, std::memory_order_relaxed) + 1 < kRebiasReads) {
       return;
     }
     if (word_.raw_load() != kOff) return;
@@ -119,7 +126,7 @@ class BiasFront {
                                : shard_revoke_[table_->shard_of_tid(tid)];
     const std::uint64_t last = relaxed(r.last);
     const auto cool = static_cast<std::uint64_t>(
-        rebias_cooldown_ * static_cast<double>(relaxed(r.ema)));
+        kRebiasCooldown * static_cast<double>(relaxed(r.ema)));
     if (last != 0 && cool != 0 && platform::now() - last < cool) return;
     if (word_.cas(kOff, kOn)) {
       streak_.store(0, std::memory_order_relaxed);
@@ -202,12 +209,15 @@ class BiasFront {
   /// The drain of a revocation this writer won; publishes kOff.
   bool drain(std::uint64_t deadline) {
     const std::uint64_t t0 = platform::now();
-    // Each shard's drain cycles land in its scratch word, striding over
-    // the interleaved {ema, last} telemetry.
-    std::uint64_t* cycles =
-        shard_revoke_ != nullptr ? &shard_revoke_[0].scratch : nullptr;
-    constexpr std::size_t kStride = sizeof(ShardRevoke) / sizeof(std::uint64_t);
-    if (!table_->wait_for_readers_of(lock_id_, deadline, cycles, kStride)) {
+    // Each shard's drain cycles, kept private to this revoker: once kOff
+    // is published, a re-bias and the next revoker's drain may run while
+    // this one still records them.
+    std::vector<std::uint64_t> cycles;
+    if (shard_revoke_ != nullptr) {
+      cycles.resize(static_cast<std::size_t>(table_->shard_count()));
+    }
+    std::uint64_t* shard_cycles = cycles.empty() ? nullptr : cycles.data();
+    if (!table_->wait_for_readers_of(lock_id_, deadline, shard_cycles)) {
       word_.store(kOn);  // re-arm: drain incomplete
       trace::emit(trace::Event::kBiasRevokeAbandoned);
       return false;
@@ -220,19 +230,16 @@ class BiasFront {
     revoke_.record(dur, platform::now());
     // Per shard: a clean remote shard samples ~one line read, a saturated
     // one its full spin.
-    for (int s = 0; cycles != nullptr && s < table_->shard_count(); ++s) {
-      shard_revoke_[s].record(shard_revoke_[s].scratch, platform::now());
+    for (std::size_t s = 0; s < cycles.size(); ++s) {
+      shard_revoke_[s].record(cycles[s], platform::now());
     }
     return true;
   }
 
-  // Revocation telemetry, whole-lock and per table shard. scratch is the
-  // revoker's drain scratch, exclusive because kOn → kRevoking admits one
-  // drainer per lock at a time.
+  // Revocation telemetry, whole-lock and per table shard.
   struct ShardRevoke {
     std::atomic<std::uint64_t> ema{0};   // revocation-latency EMA
     std::atomic<std::uint64_t> last{0};  // end of the last revocation
-    std::uint64_t scratch = 0;           // drain cycles, this revocation
     void record(std::uint64_t cycles, std::uint64_t end) {
       const std::uint64_t p = relaxed(ema);
       ema.store(p == 0 ? cycles : p - p / 8 + cycles / 8,
@@ -243,8 +250,6 @@ class BiasFront {
   static std::uint64_t relaxed(const std::atomic<std::uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
   }
-  static_assert(sizeof(ShardRevoke) == 3 * sizeof(std::uint64_t),
-                "drain strides over ShardRevoke as raw uint64 words");
 
   // The engine-visible words come first: the lock declares the front right
   // after its SGL, so all three share the shell's line 0.
@@ -252,8 +257,6 @@ class BiasFront {
   htm::Shared<std::uint64_t> plane_published_;  ///< 1 once a plane exists
   bravo::ReaderTable* table_ = nullptr;         ///< null: the front is inert
   std::uint32_t lock_id_ = 0;
-  std::uint64_t rebias_reads_ = 0;
-  double rebias_cooldown_ = 0.0;
   std::atomic<std::uint64_t> streak_{0};
   ShardRevoke revoke_;
   std::unique_ptr<ShardRevoke[]> shard_revoke_;  ///< sharded tables only

@@ -274,20 +274,18 @@ class ReaderTable {
   /// Returns false once the absolute virtual `deadline` (~0 = none)
   /// passes; the caller must then re-arm the bias, not assume "no
   /// readers". `shard_cycles`, when non-null, receives the cycles spent in
-  /// shard `sh` at shard_cycles[sh * shard_cycles_stride] (uint64 units),
-  /// for the lock's per-shard re-bias throttle.
+  /// shard `sh` at shard_cycles[sh], for the lock's per-shard re-bias
+  /// throttle.
   virtual bool wait_for_readers_of(std::uint32_t lock_id,
                                    std::uint64_t deadline = ~std::uint64_t{0},
-                                   std::uint64_t* shard_cycles = nullptr,
-                                   std::size_t shard_cycles_stride = 1) {
+                                   std::uint64_t* shard_cycles = nullptr) {
     const std::uint64_t tag = tag_of(lock_id);
     if (!cfg_.shard_by_socket) {
       return drain_range(0, slots_.size(), tag, deadline);
     }
     for (int sh = 0; sh < shards_; ++sh) {
-      std::uint64_t* cyc = shard_cycles == nullptr
-                               ? nullptr
-                               : shard_cycles + sh * shard_cycles_stride;
+      std::uint64_t* cyc =
+          shard_cycles == nullptr ? nullptr : shard_cycles + sh;
       if (!drain_shard(sh, tag, deadline, cyc)) return false;
     }
     return true;

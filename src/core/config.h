@@ -1,6 +1,7 @@
 // SpRWLock configuration with the paper's defaults. A Config the lock cannot
 // honour is rejected at construction (std::invalid_argument), never
-// silently rewritten.
+// silently rewritten. Values no workload varies are constants of the class
+// that reads them (SpRWLock, BiasFront, AdaptiveTracker).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,6 @@ struct Config {
   bool writer_sync = true;
   bool reader_htm_first = true;
   Tracking tracking = Tracking::kFlags;
-  std::uint64_t adaptive_threshold_cycles = 20'000;
   bool versioned_sgl = false;
   /// Commit-time scan granularity of flat flags: one OR-summary read per
   /// line of 8 flags, ceil(T/8) line reads instead of T word reads.
@@ -45,8 +45,6 @@ struct Config {
   bool batched_reader_scan = true;
   /// δ as a fraction of the writer's expected duration (paper default 1/2).
   double delta_fraction = 0.5;
-  /// Weight of the newest sample in every duration estimate (§3.2.1).
-  double ema_alpha = 0.125;
   /// SNZI tree depth; 0 = auto-size so there are roughly max_threads/2
   /// leaves (bounded contention per leaf, logarithmic update cost).
   int snzi_levels = 0;
@@ -68,13 +66,6 @@ struct Config {
   /// The shared visible-readers table. One table serves every lock of the
   /// workload; locks register for a dense id at construction.
   std::shared_ptr<bravo::ReaderTable> bravo_table;
-  /// Consecutive reader-only acquisitions (streak, reset by any writer)
-  /// before a reader tries to re-arm a revoked bias.
-  int bravo_rebias_reads = 16;
-  /// Revocation-cost-proportional inhibition (the BRAVO paper's rule): a
-  /// re-bias is additionally suppressed until the bias has been off for
-  /// this multiple of the sampled revocation latency.
-  double bravo_rebias_cooldown = 8.0;
 
   // --- MVCC snapshot readers (DESIGN.md §14) ------------------------------
   /// read_snapshot() pins the engine's version clock and registers nothing
@@ -82,26 +73,6 @@ struct Config {
   /// EngineConfig::retain_versions > 0; otherwise, or with this off,
   /// read_snapshot() is a plain read().
   bool snapshot_readers = false;
-
-  // --- graceful degradation under adverse schedules (DESIGN.md §8) --------
-  /// Exponential backoff between retries after conflict/spurious aborts
-  /// (abort storms): first delay, doubling up to a fixed cap. Reader aborts
-  /// use writer_wait (Alg. 3) instead; lock-busy aborts wait for the SGL.
-  /// 0 disables backoff.
-  std::uint64_t backoff_base_cycles = 120;
-  /// Total virtual time a writer may spend retrying HTM (attempts, waits
-  /// and backoffs) before escalating to the SGL. 0 = unbounded. Far above
-  /// any healthy retry sequence; bounds pathological abort storms.
-  std::uint64_t writer_retry_budget_cycles = 8'000'000;
-  /// Stalled-reader watchdog: a writer continuously aborted by readers for
-  /// longer than max(slack, multiplier * sampled reader EMA) stops burning
-  /// transactions and escalates to the (versioned) SGL — the reader is
-  /// presumed descheduled with its flag raised. multiplier <= 0 disables.
-  double reader_stall_multiplier = 16.0;
-  /// Lemming-effect avoidance: aborts caused purely by the busy fallback
-  /// lock do not consume retry attempts, so one writer on the SGL cannot
-  /// cascade the whole writer population onto it.
-  bool lemming_avoidance = true;
 
   static Config variant(SchedulingVariant v, int max_threads) {
     Config c;

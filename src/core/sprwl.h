@@ -10,7 +10,8 @@
 // the paper; emulated faithfully by htm::Engine, see DESIGN.md).
 //
 // On top of the base algorithm this implementation provides everything the
-// paper describes, each independently switchable through Config:
+// paper describes; the Config field that switches a feature, if any, is
+// named in parentheses:
 //
 //  * reader synchronization (Alg. 2): readers wait for the active writer
 //    expected to finish last, and join already-waiting readers so their
@@ -19,7 +20,8 @@
 //    its retry so its commit lands δ cycles after the last active reader
 //    ends (Config::writer_sync, delta_fraction);
 //  * reader-HTM-first (§3.4): readers optimistically try one-shot HTM and
-//    fall back to the uninstrumented path on capacity/exhaustion;
+//    fall back to the uninstrumented path on capacity/exhaustion
+//    (Config::reader_htm_first);
 //  * a choice of reader tracker (Config::tracking, core/tracker.h): the
 //    flags, SNZI (§3.4: writers check one root word instead of scanning
 //    the O(threads) state array), or an adaptive switch between the two;
@@ -32,13 +34,17 @@
 //    drain on revocation. With the lazy plane below, a cold lock costs
 //    O(1) words (workloads/lock_table.h depends on it).
 //
+// The degradation rules of DESIGN.md §8 (backoff, retry budget,
+// stalled-reader watchdog, lemming avoidance) are always on, tuned by the
+// constants at the top of the class.
+//
 // Per-lock tracking state (state array, reader tracker, scheduling clocks,
 // EMAs, stats) lives in a lazily allocated Plane, never built for locks
 // that only see bias-path or HTM-path readers. Building it charges no
 // virtual time, so runs are bit-identical with eager allocation. The plane
 // holds one line per thread (the words other threads poll), eight estimate
 // slots per kind, and one lock-wide block of relaxed statistics counters:
-// 2,832 bytes with the shell for a 28-thread variant(kFull) lock.
+// 2,704 bytes with the shell for a 28-thread variant(kFull) lock.
 //
 // Duration estimates use a per-critical-section-id exponential moving
 // average sampled on a single thread (§3.2.1); critical sections are
@@ -79,6 +85,21 @@ class alignas(kCacheLineSize) SpRWLock {
   /// Explicit-abort codes (Intel _xabort-style).
   static constexpr std::uint8_t kCodeLockBusy = 0x01;
   static constexpr std::uint8_t kCodeReader = 0x02;
+
+  // Graceful degradation under adverse schedules (DESIGN.md §8).
+  /// First delay of a writer's backoff after a conflict or spurious abort;
+  /// it doubles up to kBackoffMaxCycles.
+  static constexpr std::uint64_t kBackoffBaseCycles = 120;
+  static constexpr std::uint64_t kBackoffMaxCycles = 8'192;
+  /// Virtual time a writer may spend retrying HTM before escalating to the
+  /// SGL: far above any healthy retry sequence, it bounds abort storms.
+  static constexpr std::uint64_t kWriterRetryBudgetCycles = 8'000'000;
+  /// Stalled-reader watchdog: reader aborts for longer than
+  /// max(slack, multiplier x the sampled reader EMA) escalate to the SGL.
+  static constexpr double kReaderStallMultiplier = 16.0;
+  static constexpr std::uint64_t kReaderStallSlackCycles = 64'000;
+  /// Weight of the newest sample in every duration estimate (§3.2.1).
+  static constexpr double kEmaAlpha = 0.125;
 
   /// `make_tracker` replaces the tracker Config::tracking names (the
   /// checker builds its mutants this way); null keeps the named one.
@@ -300,7 +321,7 @@ class alignas(kCacheLineSize) SpRWLock {
     }
     if (tid == kSamplerTid) {
       DurationEma& ema = p.read_ema_[ema_slot(cs_id)];
-      ema.record(platform::now() - cs_start, cfg_.ema_alpha);
+      ema.record(platform::now() - cs_start, kEmaAlpha);
       read_estimate_hint_.store(ema.estimate(), std::memory_order_relaxed);
       tracker.adapt(read_estimate(p, cs_id));
     }
@@ -400,7 +421,7 @@ class alignas(kCacheLineSize) SpRWLock {
         if (tid == kSamplerTid) {
           if (Plane* p = plane_peek()) {
             p->write_ema_[ema_slot(cs_id)].record(
-                platform::now() - attempt_start, cfg_.ema_alpha);
+                platform::now() - attempt_start, kEmaAlpha);
           }
         }
         trace::emit(trace::Event::kWriteHtmCommit,
@@ -415,7 +436,6 @@ class alignas(kCacheLineSize) SpRWLock {
       const locks::AbortClass why = classify(status);
       Counters& counters = plane().counters_;
       counters.add_abort(why);
-      const bool lock_busy = why == locks::AbortClass::kLockBusy;
       const bool reader_abort = why == locks::AbortClass::kReader;
       if (reader_abort) {
         counters.add(Counters::kReaderAborts);
@@ -426,11 +446,11 @@ class alignas(kCacheLineSize) SpRWLock {
         if (!escalate(locks::Escalation::kCapacity)) return timed_out();
         break;
       }
-      if (lock_busy && cfg_.lemming_avoidance) {
-        // The abort says nothing about *this* section — the fallback lock
-        // was simply held. Forgive the attempt (and restart the budget
-        // clock: waiting for the SGL is not retrying) so one SGL writer
-        // does not drag the whole population onto the global lock.
+      if (why == locks::AbortClass::kLockBusy) {
+        // Lemming avoidance: the abort says nothing about *this* section.
+        // Forgive the attempt (and restart the budget clock: waiting for
+        // the SGL is not retrying) so one SGL writer does not drag the
+        // whole population onto the global lock.
         --attempts;
         retrying = false;
         stalled = false;
@@ -443,8 +463,7 @@ class alignas(kCacheLineSize) SpRWLock {
         break;
       }
       const std::uint64_t now = platform::now();
-      if (cfg_.writer_retry_budget_cycles != 0 &&
-          now - retry_start > cfg_.writer_retry_budget_cycles) {
+      if (now - retry_start > kWriterRetryBudgetCycles) {
         if (!escalate(locks::Escalation::kBudgetExhausted)) return timed_out();
         break;
       }
@@ -453,8 +472,7 @@ class alignas(kCacheLineSize) SpRWLock {
           stalled = true;
           stall_since = attempt_start;
         }
-        const std::uint64_t threshold = stall_threshold();
-        if (threshold != 0 && now - stall_since > threshold) {
+        if (now - stall_since > stall_threshold()) {
           // The reader blocking us has been active far longer than readers
           // ever run: presume it descheduled with its flag raised and stop
           // burning transactions against it.
@@ -469,17 +487,13 @@ class alignas(kCacheLineSize) SpRWLock {
         stalled = false;
         // Conflict or interrupt: back off exponentially so an abort storm
         // degrades throughput instead of melting it.
-        if (cfg_.backoff_base_cycles != 0) {
-          backoff = backoff == 0
-                        ? cfg_.backoff_base_cycles
-                        : std::min<std::uint64_t>(backoff * 2,
-                                                  kBackoffMaxCycles);
-          trace::emit(trace::Event::kWriterBackoff,
-                      static_cast<std::uint32_t>(backoff));
-          const std::uint64_t target =
-              locks::cap_wait(now + backoff, deadline);
-          if (target > platform::now()) platform::wait_until(target);
-        }
+        backoff = backoff == 0
+                      ? kBackoffBaseCycles
+                      : std::min<std::uint64_t>(backoff * 2, kBackoffMaxCycles);
+        trace::emit(trace::Event::kWriterBackoff,
+                    static_cast<std::uint32_t>(backoff));
+        const std::uint64_t target = locks::cap_wait(now + backoff, deadline);
+        if (target > platform::now()) platform::wait_until(target);
       }
     }
     fault::checkpoint(fault::InjectPoint::kWriteExit, this);
@@ -522,8 +536,8 @@ class alignas(kCacheLineSize) SpRWLock {
   std::uint64_t rebias_count() const { return bias_.rebiases(); }
   /// Per-shard revocation-latency EMA (socket-sharded bravo tables only;
   /// 0 = no sample yet, or the table is not sharded). The re-bias cooldown
-  /// a reader on `shard`'s socket observes is bravo_rebias_cooldown times
-  /// this.
+  /// a reader on `shard`'s socket observes is BiasFront::kRebiasCooldown
+  /// times this.
   std::uint64_t shard_revoke_ema(int shard) const {
     return bias_.shard_revoke_ema(shard);
   }
@@ -574,10 +588,6 @@ class alignas(kCacheLineSize) SpRWLock {
   static constexpr std::uint64_t kBootstrapEstimate = 500;
   /// HTM attempts for the optimistic reader path (§3.4).
   static constexpr int kReaderHtmRetries = 10;
-  /// Cap of the writers' exponential retry backoff.
-  static constexpr std::uint64_t kBackoffMaxCycles = 8'192;
-  /// Floor of the stalled-reader watchdog's threshold.
-  static constexpr std::uint64_t kReaderStallSlackCycles = 64'000;
 
   /// One line per thread, written only by that thread and polled by the
   /// others: the scheduling clocks and waits of Algs. 2/3 and §3.3.
@@ -747,11 +757,10 @@ class alignas(kCacheLineSize) SpRWLock {
 
   /// How long a writer tolerates consecutive reader aborts before presuming
   /// the blocking reader stalled (descheduled while registered): a healthy
-  /// reader finishes within a few EMAs. 0 disables the watchdog.
+  /// reader finishes within a few EMAs.
   std::uint64_t stall_threshold() const {
-    if (cfg_.reader_stall_multiplier <= 0.0) return 0;
     const auto scaled = static_cast<std::uint64_t>(
-        cfg_.reader_stall_multiplier *
+        kReaderStallMultiplier *
         static_cast<double>(read_estimate_hint_.load(std::memory_order_relaxed)));
     return std::max(kReaderStallSlackCycles, scaled);
   }
@@ -910,7 +919,7 @@ class alignas(kCacheLineSize) SpRWLock {
     if (tid == kSamplerTid) {
       if (Plane* p = plane_peek()) {
         p->write_ema_[ema_slot(cs_id)].record(platform::now() - start,
-                                              cfg_.ema_alpha);
+                                              kEmaAlpha);
       }
     }
     return true;

@@ -275,16 +275,16 @@ class SnziTracker : public ReaderTracker {
 };
 
 /// Flags while readers are short, SNZI once the sampled duration reaches
-/// Config::adaptive_threshold_cycles. A flip is two-phase: the transition
-/// word stays set, and writers check both structures, until the sampler
-/// sees the old structure drained.
+/// kThresholdCycles. A flip is two-phase: the transition word stays set,
+/// and writers check both structures, until the sampler sees the old
+/// structure drained.
 class AdaptiveTracker : public ReaderTracker {
  public:
+  /// Sampled reader duration at and above which readers go to SNZI.
+  static constexpr std::uint64_t kThresholdCycles = 20'000;
+
   AdaptiveTracker(const Config& cfg, StateArray& state)
-      : ReaderTracker(state),
-        flags_(cfg, state),
-        snzi_(cfg, state),
-        threshold_(cfg.adaptive_threshold_cycles) {}
+      : ReaderTracker(state), flags_(cfg, state), snzi_(cfg, state) {}
 
   /// The mode is re-read after registering, so a reader racing a flip
   /// never sits, active, in a structure the sampler declared drained.
@@ -327,7 +327,7 @@ class AdaptiveTracker : public ReaderTracker {
       }
       return;
     }
-    const std::uint64_t desired = estimate >= threshold_ ? kSnzi : kFlags;
+    const std::uint64_t desired = estimate >= kThresholdCycles ? kSnzi : kFlags;
     if (desired != words_.mode.load()) {
       words_.transition.store(1);  // ordered before the flip
       words_.mode.store(desired);
@@ -361,7 +361,6 @@ class AdaptiveTracker : public ReaderTracker {
   ModeWords words_;
   FlagsTracker flags_;
   SnziTracker snzi_;
-  std::uint64_t threshold_;
 };
 
 /// Builds a lock's tracker inside its tracking plane.

@@ -20,7 +20,7 @@
 //  * OPTIMISTIC READ — any thread, any node: read version, copy the
 //    payload (each line priced as a one-sided remote read when it crosses
 //    nodes, CostModel::remote_node), re-read version; mismatch or an odd
-//    version rejects the copy and retries. After `read_retries` failures
+//    version rejects the copy and retries. After Shard::kReadRetries failures
 //    the reader escalates to the lease: its node acquires ownership and
 //    reads under the local SpRWL.
 //  * DEGRADED — when the lease service is unreachable
@@ -76,13 +76,6 @@ struct ShardConfig {
   /// Template for the per-node local SpRWLs (max_threads and max_retries
   /// are overridden; see kCodePlainOnly).
   core::Config local;
-  /// Optimistic read attempts before escalating to the lease.
-  int read_retries = 4;
-  /// Escalated (lease-held) read rounds before read() reports failure.
-  int escalation_rounds = 64;
-  /// Write attempts (each a lease ensure + local section) before write()
-  /// reports failure. 0 = unbounded.
-  int write_budget = 16;
   /// Checker/oracle self-validation ONLY: the optimistic read skips the
   /// version re-validation — a stale-lease/torn read the checker and the
   /// torn-read oracle must catch. Never set in production.
@@ -103,6 +96,14 @@ struct ShardStats {
 
 class Shard {
  public:
+  /// Optimistic read attempts before escalating to the lease.
+  static constexpr int kReadRetries = 4;
+  /// Escalated (lease-held) read rounds before read() reports failure.
+  static constexpr int kEscalationRounds = 64;
+  /// Write attempts (each a lease ensure + local section) before write()
+  /// reports failure.
+  static constexpr int kWriteBudget = 16;
+
   explicit Shard(const ShardConfig& cfg)
       : cfg_(cfg),
         lease_(cfg.lease),
@@ -134,8 +135,7 @@ class Shard {
   template <class F>
   bool write(int tid, F&& f) {
     const int node = cfg_.topology.node_of(tid);
-    for (int attempt = 0;
-         cfg_.write_budget == 0 || attempt < cfg_.write_budget; ++attempt) {
+    for (int attempt = 0; attempt < kWriteBudget; ++attempt) {
       if (!service_reachable_.raw_load()) {
         return write_degraded(tid, std::forward<F>(f));
       }
@@ -160,7 +160,7 @@ class Shard {
   /// rejections. Returns false only when both paths exhausted their
   /// budgets (a shard under permanent write pressure from a dead service).
   bool read(int tid, std::uint64_t* out) {
-    for (int a = 0; a < cfg_.read_retries; ++a) {
+    for (int a = 0; a < kReadRetries; ++a) {
       if (read_attempt(out, 0)) {
         stats_.reads.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -170,7 +170,7 @@ class Shard {
     }
     stats_.read_escalations.fetch_add(1, std::memory_order_relaxed);
     const int node = cfg_.topology.node_of(tid);
-    for (int round = 0; round < cfg_.escalation_rounds; ++round) {
+    for (int round = 0; round < kEscalationRounds; ++round) {
       if (!service_reachable_.raw_load()) {
         // No lease authority: keep validating optimistically against the
         // degraded writers (they preserve the version protocol).

@@ -33,6 +33,13 @@
 
 namespace sprwl::fault {
 
+/// Virtual cycles of the chaos workloads (this harness and the distributed
+/// one below): work inside a read section, inside an update, and the
+/// maximum private work between sections.
+inline constexpr std::uint64_t kChaosReaderWork = 800;
+inline constexpr std::uint64_t kChaosWriterWork = 300;
+inline constexpr std::uint64_t kChaosBetweenOps = 400;
+
 struct ChaosConfig {
   int threads = 8;
   /// The last `writers` thread ids update; the rest read. Keeping tid 0 a
@@ -41,9 +48,6 @@ struct ChaosConfig {
   int writers = 2;
   int ops_per_thread = 150;
   std::uint64_t seed = 1;
-  std::uint64_t reader_work = 800;   ///< cycles of work inside a read section
-  std::uint64_t writer_work = 300;   ///< cycles of work inside an update
-  std::uint64_t between_ops = 400;   ///< max private work between sections
   /// Progress watchdog: the whole scenario must finish within this much
   /// virtual time or the run is reported as not completed.
   std::uint64_t max_virtual_time = 4ULL * 1000 * 1000 * 1000;
@@ -103,7 +107,7 @@ ChaosResult run_chaos(Lock& lock, htm::Engine& engine, const ChaosConfig& cfg,
           lock.write(1, [&] {
             checkpoint(InjectPoint::kWriteBody);
             const std::uint64_t v = cells[0].v.load() + 1;
-            platform::advance(cfg.writer_work);
+            platform::advance(kChaosWriterWork);
             for (std::size_t c = 0; c < kCells; ++c) cells[c].v.store(v);
           });
           ++commits[me];  // outside the body: counted once per commit
@@ -115,7 +119,7 @@ ChaosResult run_chaos(Lock& lock, htm::Engine& engine, const ChaosConfig& cfg,
             torn_here = 0;
             checkpoint(InjectPoint::kReadBody);
             const std::uint64_t a = cells[0].v.load();
-            platform::advance(cfg.reader_work);
+            platform::advance(kChaosReaderWork);
             for (std::size_t c = 1; c < kCells; ++c) {
               if (cells[c].v.load() != a) ++torn_here;
             }
@@ -123,7 +127,7 @@ ChaosResult run_chaos(Lock& lock, htm::Engine& engine, const ChaosConfig& cfg,
           torn[me] += torn_here;
         }
         ++ops[me];
-        platform::advance(1 + rng.next_below(cfg.between_ops));
+        platform::advance(1 + rng.next_below(kChaosBetweenOps));
       }
     });
     res.completed = true;
@@ -173,8 +177,6 @@ struct DistChaosConfig {
   int writers = 2;  ///< spread evenly over the thread ids (and so the nodes)
   int ops_per_thread = 120;
   std::uint64_t seed = 1;
-  std::uint64_t writer_work = 300;
-  std::uint64_t between_ops = 400;
   std::uint64_t max_virtual_time = 4ULL * 1000 * 1000 * 1000;
 };
 
@@ -244,7 +246,7 @@ inline DistChaosResult run_dist_chaos(dist::Shard& shard, htm::Engine& engine,
           if (is_writer) {
             const bool ok = shard.write(tid, [&](std::uint64_t* vals,
                                                  std::size_t nc) {
-              platform::advance(cfg.writer_work);
+              platform::advance(kChaosWriterWork);
               const std::uint64_t v = vals[0] + 1;
               for (std::size_t c = 0; c < nc; ++c) vals[c] = v;
             });
@@ -268,7 +270,7 @@ inline DistChaosResult run_dist_chaos(dist::Shard& shard, htm::Engine& engine,
               ++rfail[me];
             }
           }
-          platform::advance(1 + rng.next_below(cfg.between_ops));
+          platform::advance(1 + rng.next_below(kChaosBetweenOps));
         }
       } catch (const NodeCrashed&) {
         died[me] = 1;  // crash-stop: the fiber ends here, state untouched
@@ -321,11 +323,14 @@ inline DistChaosResult run_dist_chaos(dist::Shard& shard, htm::Engine& engine,
 // accepted torn copies — the oracle validating itself.
 // ---------------------------------------------------------------------------
 
+/// Virtual cycles between the two halves of a stalled copy, and the
+/// maximum pacing between the oracle's publishes and attempts.
+inline constexpr std::uint64_t kOracleMidCopyStall = 6'000;
+inline constexpr std::uint64_t kOracleWriterGap = 300;
+
 struct TornOracleConfig {
   std::uint64_t seed = 1;
-  int attempts = 400;                ///< split read attempts to issue
-  std::uint64_t mid_copy_stall = 6'000;  ///< cycles between the copy halves
-  std::uint64_t writer_gap = 300;    ///< writer pacing between publishes
+  int attempts = 400;  ///< split read attempts to issue
   std::uint64_t max_virtual_time = 4ULL * 1000 * 1000 * 1000;
 };
 
@@ -369,7 +374,7 @@ inline TornOracleResult run_torn_oracle(dist::Shard& shard,
             const std::uint64_t v = vals[0] + 1;
             for (std::size_t c = 0; c < nc; ++c) vals[c] = v;
           });
-          platform::advance(1 + rng.next_below(cfg.writer_gap));
+          platform::advance(1 + rng.next_below(kOracleWriterGap));
         }
         return;
       }
@@ -379,7 +384,7 @@ inline TornOracleResult run_torn_oracle(dist::Shard& shard,
       std::vector<std::uint64_t> buf(cells, 0);
       std::uint64_t last = 0;
       for (int a = 0; a < cfg.attempts; ++a) {
-        const std::uint64_t stall = a % 4 == 3 ? 0 : cfg.mid_copy_stall;
+        const std::uint64_t stall = a % 4 == 3 ? 0 : kOracleMidCopyStall;
         const bool ok = shard.read_once_split(buf.data(), stall);
         ++res.attempts;
         bool is_torn = false;
@@ -393,7 +398,7 @@ inline TornOracleResult run_torn_oracle(dist::Shard& shard,
           if (buf[0] < last) ++res.stale_accepted;
           if (buf[0] > last) last = buf[0];
         }
-        platform::advance(1 + rng.next_below(cfg.writer_gap));
+        platform::advance(1 + rng.next_below(kOracleWriterGap));
       }
       reader_done = true;
     });

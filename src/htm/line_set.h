@@ -3,8 +3,9 @@
 //
 // A transaction descriptor is reused across millions of attempts, so the
 // set must clear in O(1): each slot carries the epoch in which it was
-// written and lookups ignore slots from older epochs. Growth doubles the
-// table; keys are never removed within an epoch.
+// written and lookups ignore slots from older epochs. A map starts at 16
+// slots and growth doubles the table, so an idle descriptor commits almost
+// nothing; keys are never removed within an epoch.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +28,7 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
 template <class Key>
 class EpochMap {
  public:
-  explicit EpochMap(std::size_t initial_capacity = 256) {
-    std::size_t cap = 16;
-    while (cap < initial_capacity) cap <<= 1;
-    slots_.resize(cap);
-  }
+  EpochMap() : slots_(16) {}
 
   void clear() noexcept {
     ++epoch_;

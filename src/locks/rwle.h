@@ -43,13 +43,15 @@ class RWLELock {
  public:
   struct Config {
     int max_threads = 64;
-    int htm_retries = 10;
-    /// The RW-LE authors' budget for ROT attempts (the paper uses 5).
-    int rot_retries = 5;
-    /// Failed instant-window probes before the writer forcibly drains
-    /// readers (bounds quiescence livelock; see header comment).
-    int window_probes = 3;
   };
+
+  /// HTM attempts before the ROT path.
+  static constexpr int kHtmRetries = 10;
+  /// The RW-LE authors' budget for ROT attempts (the paper uses 5).
+  static constexpr int kRotRetries = 5;
+  /// Failed instant-window probes before the writer forcibly drains
+  /// readers (bounds quiescence livelock; see header comment).
+  static constexpr int kWindowProbes = 3;
 
   static constexpr std::uint8_t kCodeLockBusy = 0x01;
   static constexpr std::uint8_t kCodeReader = 0x02;
@@ -167,7 +169,7 @@ class RWLELock {
         modes_.record_escalation(Escalation::kCapacity);
         break;
       }
-      if (attempts >= cfg_.htm_retries) {
+      if (attempts >= kHtmRetries) {
         modes_.record_escalation(Escalation::kRetryExhausted);
         break;
       }
@@ -197,7 +199,7 @@ class RWLELock {
       }
       modes_.record_abort(status, kCodeLockBusy, kCodeReader);
       commit_window_.store(false, std::memory_order_release);
-      if (rot_attempts >= cfg_.rot_retries) {
+      if (rot_attempts >= kRotRetries) {
         modes_.record_escalation(Escalation::kRetryExhausted);
         break;
       }
@@ -269,7 +271,7 @@ class RWLELock {
         any_active = (flags_[static_cast<std::size_t>(t)].load() & 1) != 0;
       }
       if (!any_active) return;
-      if (probe >= cfg_.window_probes) {
+      if (probe >= kWindowProbes) {
         // Bounded fallback: hold the window and drain.
         if (!drain_readers_until(self, deadline)) timed_out();
         return;

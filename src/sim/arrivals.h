@@ -42,13 +42,22 @@ namespace sprwl::sim {
 enum class ArrivalProcess : std::uint8_t {
   kPoisson,  ///< memoryless arrivals at a constant mean rate
   kBursty,   ///< on/off modulated Poisson: rate alternates between
-             ///< burst_multiplier * rate (on) and a compensating low rate
+             ///< kBurstMultiplier * rate (on) and a compensating low rate
              ///< (off) so the long-run mean stays `rate`
   kDiurnal,  ///< sinusoidally modulated Poisson: rate(t) = rate * (1 +
              ///< diurnal_amplitude * sin(2π t / diurnal_period)) — the
              ///< smooth day/night swing of production traffic, with the
              ///< long-run mean staying `rate` over whole periods
 };
+
+/// Bursty process shape: kBurstOnCycles at kBurstMultiplier * rate, then
+/// kBurstOffCycles at the rate that restores the long-run mean (clamped at
+/// zero when the on-phase alone exceeds the mean budget).
+inline constexpr std::uint64_t kBurstOnCycles = 400'000;
+inline constexpr std::uint64_t kBurstOffCycles = 400'000;
+inline constexpr double kBurstMultiplier = 4.0;
+static_assert(kBurstOnCycles != 0 && kBurstOffCycles != 0,
+              "bursty phases must be nonzero");
 
 struct Request {
   std::uint64_t arrival = 0;  ///< virtual-time cycles
@@ -63,12 +72,6 @@ struct ArrivalConfig {
   std::size_t count = 1000;     ///< requests to generate
   double writer_fraction = 0.1;
   std::uint64_t seed = 1;
-  /// Bursty process shape: `burst_on` cycles at burst_multiplier * rate,
-  /// then `burst_off` cycles at the rate that restores the long-run mean
-  /// (clamped at zero when the on-phase alone exceeds the mean budget).
-  std::uint64_t burst_on = 400'000;
-  std::uint64_t burst_off = 400'000;
-  double burst_multiplier = 4.0;
   /// Diurnal process shape: one full sinusoidal swing per period, peak at
   /// rate * (1 + amplitude), trough at rate * (1 - amplitude). Amplitude
   /// must lie in [0, 1] so the instantaneous rate stays nonnegative.
@@ -124,15 +127,11 @@ inline std::vector<Request> generate_arrivals(const ArrivalConfig& cfg) {
   double rate_off = cfg.rate;
   std::uint64_t period = 0;
   if (cfg.process == ArrivalProcess::kBursty) {
-    if (cfg.burst_on == 0 || cfg.burst_off == 0) {
-      throw std::invalid_argument("bursty phases must be nonzero");
-    }
-    period = cfg.burst_on + cfg.burst_off;
-    rate_on = cfg.rate * cfg.burst_multiplier;
-    const double budget =
-        cfg.rate * static_cast<double>(period) -
-        rate_on * static_cast<double>(cfg.burst_on);
-    rate_off = std::max(0.0, budget / static_cast<double>(cfg.burst_off));
+    period = kBurstOnCycles + kBurstOffCycles;
+    rate_on = cfg.rate * kBurstMultiplier;
+    const double budget = cfg.rate * static_cast<double>(period) -
+                          rate_on * static_cast<double>(kBurstOnCycles);
+    rate_off = std::max(0.0, budget / static_cast<double>(kBurstOffCycles));
   }
 
   std::vector<Request> out;
@@ -145,9 +144,9 @@ inline std::vector<Request> generate_arrivals(const ArrivalConfig& cfg) {
       const double into =
           t - std::floor(t / static_cast<double>(period)) *
                   static_cast<double>(period);
-      const bool on = into < static_cast<double>(cfg.burst_on);
+      const bool on = into < static_cast<double>(kBurstOnCycles);
       rate = on ? rate_on : rate_off;
-      phase_end = t - into + (on ? static_cast<double>(cfg.burst_on)
+      phase_end = t - into + (on ? static_cast<double>(kBurstOnCycles)
                                  : static_cast<double>(period));
     }
     if (rate <= 0) {  // silent off-phase: jump to the next boundary

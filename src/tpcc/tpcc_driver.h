@@ -25,14 +25,15 @@ enum CsId : int {
   kCsStockLevel = 5,
 };
 
+/// The paper's mix: Stock-Level 31%, Delivery 4%, Order-Status 4%,
+/// Payment 43%, New-Order the remaining 18%.
+inline constexpr double kPStockLevel = 0.31;
+inline constexpr double kPDelivery = 0.04;
+inline constexpr double kPOrderStatus = 0.04;
+inline constexpr double kPPayment = 0.43;
+
 struct TpccDriverConfig {
   int threads = 4;
-  /// The paper's mix: Stock-Level 31%, Delivery 4%, Order-Status 4%,
-  /// Payment 43%, New-Order 18%.
-  double p_stock_level = 0.31;
-  double p_delivery = 0.04;
-  double p_order_status = 0.04;
-  double p_payment = 0.43;
   std::uint64_t warmup_cycles = 1'000'000;
   std::uint64_t measure_cycles = 10'000'000;
   std::uint64_t seed = 1;
@@ -53,23 +54,22 @@ workloads::RunResult run_tpcc(sim::Simulator& sim, htm::Engine& engine,
                       static_cast<std::uint64_t>(tid))]() mutable
            -> workloads::Section {
       const double u = rng.next_double();
-      if (u < cfg.p_stock_level) {
+      if (u < kPStockLevel) {
         const StockLevelInput in = db.make_stock_level_input(rng, home_w);
         lock.read(kCsStockLevel, [&] { db.stock_level(in); });
         return {kCsStockLevel, false};
       }
-      if (u < cfg.p_stock_level + cfg.p_order_status) {
+      if (u < kPStockLevel + kPOrderStatus) {
         const OrderStatusInput in = db.make_order_status_input(rng, home_w);
         lock.read(kCsOrderStatus, [&] { db.order_status(in); });
         return {kCsOrderStatus, false};
       }
-      if (u < cfg.p_stock_level + cfg.p_order_status + cfg.p_delivery) {
+      if (u < kPStockLevel + kPOrderStatus + kPDelivery) {
         const DeliveryInput in = db.make_delivery_input(rng, home_w);
         lock.write(kCsDelivery, [&] { db.delivery(in); });
         return {kCsDelivery, true};
       }
-      if (u < cfg.p_stock_level + cfg.p_order_status + cfg.p_delivery +
-                  cfg.p_payment) {
+      if (u < kPStockLevel + kPOrderStatus + kPDelivery + kPPayment) {
         const PaymentInput in = db.make_payment_input(rng, home_w);
         lock.write(kCsPayment, [&] { db.payment(in); });
         return {kCsPayment, true};

@@ -5,7 +5,7 @@
 namespace sprwl {
 namespace {
 
-// The weight core::Config::ema_alpha defaults to.
+// The weight SpRWL passes (core::SpRWLock::kEmaAlpha).
 constexpr double kAlpha = 0.125;
 
 TEST(DurationEma, StartsAtZero) {

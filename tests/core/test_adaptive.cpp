@@ -18,7 +18,6 @@ struct alignas(64) Cell {
 Config adaptive_config(int threads) {
   Config cfg = Config::variant(SchedulingVariant::kFull, threads);
   cfg.tracking = Tracking::kAdaptive;
-  cfg.adaptive_threshold_cycles = 20'000;
   cfg.reader_htm_first = false;  // exercise the tracked (uninstrumented) path
   return cfg;
 }
@@ -62,9 +61,7 @@ TEST(AdaptiveTracking, ShortReadersStayOnFlags) {
 TEST(AdaptiveTracking, FlipsBackWhenReadersShorten) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
-  Config cfg = adaptive_config(2);
-  cfg.ema_alpha = 0.5;  // adapt fast for the test
-  SpRWLock lock{cfg};
+  SpRWLock lock{adaptive_config(2)};
   sim::Simulator sim;
   sim.run(1, [&](int) {
     for (int i = 0; i < 10; ++i) {
@@ -87,10 +84,7 @@ TEST(AdaptiveTracking, SafetyAcrossTransitions) {
   // may ever observe a torn pair, transition or not.
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
-  Config cfg = adaptive_config(8);
-  cfg.ema_alpha = 0.5;
-  cfg.adaptive_threshold_cycles = 3'000;
-  SpRWLock lock{cfg};
+  SpRWLock lock{adaptive_config(8)};
   struct alignas(64) Pair {
     htm::Shared<std::uint64_t> a, b;
   };
@@ -115,7 +109,9 @@ TEST(AdaptiveTracking, SafetyAcrossTransitions) {
         } else {
           lock.read(0, [&] {
             const std::uint64_t a = p.a.load();
-            platform::advance(long_phase ? 8'000 : rng.next_below(200));
+            // Long phases run at twice the flip threshold.
+            platform::advance(long_phase ? 2 * AdaptiveTracker::kThresholdCycles
+                                         : rng.next_below(200));
             if (p.b.load() != a) ++torn;
           });
         }
@@ -138,9 +134,9 @@ TEST(AdaptiveTracking, WriterSeesReaderDuringTransition) {
   // structures).
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
-  Config cfg = adaptive_config(3);
-  cfg.ema_alpha = 1.0;  // first long sample flips immediately
-  SpRWLock lock{cfg};
+  // The first sample is adopted as the estimate, so the sampler's first
+  // long read flips the mode.
+  SpRWLock lock{adaptive_config(3)};
   Cell x;
   std::uint64_t seen_mid_read = ~0ULL;
   sim::Simulator sim;

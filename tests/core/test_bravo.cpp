@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/costs.h"
@@ -140,22 +141,23 @@ TEST(Bravo, WriterRevokesAndDrainsFastReader) {
   EXPECT_GT(lock.revocation_cycles(), 0u) << "drain waited on the slot";
 }
 
-// Re-bias: after the configured reader-only streak (and past the
-// revocation-cost cooldown), a reader re-arms the bias and later readers
-// take the fast path again.
+// Re-bias: after a reader-only streak of kRebiasReads (and past the
+// revocation-cost cooldown, short here: the drain found no reader), a
+// reader re-arms the bias and later readers take the fast path again.
 TEST(Bravo, ReaderStreakRebiases) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
-  Config cfg = bravo_config(2);
-  cfg.bravo_rebias_reads = 3;
-  cfg.bravo_rebias_cooldown = 0.0;  // isolate the streak rule
-  SpRWLock lock{cfg};
+  SpRWLock lock{bravo_config(2)};
   Cell x;
   sim::Simulator sim;
   sim.run(1, [&](int) {
     lock.write(1, [&] { x.v.store(1); });  // revokes
     EXPECT_FALSE(lock.bias_is_on());
-    for (int i = 0; i < 8; ++i) lock.read(0, [&] { (void)x.v.load(); });
+    for (std::uint64_t i = 1; i < BiasFront::kRebiasReads; ++i) {
+      lock.read(0, [&] { (void)x.v.load(); });
+    }
+    EXPECT_FALSE(lock.bias_is_on()) << "re-armed before the streak ended";
+    for (int i = 0; i < 4; ++i) lock.read(0, [&] { (void)x.v.load(); });
   });
   EXPECT_TRUE(lock.bias_is_on());
   EXPECT_GE(lock.rebias_count(), 1u);
@@ -163,27 +165,48 @@ TEST(Bravo, ReaderStreakRebiases) {
 }
 
 // The BRAVO cooldown rule: an expensive revocation suppresses re-bias for
-// a multiple of its sampled latency, so write-heavy phases are not made
-// quadratically worse by bias flapping.
+// kRebiasCooldown times its sampled latency, so write-heavy phases are not
+// made quadratically worse by bias flapping. A parked fast-path reader makes
+// the drain expensive; a streak well past kRebiasReads inside the cooldown
+// leaves the bias off, and the first read after the cooldown re-arms it.
 TEST(Bravo, RebiasHonorsRevocationCooldown) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
-  Config cfg = bravo_config(2);
-  cfg.bravo_rebias_reads = 2;
-  cfg.bravo_rebias_cooldown = 1e9;  // effectively forever
-  SpRWLock lock{cfg};
+  SpRWLock lock{bravo_config(2)};
   Cell x;
+  constexpr std::uint64_t kStreak = 40;
+  static_assert(kStreak > BiasFront::kRebiasReads);
+  bool off_in_cooldown = false;
+  std::uint64_t rebiases_in_cooldown = ~0ULL;
   sim::Simulator sim;
-  sim.run(1, [&](int) {
-    // A fast-path read parks a slot so the revocation drain really waits
-    // (nonzero sampled latency — cooldown 0 * anything would pass).
-    lock.read(0, [&] { (void)x.v.load(); });
+  sim.run(2, [&](int tid) {
+    if (tid == 1) {  // parks a fast-path slot; the drain waits it out
+      lock.read(0, [&] { platform::advance(50'000); });
+      return;
+    }
+    platform::advance(1'000);
+    const std::uint64_t write_start = platform::now();
     lock.write(1, [&] { x.v.store(1); });
-    ASSERT_GT(lock.revocation_cycles(), 0u);
-    for (int i = 0; i < 10; ++i) lock.read(0, [&] { (void)x.v.load(); });
+    const std::uint64_t write_end = platform::now();
+    ASSERT_GT(lock.revocation_cycles(), 40'000u) << "drain waited on the slot";
+    // The sampled latency is this one revocation's, so this is the cooldown.
+    const auto cooldown = static_cast<std::uint64_t>(
+        BiasFront::kRebiasCooldown *
+        static_cast<double>(lock.revocation_cycles()));
+    for (std::uint64_t i = 0; i < kStreak; ++i) {
+      lock.read(0, [&] { (void)x.v.load(); });
+    }
+    ASSERT_LT(platform::now() - write_start, cooldown)
+        << "the streak must run inside the cooldown";
+    off_in_cooldown = !lock.bias_is_on();
+    rebiases_in_cooldown = lock.rebias_count();
+    platform::wait_until(write_end + cooldown);
+    lock.read(0, [&] { (void)x.v.load(); });
   });
-  EXPECT_FALSE(lock.bias_is_on()) << "cooldown must suppress re-bias";
-  EXPECT_EQ(lock.rebias_count(), 0u);
+  EXPECT_TRUE(off_in_cooldown) << "cooldown must suppress re-bias";
+  EXPECT_EQ(rebiases_in_cooldown, 0u);
+  EXPECT_TRUE(lock.bias_is_on()) << "a read past the cooldown re-arms it";
+  EXPECT_EQ(lock.rebias_count(), 1u);
 }
 
 // Two LOCKS hashed to the same slot: the second reader's occupy CAS fails
@@ -353,41 +376,47 @@ TEST(Bravo, PlaneIsLazyForPlainConfigsToo) {
 }
 
 // Pins the accounted bytes of the paper's default 28-thread lock once its
-// plane is built. The plane holds its 2 x 256 duration estimates inline as
-// 8-byte words, so moving them back to the heap, or growing any per-lock
-// structure, shows here.
+// plane is built: the four-line shell plus a plane that holds its 2 x 8
+// duration estimates inline, so moving them back to the heap, or growing
+// any per-lock structure, shows here.
 TEST(Bravo, FullVariantPlaneFootprint) {
   SpRWLock lock{Config::variant(SchedulingVariant::kFull, 28)};
   EXPECT_EQ(lock.footprint_bytes(), sizeof(SpRWLock));
   (void)lock.snzi_leaf_count();  // builds the plane; no engine access
   ASSERT_TRUE(lock.has_plane());
-  EXPECT_EQ(lock.footprint_bytes(), 2'832u);
+  EXPECT_EQ(lock.footprint_bytes(), 2'704u);
 }
 
 // Concurrency stress on REAL threads (also the TSan CI leg: -R
 // 'Bravo.*RealThread'): the full bias/revoke/rebias protocol under actual
 // preemption, with the invariant pair checked from both path families.
+// Each writer waits for readers to re-arm the bias before every write, so
+// every write revokes a live bias and the bias flaps hundreds of times;
+// readers read until both writers are done, so a re-bias that never comes
+// hangs the test until its timeout.
 TEST(BravoRealThread, StressNoTornReads) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
-  Config cfg = bravo_config(8);
-  cfg.bravo_rebias_reads = 4;
-  cfg.bravo_rebias_cooldown = 1.0;
-  SpRWLock lock{cfg};
+  SpRWLock lock{bravo_config(8)};
   struct alignas(64) Pair {
     htm::Shared<std::uint64_t> a, b;
   };
   Pair p;
   std::atomic<std::uint64_t> torn{0};
+  std::atomic<int> writers_left{2};
   sim::run_real_threads(8, [&](int tid) {
-    for (int i = 0; i < 200; ++i) {
-      if (tid % 4 == 0) {
+    if (tid % 4 == 0) {
+      for (int i = 0; i < 200; ++i) {
+        while (!lock.bias_is_on()) std::this_thread::yield();
         lock.write(1, [&] {
           const std::uint64_t v = p.a.load() + 1;
           p.a.store(v);
           p.b.store(v);
         });
-      } else {
+      }
+      writers_left.fetch_sub(1);
+    } else {
+      while (writers_left.load() > 0) {
         lock.read(0, [&] {
           if (p.a.load() != p.b.load()) torn.fetch_add(1);
         });
@@ -397,6 +426,9 @@ TEST(BravoRealThread, StressNoTornReads) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(p.a.raw_load(), 400u);  // 2 writers x 200 increments
   EXPECT_EQ(p.a.raw_load(), p.b.raw_load());
+  // Each of one writer's writes after its first waited for a re-bias that
+  // came after its previous write revoked the bias.
+  EXPECT_GE(lock.rebias_count(), 199u);
 }
 
 }  // namespace

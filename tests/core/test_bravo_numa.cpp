@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "common/costs.h"
 #include "common/platform.h"
@@ -276,10 +277,7 @@ TEST(BravoNuma, RebiasCooldownIsPerShard) {
     htm::Engine engine{htm::EngineConfig{}};
     htm::EngineScope scope(engine);
     auto table = make_sharded_table(4, 2);
-    Config cfg = sharded_bravo_config(4, table);
-    cfg.bravo_rebias_reads = 3;
-    cfg.bravo_rebias_cooldown = 100.0;
-    SpRWLock lock{cfg};
+    SpRWLock lock{sharded_bravo_config(4, table)};
     Cell x;
     sim::Simulator sim;
     sim.run(4, [&](int tid) {
@@ -291,7 +289,8 @@ TEST(BravoNuma, RebiasCooldownIsPerShard) {
       }
       if (tid == streak_tid) {
         platform::advance(80'000);  // well past the clean shard's cooldown
-        for (int i = 0; i < 6; ++i) lock.read(0, [&] { (void)x.v.load(); });
+        // A streak past kRebiasReads: only the cooldown can hold it back.
+        for (int i = 0; i < 20; ++i) lock.read(0, [&] { (void)x.v.load(); });
       }
     });
     struct Out {
@@ -315,28 +314,32 @@ TEST(BravoNuma, RebiasCooldownIsPerShard) {
 // Concurrency stress on REAL threads (the TSan CI leg: -R
 // 'BravoNumaRealThread'): the sharded fast path, summary-gated drains and
 // per-shard re-bias under actual preemption across two simulated sockets.
+// As in BravoRealThread.StressNoTornReads, each writer waits for a re-bias
+// before every write and readers read until both writers are done.
 TEST(BravoNumaRealThread, ShardedStressNoTornReads) {
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
   auto table = make_sharded_table(8, 2);
-  Config cfg = sharded_bravo_config(8, table);
-  cfg.bravo_rebias_reads = 4;
-  cfg.bravo_rebias_cooldown = 1.0;
-  SpRWLock lock{cfg};
+  SpRWLock lock{sharded_bravo_config(8, table)};
   struct alignas(64) Pair {
     htm::Shared<std::uint64_t> a, b;
   };
   Pair p;
   std::atomic<std::uint64_t> torn{0};
+  std::atomic<int> writers_left{2};
   sim::run_real_threads(8, [&](int tid) {
-    for (int i = 0; i < 200; ++i) {
-      if (tid % 4 == 0) {
+    if (tid % 4 == 0) {
+      for (int i = 0; i < 200; ++i) {
+        while (!lock.bias_is_on()) std::this_thread::yield();
         lock.write(1, [&] {
           const std::uint64_t v = p.a.load() + 1;
           p.a.store(v);
           p.b.store(v);
         });
-      } else {
+      }
+      writers_left.fetch_sub(1);
+    } else {
+      while (writers_left.load() > 0) {
         lock.read(0, [&] {
           if (p.a.load() != p.b.load()) torn.fetch_add(1);
         });
@@ -347,6 +350,9 @@ TEST(BravoNumaRealThread, ShardedStressNoTornReads) {
   EXPECT_EQ(p.a.raw_load(), 400u);  // 2 writers x 200 increments
   EXPECT_EQ(p.a.raw_load(), p.b.raw_load());
   EXPECT_TRUE(table->all_slots_empty_raw());
+  // Each of one writer's writes after its first waited for a re-bias that
+  // came after its previous write revoked the bias.
+  EXPECT_GE(lock.rebias_count(), 199u);
 }
 
 }  // namespace

@@ -32,7 +32,6 @@ TEST(SglFallback, RetryExhaustionUnderPermanentSpuriousAborts) {
   htm::EngineScope scope(engine);
   Config cfg = Config::variant(SchedulingVariant::kNoSched, 1);
   cfg.max_retries = 4;
-  cfg.writer_retry_budget_cycles = 0;  // isolate the attempt counter
   SpRWLock lock{cfg};
 
   Cell cell;
@@ -90,7 +89,6 @@ TEST(SglFallback, RetryBudgetBoundsAStorm) {
   htm::EngineScope scope(engine);
   Config cfg = Config::variant(SchedulingVariant::kNoSched, 1);
   cfg.max_retries = 1'000'000;
-  cfg.writer_retry_budget_cycles = 3'000;
   SpRWLock lock{cfg};
 
   Cell cell;
@@ -106,9 +104,14 @@ TEST(SglFallback, RetryBudgetBoundsAStorm) {
   EXPECT_EQ(s.writes.gl, kWrites);
   EXPECT_EQ(s.escalations.budget_exhausted, kWrites);
   EXPECT_EQ(s.escalations.retry_exhausted, 0u);
-  // The backoff between attempts is what makes the budget bite quickly:
-  // a handful of attempts per write, not thousands.
-  EXPECT_LT(s.aborts.spurious, kWrites * 50);
+  // The backoff between attempts is what makes the budget bite: once it
+  // reaches its cap, each attempt costs at least kBackoffMaxCycles, so a
+  // write makes at most budget / cap attempts there, plus the seven of the
+  // ramp up from kBackoffBaseCycles and the one that finds the budget
+  // spent — not max_retries.
+  constexpr std::uint64_t kPerWrite =
+      SpRWLock::kWriterRetryBudgetCycles / SpRWLock::kBackoffMaxCycles + 8;
+  EXPECT_LE(s.aborts.spurious, kWrites * kPerWrite);
 }
 
 TEST(SglFallback, LemmingAvoidanceKeepsWritersOffTheSgl) {
@@ -116,68 +119,54 @@ TEST(SglFallback, LemmingAvoidanceKeepsWritersOffTheSgl) {
   // back; three small writers fit HTM easily but keep colliding with the
   // SGL tenure: a small writer that starts its transaction just as the SGL
   // is grabbed aborts with the lock-busy subscription code. Those aborts
-  // say nothing about the small sections, so with avoidance on they must
-  // not burn retry attempts — with max_retries = 1, a single burned attempt
-  // would throw the small writer onto the SGL (the lemming effect).
+  // say nothing about the small sections, so they must not burn retry
+  // attempts — with max_retries = 1, a single burned attempt would throw
+  // the small writer onto the SGL (the lemming effect). Any other abort
+  // escalates before the backoff branch runs.
   static constexpr std::uint64_t kBig = 150, kSmall = 400;
-  const auto run = [](bool avoidance) {
-    htm::EngineConfig ecfg;
-    ecfg.capacity = htm::CapacityProfile{"tiny", 64, 1};
-    htm::Engine engine{ecfg};
-    htm::EngineScope scope(engine);
-    Config cfg = Config::variant(SchedulingVariant::kNoSched, 4);
-    cfg.max_retries = 1;  // tight: any burned attempt escalates immediately
-    cfg.backoff_base_cycles = 0;  // isolate the lemming path
-    cfg.lemming_avoidance = avoidance;
-    SpRWLock lock{cfg};
+  htm::EngineConfig ecfg;
+  ecfg.capacity = htm::CapacityProfile{"tiny", 64, 1};
+  htm::Engine engine{ecfg};
+  htm::EngineScope scope(engine);
+  Config cfg = Config::variant(SchedulingVariant::kNoSched, 4);
+  cfg.max_retries = 1;  // tight: any burned attempt escalates immediately
+  SpRWLock lock{cfg};
 
-    Cell big_a, big_b;
-    std::vector<Cell> small(3);
-    sim::Simulator sim;
-    sim.run(4, [&](int tid) {
-      Rng rng(static_cast<std::uint64_t>(tid) * 31 + 7);
-      if (tid == 0) {
-        for (std::uint64_t i = 0; i < kBig; ++i) {
-          lock.write(1, [&] {  // two lines: always capacity -> always SGL
-            const std::uint64_t v = big_a.v.load() + 1;
-            platform::advance(400);
-            big_a.v.store(v);
-            big_b.v.store(v);
-          });
-          platform::advance(rng.next_below(200));
-        }
-      } else {
-        auto& mine = small[static_cast<std::size_t>(tid - 1)];
-        for (std::uint64_t i = 0; i < kSmall; ++i) {
-          lock.write(2 + tid, [&] {  // one line: fits HTM
-            mine.v.store(mine.v.load() + 1);
-            platform::advance(100);
-          });
-          platform::advance(rng.next_below(150));
-        }
+  Cell big_a, big_b;
+  std::vector<Cell> small(3);
+  sim::Simulator sim;
+  sim.run(4, [&](int tid) {
+    Rng rng(static_cast<std::uint64_t>(tid) * 31 + 7);
+    if (tid == 0) {
+      for (std::uint64_t i = 0; i < kBig; ++i) {
+        lock.write(1, [&] {  // two lines: always capacity -> always SGL
+          const std::uint64_t v = big_a.v.load() + 1;
+          platform::advance(400);
+          big_a.v.store(v);
+          big_b.v.store(v);
+        });
+        platform::advance(rng.next_below(200));
       }
-    });
-    EXPECT_EQ(big_a.v.raw_load(), kBig);
-    for (auto& c : small) EXPECT_EQ(c.v.raw_load(), kSmall);
-    return lock.stats();
-  };
-
-  const locks::LockStats with = run(true);
-  const locks::LockStats without = run(false);
-  // Both runs hit the SGL-busy subscription abort (the contention is real).
-  EXPECT_GT(with.aborts.explicit_lock_busy, 0u);
-  EXPECT_GT(without.aborts.explicit_lock_busy, 0u);
-  // With avoidance, every lock-busy abort is forgiven — and visibly so.
-  EXPECT_EQ(with.escalations.lemming_avoided, with.aborts.explicit_lock_busy);
-  EXPECT_EQ(without.escalations.lemming_avoided, 0u);
-  // The lemming effect itself: without avoidance the lock-busy aborts burn
-  // the single retry attempt and drag writers onto the SGL that, with
-  // avoidance, would have committed in HTM.
-  EXPECT_GT(with.writes.htm, without.writes.htm);
-  EXPECT_LT(with.writes.gl, without.writes.gl);
-  // Totals are conserved either way (no lost sections, just worse modes).
-  EXPECT_EQ(with.writes.total(), kBig + 3 * kSmall);
-  EXPECT_EQ(without.writes.total(), kBig + 3 * kSmall);
+    } else {
+      auto& mine = small[static_cast<std::size_t>(tid - 1)];
+      for (std::uint64_t i = 0; i < kSmall; ++i) {
+        lock.write(2 + tid, [&] {  // one line: fits HTM
+          mine.v.store(mine.v.load() + 1);
+          platform::advance(100);
+        });
+        platform::advance(rng.next_below(150));
+      }
+    }
+  });
+  EXPECT_EQ(big_a.v.raw_load(), kBig);
+  for (auto& c : small) EXPECT_EQ(c.v.raw_load(), kSmall);
+  const locks::LockStats s = lock.stats();
+  // The run hits the SGL-busy subscription abort (the contention is real),
+  // and every lock-busy abort is forgiven — visibly so.
+  EXPECT_GT(s.aborts.explicit_lock_busy, 0u);
+  EXPECT_EQ(s.escalations.lemming_avoided, s.aborts.explicit_lock_busy);
+  // No section is lost.
+  EXPECT_EQ(s.writes.total(), kBig + 3 * kSmall);
 }
 
 TEST(SglFallback, VersionedSglAdmitsHtmFirstReadersDuringAStorm) {

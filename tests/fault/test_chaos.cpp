@@ -71,8 +71,8 @@ TEST(Chaos, SeedChangesTheSchedule) {
 TEST(Chaos, StalledReaderEscalationFiresAndIsCounted) {
   // A reader descheduled right after raising its flag (the kReadEnter
   // dangerous window) blocks every writer. With the retry limit out of the
-  // way, the stalled-reader watchdog is what must rescue the writer —
-  // visibly, in the escalation stats.
+  // way, the stalled-reader watchdog (well inside the retry budget) is what
+  // must rescue the writer — visibly, in the escalation stats.
   ChaosConfig cfg;
   cfg.threads = 3;
   cfg.writers = 1;
@@ -88,7 +88,6 @@ TEST(Chaos, StalledReaderEscalationFiresAndIsCounted) {
   htm::Engine engine;
   core::Config lcfg = sprwl_config(cfg.threads);
   lcfg.max_retries = 1'000'000;  // retry exhaustion must not fire first
-  lcfg.writer_retry_budget_cycles = 0;  // nor the budget
   core::SpRWLock lock{lcfg};
   const ChaosResult r = run_chaos(lock, engine, cfg, plan);
   ASSERT_TRUE(r.invariants_ok());
@@ -98,9 +97,10 @@ TEST(Chaos, StalledReaderEscalationFiresAndIsCounted) {
   EXPECT_GE(r.lock_stats.writes.gl, 1u);  // the escalated write took the SGL
 }
 
-TEST(Chaos, WatchdogDisabledWritersStillFinishViaRetryLimit) {
-  // Same stall, default retry limit, watchdog off: the plain retry budget
-  // must still rescue the writers (escalation accounted differently).
+TEST(Chaos, RetryLimitEscalatesBeforeTheWatchdog) {
+  // Same stall at the default retry limit: the writers' reader aborts use
+  // up their attempts before the watchdog's threshold passes, so retry
+  // exhaustion, not the watchdog, rescues them.
   ChaosConfig cfg;
   cfg.threads = 3;
   cfg.writers = 1;
@@ -114,13 +114,12 @@ TEST(Chaos, WatchdogDisabledWritersStillFinishViaRetryLimit) {
   plan.preempts.push_back(s);
 
   htm::Engine engine;
-  core::Config lcfg = sprwl_config(cfg.threads);
-  lcfg.reader_stall_multiplier = 0.0;  // watchdog off
-  core::SpRWLock lock{lcfg};
+  core::SpRWLock lock{sprwl_config(cfg.threads)};
   const ChaosResult r = run_chaos(lock, engine, cfg, plan);
   ASSERT_TRUE(r.invariants_ok());
   EXPECT_EQ(r.lock_stats.escalations.stalled_reader, 0u);
   EXPECT_GE(r.lock_stats.escalations.fallbacks(), 1u);
+  EXPECT_GE(r.lock_stats.escalations.retry_exhausted, 1u);
 }
 
 TEST(Chaos, AbortStormSpRWLReadersStayUninstrumentedTLECollapses) {

@@ -34,13 +34,12 @@ std::int64_t resident_bytes() {
 // The per-line tables are zero pages committed on first touch, so building
 // an engine commits none of them. A default engine used to commit 8 MB
 // (its 2^20-entry version table), an owner-tracking one 12 MB, and an MVCC
-// one at 2^16 lines 10 MB; nine of them now commit about 0.5 MB. The
-// 4 MB bound leaves room for one 2 MB huge page of heap where transparent
-// huge pages are always on. Four threads keep the per-thread descriptors
-// (about 10 KB each, 1.3 MB at the default 128) out of the measurement.
+// one at 2^16 lines 10 MB. Each of the default 128 thread descriptors holds
+// three read/write-set maps that start at 16 slots, so the nine commit
+// about 1.5 MB. The 4 MB bound leaves room for one 2 MB huge page of heap
+// where transparent huge pages are always on.
 TEST(EngineMemory, ConstructionCommitsNoTablePages) {
   EngineConfig plain;
-  plain.max_threads = 4;
   EngineConfig owners = plain;
   owners.track_line_owners = true;
   EngineConfig mvcc = plain;

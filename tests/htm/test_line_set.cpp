@@ -54,7 +54,7 @@ TEST(EpochMap, ClearIsConstantTimeEviction) {
 }
 
 TEST(EpochMap, GrowsBeyondInitialCapacity) {
-  EpochMap<std::uint32_t> m(16);
+  EpochMap<std::uint32_t> m;
   bool inserted = false;
   for (std::uint32_t k = 0; k < 10000; ++k) {
     m.get_or_insert(k, k * 2, inserted);

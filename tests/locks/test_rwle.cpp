@@ -272,9 +272,9 @@ TEST(RWLE, WriteTimeoutInForcedDrainUnwinds) {
   EXPECT_TRUE(r.wrote_nothing);
   // Every HTM and ROT attempt aborted, so both budgets were exhausted and
   // the deadline struck in the forced drain, before the section ran.
-  const RWLELock::Config c = config(2);
   EXPECT_EQ(r.at_timeout.aborts.spurious,
-            static_cast<std::uint64_t>(c.htm_retries + c.rot_retries));
+            static_cast<std::uint64_t>(RWLELock::kHtmRetries +
+                                       RWLELock::kRotRetries));
   EXPECT_EQ(r.at_timeout.escalations.retry_exhausted, 2u);
   EXPECT_EQ(r.at_timeout.writes.total(), 0u);
   EXPECT_LT(r.late_read_at, kReaderParks) << "commit window left open";

@@ -245,8 +245,6 @@ TEST(TimeoutRealThread, StressTimedReadersVsRevocationsLeaveNoResidue) {
   cfg.reader_htm_first = false;
   cfg.bravo_bias = true;
   cfg.bravo_table = table;
-  cfg.bravo_rebias_reads = 4;
-  cfg.bravo_rebias_cooldown = 1.0;
   core::SpRWLock lock{cfg};
   struct alignas(64) Pair {
     htm::Shared<std::uint64_t> a, b;
