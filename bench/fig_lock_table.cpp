@@ -17,8 +17,9 @@
 //
 //   footprint   bytes/lock at table scale (1M keys, 16K under --smoke)
 //               after a traffic window, for bravo and flat, against the
-//               eager baseline (one flat lock with its plane forced — what
-//               every lock cost before lazy allocation). Acceptance:
+//               eager baseline (one flat lock with its plane and every
+//               thread's line forced — what every lock cost before lazy
+//               allocation). Acceptance:
 //               eager >= 10x bravo bytes/lock at 1M keys.
 //   throughput  variants x update ratios x seeds at high thread count,
 //               seed-averaged, plus revocation latency (drain cycles per
@@ -213,8 +214,9 @@ int run(int argc, char** argv) {
   // --- footprint at table scale ------------------------------------------
   // Traffic window first (hot locks allocate whatever they need), then
   // bytes/lock from LockTable::Totals. The eager baseline is one flat lock
-  // with its plane forced by a single read — the per-lock cost before lazy
-  // allocation, i.e. what 10^6 eager locks would each pay.
+  // with its plane and every thread's line forced by one read per thread —
+  // the per-lock cost before lazy allocation, i.e. what 10^6 eager locks
+  // would each pay.
   auto fp_bravo = std::make_shared<PointResult>();
   auto fp_flat = std::make_shared<PointResult>();
   auto eager_bytes = std::make_shared<std::size_t>(0);
@@ -242,7 +244,7 @@ int run(int argc, char** argv) {
       core::SpRWLock lock(c);
       sim::Simulator sim;
       htm::EngineScope scope(engine);
-      sim.run(1, [&](int) { lock.read(0, [] {}); });
+      sim.run(p.sweep_threads, [&](int) { lock.read(0, [] {}); });
       *eager_bytes = lock.footprint_bytes();
     });
     runner.drain();

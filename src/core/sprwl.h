@@ -42,9 +42,13 @@
 // EMAs, stats) lives in a lazily allocated Plane, never built for locks
 // that only see bias-path or HTM-path readers. Building it charges no
 // virtual time, so runs are bit-identical with eager allocation. The plane
-// holds one line per thread (the words other threads poll), eight estimate
-// slots per kind, and one lock-wide block of relaxed statistics counters:
-// 2,704 bytes with the shell for a 28-thread variant(kFull) lock.
+// holds eight estimate slots per kind, one lock-wide block of relaxed
+// statistics counters, and one line per thread (the words other threads
+// poll). Those lines come in blocks of two, each installed on the first
+// store of either of its threads: a 28-thread variant(kFull) lock takes
+// 960 bytes with the shell and its plane, plus 128 per block (2,752 with
+// all 14). The shell points to its Config, which a lock table's locks
+// share.
 //
 // Duration estimates use a per-critical-section-id exponential moving
 // average sampled on a single thread (§3.2.1); critical sections are
@@ -61,7 +65,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/cacheline.h"
 #include "common/ema.h"
@@ -104,10 +107,17 @@ class alignas(kCacheLineSize) SpRWLock {
   /// `make_tracker` replaces the tracker Config::tracking names (the
   /// checker builds its mutants this way); null keeps the named one.
   explicit SpRWLock(Config cfg, TrackerFactory make_tracker = nullptr)
+      : SpRWLock(std::make_shared<const Config>(std::move(cfg)),
+                 make_tracker) {}
+
+  /// Shares one Config among many locks (a lock table builds every lock
+  /// from one), so a shell holds a pointer instead of a copy.
+  explicit SpRWLock(std::shared_ptr<const Config> cfg,
+                    TrackerFactory make_tracker = nullptr)
       : bias_(checked(cfg)),
         cfg_(std::move(cfg)),
         make_tracker_(make_tracker != nullptr ? make_tracker
-                                              : tracker_for(cfg_.tracking)) {}
+                                              : tracker_for(cfg_->tracking)) {}
 
   ~SpRWLock() { delete plane_.load(std::memory_order_acquire); }
   SpRWLock(const SpRWLock&) = delete;
@@ -118,7 +128,7 @@ class alignas(kCacheLineSize) SpRWLock {
   bool tracking_with_snzi() const {
     const Plane* p = plane_peek();
     return p != nullptr ? p->tracker_->uses_snzi()
-                        : cfg_.tracking == Tracking::kSnzi;
+                        : cfg_->tracking == Tracking::kSnzi;
   }
   bool tracking_transition_active() const {
     const Plane* p = plane_peek();
@@ -180,7 +190,7 @@ class alignas(kCacheLineSize) SpRWLock {
   template <class F>
   void read_snapshot(int cs_id, F&& f) {
     htm::Engine* engine = htm::Engine::current();
-    if (!cfg_.snapshot_readers || engine == nullptr ||
+    if (!cfg_->snapshot_readers || engine == nullptr ||
         !engine->retains_versions()) {
       read(cs_id, std::forward<F>(f));
       return;
@@ -248,7 +258,7 @@ class alignas(kCacheLineSize) SpRWLock {
       case BiasFront::Read::kSlow: break;
     }
 
-    if (cfg_.reader_htm_first && try_reader_htm(f)) {
+    if (cfg_->reader_htm_first && try_reader_htm(f)) {
       trace::emit(trace::Event::kReadHtmCommit);
       htm_reads_.fetch_add(1, std::memory_order_relaxed);
       bias_.after_read(tid);
@@ -265,30 +275,30 @@ class alignas(kCacheLineSize) SpRWLock {
       // Between iterations nothing is advertised, so expiry needs no
       // unwind here (waiting_ver is cleared before each defer exit).
       if (locks::deadline_expired(deadline)) return timed_out();
-      if (cfg_.reader_sync && !have_pass && !readers_wait(p, tid, deadline)) {
+      if (cfg_->reader_sync && !have_pass && !readers_wait(p, tid, deadline)) {
         return timed_out();
       }
-      if (cfg_.writer_sync) {
-        p.of(tid).clock_r.store(platform::now() + read_estimate(p, cs_id),
-                                std::memory_order_relaxed);
+      if (cfg_->writer_sync) {
+        p.own(tid).clock_r.store(platform::now() + read_estimate(p, cs_id),
+                                 std::memory_order_relaxed);
       }
       token = tracker.arrive(tid);
-      if (cfg_.versioned_sgl) {
-        p.of(tid).waiting_ver.store(0, std::memory_order_release);
+      if (cfg_->versioned_sgl) {
+        p.own(tid).waiting_ver.store(0, std::memory_order_release);
       }
       if (!gl_.is_locked()) break;
       if (have_pass && gl_.version() > pass_below) break;  // reader priority
       // Defer to the SGL holder (Alg. 1, reader_gl_sync).
       trace::emit(trace::Event::kReaderDeferSgl);
       tracker.depart(tid, token);
-      if (cfg_.versioned_sgl) {
+      if (cfg_->versioned_sgl) {
         const std::uint64_t v0 = gl_.version();
-        p.of(tid).waiting_ver.store((v0 << 1) | 1, std::memory_order_seq_cst);
+        p.own(tid).waiting_ver.store((v0 << 1) | 1, std::memory_order_seq_cst);
         while (gl_.is_locked() && gl_.version() <= v0) {
           if (locks::deadline_expired(deadline)) {
             // Retract the published waiting version before abandoning or a
             // versioned-SGL writer's drain spins on a phantom waiter.
-            p.of(tid).waiting_ver.store(0, std::memory_order_release);
+            p.own(tid).waiting_ver.store(0, std::memory_order_release);
             return timed_out();
           }
           locks::deadline_pause(deadline);
@@ -352,11 +362,11 @@ class alignas(kCacheLineSize) SpRWLock {
     // slow-path readers to schedule against — forcing a plane here would
     // defeat the O(1)-word cold footprint.
     const bool flagged =
-        cfg_.reader_sync && !(bias_.defers_plane() && plane_peek() == nullptr);
+        cfg_->reader_sync && !(bias_.defers_plane() && plane_peek() == nullptr);
     Plane* wp = flagged ? &plane() : plane_peek();
     if (flagged) {
       // Advertise the writer and its expected end time (Alg. 2).
-      wp->of(tid).clock_w.store(
+      wp->own(tid).clock_w.store(
           platform::now() + write_estimate(*wp, cs_id),
           std::memory_order_relaxed);
       wp->state_[tid].store(StateArray::kWriter);
@@ -458,7 +468,7 @@ class alignas(kCacheLineSize) SpRWLock {
         trace::emit(trace::Event::kLemmingAvoided);
         continue;
       }
-      if (attempts >= cfg_.max_retries) {
+      if (attempts >= cfg_->max_retries) {
         if (!escalate(locks::Escalation::kRetryExhausted)) return timed_out();
         break;
       }
@@ -479,7 +489,7 @@ class alignas(kCacheLineSize) SpRWLock {
           if (!escalate(locks::Escalation::kStalledReader)) return timed_out();
           break;
         }
-        if (cfg_.writer_sync) {
+        if (cfg_->writer_sync) {
           trace::emit(trace::Event::kWriterWait);
           writer_wait(cs_id, tid, deadline);
         }
@@ -576,7 +586,7 @@ class alignas(kCacheLineSize) SpRWLock {
     return b;
   }
 
-  const Config& config() const noexcept { return cfg_; }
+  const Config& config() const noexcept { return *cfg_; }
   static const char* name() noexcept { return "SpRWL"; }
 
  private:
@@ -598,6 +608,13 @@ class alignas(kCacheLineSize) SpRWLock {
     std::atomic<std::uint64_t> waiting_ver{0};  ///< versioned-SGL wait (§3.3)
   };
   static_assert(sizeof(PerThread) == kCacheLineSize);
+
+  /// The lines of threads 2k and 2k+1, allocated together on the first
+  /// store of either: most planes only ever see a few threads.
+  struct Block {
+    static constexpr int kLines = 2;
+    PerThread lines[kLines];
+  };
 
   /// The plane's statistics: one relaxed atomic per counter, shared by
   /// every thread and bumped uncharged, as htm_reads_ is in the shell. It
@@ -659,19 +676,63 @@ class alignas(kCacheLineSize) SpRWLock {
     Plane(const Config& cfg, TrackerFactory make_tracker)
         : state_(cfg),
           tracker_(make_tracker(cfg, state_)),
-          threads_(static_cast<std::size_t>(cfg.max_threads)) {}
-
-    /// Heap bytes of the plane (per-lock footprint accounting).
-    std::size_t bytes() const {
-      return sizeof(Plane) + state_.bytes() + tracker_->bytes() +
-             threads_.capacity() * sizeof(PerThread);
+          block_count_(static_cast<std::size_t>(cfg.max_threads +
+                                                Block::kLines - 1) /
+                       Block::kLines),
+          blocks_(std::make_unique<std::atomic<Block*>[]>(block_count_)) {}
+    ~Plane() {
+      for (std::size_t i = 0; i < block_count_; ++i) {
+        delete blocks_[i].load(std::memory_order_acquire);
+      }
     }
 
-    PerThread& of(int tid) { return threads_[static_cast<std::size_t>(tid)]; }
+    /// Heap bytes of the plane (per-lock footprint accounting): the
+    /// per-thread blocks count only once installed.
+    std::size_t bytes() const {
+      return sizeof(Plane) + state_.bytes() + tracker_->bytes() +
+             block_count_ * sizeof(blocks_[0]) +
+             blocks_installed() * sizeof(Block);
+    }
+
+    std::size_t blocks_installed() const {
+      return static_cast<std::size_t>(std::count_if(
+          blocks_.get(), blocks_.get() + block_count_, [](const auto& b) {
+            return b.load(std::memory_order_acquire) != nullptr;
+          }));
+    }
+
+    /// Thread `tid`'s own line, for its stores: the first one installs the
+    /// line's block by CAS (the block's other thread may race it).
+    PerThread& own(int tid) {
+      std::atomic<Block*>& slot = blocks_[block_of(tid)];
+      Block* b = slot.load(std::memory_order_acquire);
+      if (b == nullptr) {
+        auto fresh = std::make_unique<Block>();
+        if (slot.compare_exchange_strong(b, fresh.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+          b = fresh.release();
+        }  // else `b` is the winner's block and `fresh` frees itself
+      }
+      return b->lines[tid % Block::kLines];
+    }
+
+    /// Another thread's line, for reads: a thread that never stored reads
+    /// as the idle line (0, 0, -1, 0) its block would start with.
+    const PerThread& peer(int tid) const {
+      static const PerThread idle;
+      const Block* b = blocks_[block_of(tid)].load(std::memory_order_acquire);
+      return b != nullptr ? b->lines[tid % Block::kLines] : idle;
+    }
+
+    static std::size_t block_of(int tid) {
+      return static_cast<std::size_t>(tid / Block::kLines);
+    }
 
     StateArray state_;
     std::unique_ptr<ReaderTracker> tracker_;
-    std::vector<PerThread> threads_;
+    std::size_t block_count_;
+    std::unique_ptr<std::atomic<Block*>[]> blocks_;
     DurationEma read_ema_[kEmaSlots];
     DurationEma write_ema_[kEmaSlots];
     /// Every thread writes these lines; the fields above are read-mostly.
@@ -684,7 +745,9 @@ class alignas(kCacheLineSize) SpRWLock {
 
   /// Construction-time validation, ahead of every member that could
   /// register with shared state.
-  static const Config& checked(const Config& cfg) {
+  static const Config& checked(const std::shared_ptr<const Config>& p) {
+    if (p == nullptr) throw std::invalid_argument("SpRWLock: null Config");
+    const Config& cfg = *p;
     const sim::Topology& t = cfg.topology;
     if (cfg.socket_sharded_tracking && t.sockets > 1 &&
         (t.cores_per_socket <= 0 ||
@@ -718,7 +781,7 @@ class alignas(kCacheLineSize) SpRWLock {
   }
 
   Plane& install_plane() {
-    auto fresh = std::make_unique<Plane>(cfg_, make_tracker_);
+    auto fresh = std::make_unique<Plane>(*cfg_, make_tracker_);
     Plane* expected = nullptr;
     if (plane_.compare_exchange_strong(expected, fresh.get(),
                                        std::memory_order_acq_rel,
@@ -736,10 +799,10 @@ class alignas(kCacheLineSize) SpRWLock {
   /// error instead of silent corruption.
   int checked_tid() const {
     const int tid = platform::thread_id();
-    if (tid < 0 || tid >= cfg_.max_threads) {
+    if (tid < 0 || tid >= cfg_->max_threads) {
       throw std::out_of_range(
           "SpRWLock: thread id " + std::to_string(tid) +
-          " outside [0, max_threads=" + std::to_string(cfg_.max_threads) +
+          " outside [0, max_threads=" + std::to_string(cfg_->max_threads) +
           "); raise Config::max_threads or give the thread a dense id "
           "(sim::Simulator / ThreadIdScope)");
     }
@@ -817,16 +880,16 @@ class alignas(kCacheLineSize) SpRWLock {
     int wait_for = -1;
     bool joined = false;
     std::uint64_t max_end = 0;
-    for (int t = 0; t < cfg_.max_threads; ++t) {
+    for (int t = 0; t < cfg_->max_threads; ++t) {
       if (t == tid) continue;
       if (p.state_[t].load() == StateArray::kWriter) {
-        const auto end = p.of(t).clock_w.load(std::memory_order_relaxed);
+        const auto end = p.peer(t).clock_w.load(std::memory_order_relaxed);
         if (wait_for == -1 || end > max_end) {
           max_end = end;
           wait_for = t;
         }
-      } else if (cfg_.reader_join) {
-        const int other = p.of(t).waiting_for.load(std::memory_order_acquire);
+      } else if (cfg_->reader_join) {
+        const int other = p.peer(t).waiting_for.load(std::memory_order_acquire);
         if (other != -1) {
           wait_for = other;  // align our start with that reader's
           joined = true;
@@ -837,11 +900,11 @@ class alignas(kCacheLineSize) SpRWLock {
     if (wait_for == -1) return true;
     trace::emit(joined ? trace::Event::kReaderJoin : trace::Event::kReaderWait,
                 static_cast<std::uint32_t>(wait_for));
-    std::atomic<int>& mine = p.of(tid).waiting_for;
+    std::atomic<int>& mine = p.own(tid).waiting_for;
     mine.store(wait_for, std::memory_order_release);
     // Timed wait up to the writer's expected end (§3.4), then poll.
     const std::uint64_t until = locks::cap_wait(
-        p.of(wait_for).clock_w.load(std::memory_order_relaxed), deadline);
+        p.peer(wait_for).clock_w.load(std::memory_order_relaxed), deadline);
     if (until > platform::now()) platform::wait_until(until);
     while (p.state_[wait_for].load() == StateArray::kWriter) {
       if (locks::deadline_expired(deadline)) {
@@ -866,12 +929,13 @@ class alignas(kCacheLineSize) SpRWLock {
     Plane& p = *pp;
     const std::uint64_t last_reader_end =
         p.tracker_->latest_reader_end(tid, [&](int t) {
-          return p.of(t).clock_r.load(std::memory_order_relaxed);
+          return p.peer(t).clock_r.load(std::memory_order_relaxed);
         });
     if (last_reader_end == 0) return;
     const std::uint64_t dur = write_estimate(p, cs_id);
     const std::uint64_t lead =
-        dur - static_cast<std::uint64_t>(static_cast<double>(dur) * cfg_.delta_fraction);
+        dur - static_cast<std::uint64_t>(static_cast<double>(dur) *
+                                         cfg_->delta_fraction);
     const std::uint64_t target = locks::cap_wait(
         last_reader_end > lead ? last_reader_end - lead : last_reader_end,
         deadline);
@@ -890,12 +954,12 @@ class alignas(kCacheLineSize) SpRWLock {
     // SGL and defer (DESIGN.md §12).
     bias_.revoke();
     Plane* pp = plane_peek();
-    if (cfg_.versioned_sgl && pp != nullptr) {
+    if (cfg_->versioned_sgl && pp != nullptr) {
       // §3.3: let readers that started waiting before this acquisition in.
       const std::uint64_t my_ver = gl_.version();
-      for (int t = 0; t < cfg_.max_threads; ++t) {
+      for (int t = 0; t < cfg_->max_threads; ++t) {
         if (t == tid) continue;
-        auto& wv = pp->of(t).waiting_ver;
+        auto& wv = pp->peer(t).waiting_ver;
         for (;;) {
           const std::uint64_t v = wv.load(std::memory_order_acquire);
           if ((v & 1) == 0 || (v >> 1) >= my_ver) break;
@@ -932,7 +996,7 @@ class alignas(kCacheLineSize) SpRWLock {
   // sits.
   locks::SglLock gl_;
   BiasFront bias_;
-  Config cfg_;
+  std::shared_ptr<const Config> cfg_;
   TrackerFactory make_tracker_;
   std::atomic<Plane*> plane_{nullptr};
   std::atomic<std::uint64_t> snapshot_reads_{0};

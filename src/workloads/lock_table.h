@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 
 #include "common/aligned.h"
@@ -97,18 +98,20 @@ class LockTable {
     /// zipfian rank-to-key scramble below is only bijective on a
     /// power-of-two ring, and a leaf holds 4 keys).
     std::uint64_t keys = std::uint64_t{1} << 16;
-    /// Per-key lock configuration, copied into every lock. For the bravo
-    /// variants, lock.bravo_table is shared by all of them (per-key dense
-    /// ids are registered here, in key order, single-threaded — so slot
-    /// hashes and virtual-time traces are reproducible).
+    /// Per-key lock configuration: the table keeps one copy, which every
+    /// lock shares. For the bravo variants, lock.bravo_table is shared by
+    /// all of them (per-key dense ids are registered here, in key order,
+    /// single-threaded — so slot hashes and virtual-time traces are
+    /// reproducible).
     core::Config lock;
   };
 
   explicit LockTable(Config cfg) : cfg_(cfg), words_(check_keys(cfg.keys) * 2) {
+    const auto lock_cfg = std::make_shared<const core::Config>(cfg_.lock);
     for (std::uint64_t k = 0; k < cfg_.keys; ++k) {
       words_[word0_of(k)].raw_store(0);
       words_[word0_of(k) + 1].raw_store(kTag);
-      locks_.emplace_back(cfg_.lock);
+      locks_.emplace_back(lock_cfg);
     }
   }
 

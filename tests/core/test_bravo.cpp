@@ -375,16 +375,79 @@ TEST(Bravo, PlaneIsLazyForPlainConfigsToo) {
   EXPECT_GT(lock.footprint_bytes(), shell);
 }
 
-// Pins the accounted bytes of the paper's default 28-thread lock once its
-// plane is built: the four-line shell plus a plane that holds its 2 x 8
-// duration estimates inline, so moving them back to the heap, or growing
-// any per-lock structure, shows here.
+// Pins the accounted bytes of the paper's default 28-thread lock: the
+// three-line shell plus a plane that holds its 2 x 8 duration estimates
+// inline and no per-thread line yet, so moving the estimates back to the
+// heap, or growing any per-lock structure, shows here. Each thread's first
+// read then installs the two-line block it shares with its neighbour.
 TEST(Bravo, FullVariantPlaneFootprint) {
-  SpRWLock lock{Config::variant(SchedulingVariant::kFull, 28)};
+  Config cfg = Config::variant(SchedulingVariant::kFull, 28);
+  cfg.reader_htm_first = false;  // reads reach the plane; no byte changes
+  SpRWLock lock{cfg};
   EXPECT_EQ(lock.footprint_bytes(), sizeof(SpRWLock));
   (void)lock.snzi_leaf_count();  // builds the plane; no engine access
   ASSERT_TRUE(lock.has_plane());
-  EXPECT_EQ(lock.footprint_bytes(), 2'704u);
+  EXPECT_EQ(lock.footprint_bytes(), 960u);
+  htm::Engine engine{htm::EngineConfig{}};
+  htm::EngineScope scope(engine);
+  const auto read_from = [&](int threads) {
+    sim::Simulator sim;
+    sim.run(threads, [&](int) { lock.read(0, [] {}); });
+  };
+  read_from(1);
+  EXPECT_EQ(lock.footprint_bytes(), 960u + 128);  // thread 0's block
+  read_from(28);
+  EXPECT_EQ(lock.footprint_bytes(), 960u + 14 * 128);  // all 14 blocks
+}
+
+// Real threads race the first stores into one fresh plane's blocks (also
+// the TSan CI leg: -R 'PlaneRealThread'). Both threads of every block
+// start at once, one writing and one reading, so each pair races the
+// install CAS under live traffic. A block installed twice would either
+// land in another pair's slot (the footprint check) or leak the loser's
+// copy (the ASan leg's leak check); one published before its lines are
+// initialized is a data race to TSan.
+TEST(PlaneRealThread, FirstStoresInstallEachBlockOnce) {
+  constexpr int kThreads = 8;
+  constexpr int kOps = 20;
+  constexpr std::size_t kBlockBytes = 2 * 64;  // two per-thread lines
+  htm::EngineConfig ec;
+  ec.max_threads = kThreads;
+  htm::Engine engine{ec};
+  htm::EngineScope scope(engine);
+  Config cfg = Config::variant(SchedulingVariant::kFull, kThreads);
+  cfg.reader_htm_first = false;  // every read stores its reader clock
+  struct alignas(64) Pair {
+    htm::Shared<std::uint64_t> a, b;
+  };
+  for (int round = 0; round < 30; ++round) {
+    SpRWLock lock{cfg};
+    (void)lock.snzi_leaf_count();  // a fresh plane without blocks
+    const std::size_t bare = lock.footprint_bytes();
+    Pair p;
+    std::atomic<int> ready{0};
+    std::atomic<std::uint64_t> torn{0};
+    sim::run_real_threads(kThreads, [&](int tid) {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kOps; ++i) {
+        if (tid % 2 == 0) {
+          lock.write(1, [&] {
+            const std::uint64_t v = p.a.load() + 1;
+            p.a.store(v);
+            p.b.store(v);
+          });
+        } else {
+          lock.read(0, [&] {
+            if (p.a.load() != p.b.load()) torn.fetch_add(1);
+          });
+        }
+      }
+    });
+    EXPECT_EQ(torn.load(), 0u);
+    EXPECT_EQ(p.a.raw_load(), std::uint64_t{kThreads / 2 * kOps});
+    EXPECT_EQ(lock.footprint_bytes(), bare + kThreads / 2 * kBlockBytes);
+  }
 }
 
 // Concurrency stress on REAL threads (also the TSan CI leg: -R

@@ -26,7 +26,7 @@ constexpr int kThreads = 4;
 
 // Cold locks stay cheap: everything sized by max_threads lives in the lazily
 // built plane (Bravo.FastPathReadAllocatesNoPlane covers the fast path).
-static_assert(sizeof(SpRWLock) <= 256, "the lock shell is at most four lines");
+static_assert(sizeof(SpRWLock) <= 192, "the lock shell is at most three lines");
 
 Config matrix_config(Tracking tracking, bool sharded, Bias bias, int sockets) {
   Config c = Config::variant(SchedulingVariant::kFull, kThreads);

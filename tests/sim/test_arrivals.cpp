@@ -38,7 +38,9 @@ TEST(Arrivals, DiurnalIsSeedDeterministicAndSorted) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].arrival, b[i].arrival);
     EXPECT_EQ(a[i].is_write, b[i].is_write);
-    if (i > 0) EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    }
   }
   cfg.seed = 10;
   const std::vector<Request> c = generate_arrivals(cfg);

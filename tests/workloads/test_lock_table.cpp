@@ -117,6 +117,24 @@ TEST(LockTable, KeyScrambleIsABijection) {
             table.key_of_rank(1) / LockTable::kKeysPerLeaf);
 }
 
+// Every lock of a table points at one shared Config instead of holding a
+// copy; a lock built from a Config value gets a Config of its own.
+TEST(LockTable, LocksShareOneConfig) {
+  LockTable::Config c;
+  c.keys = 16;
+  c.lock = bravo_lock_cfg(2);
+  LockTable table(c);
+  const core::Config& shared = table.lock_of(0).config();
+  for (std::uint64_t k = 1; k < c.keys; ++k) {
+    EXPECT_EQ(&table.lock_of(k).config(), &shared);
+  }
+  EXPECT_EQ(shared.bravo_table, c.lock.bravo_table);
+  const core::SpRWLock alone{c.lock};
+  EXPECT_NE(&alone.config(), &shared);
+  EXPECT_THROW(core::SpRWLock{std::shared_ptr<const core::Config>{}},
+               std::invalid_argument);
+}
+
 TEST(LockTable, InvariantPairSemantics) {
   LockTable::Config c;
   c.keys = 16;
@@ -167,22 +185,28 @@ TEST(LockTable, BravoRunIsCorrectAndMostLocksStayCold) {
   // count; here they are under a quarter of the table's bytes, where a
   // plane on every lock (the old eager layout) would make them most of it.
   EXPECT_LT(res.totals.locks_with_plane, c.keys / 4);
-  std::size_t cold = 0;    // a lock's shell (plus its bias telemetry)
-  std::size_t planed = 0;  // the same with its plane
+  // A plane's size follows how many threads stored into it, so the plane
+  // bytes are summed lock by lock over a cold lock's shell (plus its bias
+  // telemetry).
+  std::size_t cold = 0;
+  for (std::uint64_t k = 0; cold == 0 && k < c.keys; ++k) {
+    const core::SpRWLock& l = table.lock_of(k);
+    if (!l.has_plane()) cold = l.footprint_bytes();
+  }
+  std::size_t plane_bytes = 0;
   for (std::uint64_t k = 0; k < c.keys; ++k) {
     const core::SpRWLock& l = table.lock_of(k);
-    (l.has_plane() ? planed : cold) = l.footprint_bytes();
+    if (l.has_plane()) plane_bytes += l.footprint_bytes() - cold;
   }
-  ASSERT_GT(planed, cold);
-  const std::size_t plane_bytes = res.totals.lock_bytes - c.keys * cold;
-  EXPECT_EQ(plane_bytes, res.totals.locks_with_plane * (planed - cold));
+  EXPECT_EQ(res.totals.lock_bytes, c.keys * cold + plane_bytes);
   const std::size_t table_bytes =
       res.totals.lock_bytes + res.totals.shared_table_bytes;
   EXPECT_LT(plane_bytes * 4, table_bytes);
-  EXPECT_GT((planed - cold) * 2, planed);
+  // The mean plane still outweighs the shell it hangs off.
+  EXPECT_GT(plane_bytes, res.totals.locks_with_plane * cold);
   // This seeded run's footprint, exactly.
-  EXPECT_EQ(table_bytes, 1'315'984u);
-  EXPECT_DOUBLE_EQ(res.totals.bytes_per_lock(), 321.28515625);
+  EXPECT_EQ(table_bytes, 1'023'296u);
+  EXPECT_DOUBLE_EQ(res.totals.bytes_per_lock(), 249.828125);
 }
 
 TEST(LockTable, FlatRunIsCorrect) {
@@ -312,8 +336,8 @@ TEST(LockTable, ShardedBravoTwoSocketRunMatchesPinnedDigest) {
   const LockTableRunResult r = run_lock_table(sim, engine, table, dc);
   EXPECT_EQ(r.invariant_failures, 0u);
   EXPECT_GT(r.totals.bias_reads, 0u);
-  EXPECT_EQ(r.totals.lock_bytes, 364'032u);
-  EXPECT_EQ(testutil::run_digest(r), 0x0fa2e9b33e39c692ULL);
+  EXPECT_EQ(r.totals.lock_bytes, 291'072u);
+  EXPECT_EQ(testutil::run_digest(r), 0xdc2093ae5705c5e6ULL);
 }
 
 TEST(LockTable, TotalsArithmetic) {
