@@ -104,7 +104,6 @@ Row measure_recovery(int nodes, std::uint64_t crash_at, std::uint64_t seed) {
   plan.crashes.push_back(crash);
 
   sim::SimConfig scfg;
-  scfg.topology = cfg.topology;
   scfg.max_virtual_time = crash_at + 4'000'000;
   sim::Simulator sim(scfg);
   fault::FaultInjector injector(plan, &sim, &engine);

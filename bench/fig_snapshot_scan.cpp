@@ -1,12 +1,12 @@
 // Snapshot-isolation reader mode — long range scans vs. zipfian write
 // bursts (DESIGN.md §14).
 //
-// The tentpole claim: with MVCC snapshot readers
-// (EngineConfig::retain_versions + Config::snapshot_readers) a long
-// B+-tree range scan never delays a writer — the reader pins the version
-// clock and registers nothing, so writer commit latency is independent of
-// scan length. Without it, SpRWL writers self-abort at commit while any
-// registered reader is active, so writer tail latency grows with the scan.
+// The headline claim: with MVCC snapshot readers (read_snapshot() over an
+// engine with EngineConfig::retain_versions > 0) a long B+-tree range scan
+// never delays a writer — the reader pins the version clock and registers
+// nothing, so writer commit latency is independent of scan length. Without
+// it, SpRWL writers self-abort at commit while any registered reader is
+// active, so writer tail latency grows with the scan.
 //
 // The sweep runs scan widths spanning >= 100x in three reader modes:
 //   snapshot — read_snapshot() over an engine retaining K versions/line;
@@ -91,7 +91,6 @@ PointOut run_point(std::uint64_t width, std::uint32_t retain, ReaderMode mode,
   // Snapshot mode replaces the *registered* read, so the off baseline must
   // be the registered read too.
   cfg.reader_htm_first = false;
-  cfg.snapshot_readers = mode != ReaderMode::kOff;
   core::SpRWLock lock{cfg};
 
   // Installed before the tree is filled: outside a scope, Shared<T> stores

@@ -153,12 +153,10 @@ inline auto make_rwle() {
     return std::make_unique<locks::RWLELock>(c);
   };
 }
-inline auto make_sprwl(core::SchedulingVariant v = core::SchedulingVariant::kFull,
-                       bool batched_scan = true) {
-  return [v, batched_scan](int n) {
-    core::Config c = core::Config::variant(v, n);
-    c.batched_reader_scan = batched_scan;
-    return std::make_unique<core::SpRWLock>(c);
+inline auto make_sprwl(
+    core::SchedulingVariant v = core::SchedulingVariant::kFull) {
+  return [v](int n) {
+    return std::make_unique<core::SpRWLock>(core::Config::variant(v, n));
   };
 }
 

@@ -91,7 +91,6 @@ core::Config mvcc_cfg(const Workload& w) {
   core::Config c = sprwl_cfg(w);
   // Drive the snapshot path itself, not the HTM-first reader shortcut.
   c.reader_htm_first = false;
-  c.snapshot_readers = true;
   return c;
 }
 

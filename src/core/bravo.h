@@ -70,10 +70,9 @@ class ReaderTable {
  public:
   struct Config {
     /// Upper bound on concurrently running threads; the auto-sized table
-    /// holds slots_per_thread slots per thread so fast-path CAS failures
+    /// holds kSlotsPerThread slots per thread so fast-path CAS failures
     /// (collisions) stay rare.
     int max_threads = 64;
-    int slots_per_thread = 4;
     /// Machine shape; a table sized for more cores than max_threads keeps
     /// collision rates flat when the run oversubscribes sockets.
     sim::Topology topology{};
@@ -83,7 +82,7 @@ class ReaderTable {
     /// the slot count *per shard*.
     std::size_t slots = 0;
     /// NUMA sharding: one slot shard per topology socket, each sized from
-    /// sockets × cores_per_socket (slots_per_thread slots per core of the
+    /// sockets × cores_per_socket (kSlotsPerThread slots per core of the
     /// shard's socket) and starting on its own cache line, plus per-shard
     /// occupancy-summary lines (one word per resident thread, written on
     /// registration transitions only) the revocation drain reads first.
@@ -97,14 +96,19 @@ class ReaderTable {
     /// amortized). 1 = clear on every outermost release (exact
     /// transition semantics; the unit tests use this). Larger values
     /// trade drain conservatism — a recently-active shard reads dirty
-    /// and gets scanned — for reader throughput.
+    /// and gets scanned — for reader throughput. Must be >= 1.
     int summary_clear_period = 8;
   };
 
   /// Slots per 64-byte line; the revocation drain reads whole lines.
   static constexpr std::size_t kSlotsPerLine = 8;
+  /// Auto-sized slots per thread (per core of a shard's socket).
+  static constexpr std::size_t kSlotsPerThread = 4;
 
   explicit ReaderTable(Config cfg) : cfg_(cfg) {
+    if (cfg.summary_clear_period < 1) {
+      throw std::invalid_argument("ReaderTable: summary_clear_period < 1");
+    }
     if (cfg.shard_by_socket) {
       shards_ = cfg.topology.sockets < 1 ? 1 : cfg.topology.sockets;
       std::size_t per_shard = cfg.slots;
@@ -119,9 +123,7 @@ class ReaderTable {
         const int cores = cfg.topology.cores_per_socket >= 1
                               ? cfg.topology.cores_per_socket
                               : (cfg.max_threads < 1 ? 1 : cfg.max_threads);
-        per_shard = static_cast<std::size_t>(cores) *
-                    static_cast<std::size_t>(
-                        cfg.slots_per_thread < 1 ? 1 : cfg.slots_per_thread);
+        per_shard = static_cast<std::size_t>(cores) * kSlotsPerThread;
       }
       if (per_shard == 0)
         throw std::invalid_argument("ReaderTable: empty shard");
@@ -157,8 +159,7 @@ class ReaderTable {
       int cores = cfg.topology.sockets * cfg.topology.cores_per_socket;
       if (cores < cfg.max_threads) cores = cfg.max_threads;
       if (cores < 1) cores = 1;
-      n = static_cast<std::size_t>(cores) *
-          static_cast<std::size_t>(cfg.slots_per_thread < 1 ? 1 : cfg.slots_per_thread);
+      n = static_cast<std::size_t>(cores) * kSlotsPerThread;
       n = (n + kSlotsPerLine - 1) / kSlotsPerLine * kSlotsPerLine;
     }
     if (n == 0) throw std::invalid_argument("ReaderTable needs >= 1 slot");
@@ -252,10 +253,8 @@ class ReaderTable {
     if (cfg_.shard_by_socket) {
       ThreadState& st = priv_[static_cast<std::size_t>(tid)];
       if (st.depth > 0 && --st.depth == 0) {
-        const std::uint32_t period =
-            cfg_.summary_clear_period < 1
-                ? 1
-                : static_cast<std::uint32_t>(cfg_.summary_clear_period);
+        const auto period =
+            static_cast<std::uint32_t>(cfg_.summary_clear_period);
         if (++st.outermost_releases % period == 0) {
           summary_word(shard_of_slot(slot), tid).store(0);
           st.published = false;

@@ -12,7 +12,8 @@
 
 namespace sprwl::core {
 
-/// Named scheduling configurations matching the ablation of Fig. 5.
+/// The scheduling variants of Fig. 5's ablation, in order: each adds one
+/// mechanism to the one before it.
 enum class SchedulingVariant {
   kNoSched,  ///< base algorithm only (Section 3.1)
   kRWait,    ///< readers wait for the last active writer
@@ -32,29 +33,27 @@ struct Config {
   /// HTM attempts for writers before the SGL fallback (capacity aborts
   /// activate the fallback immediately, as in the paper's retry policy).
   int max_retries = 10;
-  bool reader_sync = true;
-  bool reader_join = true;
-  bool writer_sync = true;
+  /// Which of Fig. 5's cumulative scheduling mechanisms run; read them
+  /// through reader_sync(), reader_join() and writer_sync().
+  SchedulingVariant scheduling = SchedulingVariant::kFull;
   bool reader_htm_first = true;
   Tracking tracking = Tracking::kFlags;
   bool versioned_sgl = false;
-  /// Commit-time scan granularity of flat flags: one OR-summary read per
-  /// line of 8 flags, ceil(T/8) line reads instead of T word reads.
-  /// Conflict detection is line-granular either way; false restores the
-  /// per-word scan (the ablation baseline in bench/ablation_cost_model).
-  bool batched_reader_scan = true;
-  /// δ as a fraction of the writer's expected duration (paper default 1/2).
+  /// δ as a fraction of the writer's expected duration (paper default 1/2),
+  /// in [0, 1].
   double delta_fraction = 0.5;
-  /// SNZI tree depth; 0 = auto-size so there are roughly max_threads/2
-  /// leaves (bounded contention per leaf, logarithmic update cost).
+  /// SNZI tree depth in [0, snzi::Snzi::kMaxLevels]; 0 = auto-size so there
+  /// are roughly max_threads/2 leaves (bounded contention per leaf,
+  /// logarithmic update cost).
   int snzi_levels = 0;
-  /// Topology-aware tracking (DESIGN.md §11): state slots go socket-major
-  /// with per-socket line padding, and flag readers also keep one count per
-  /// socket, which is all the commit scan reads (S lines instead of
-  /// ceil(T/8)). SNZI trees go socket-major instead.
+  /// Topology-aware flag tracking (DESIGN.md §11): state slots go
+  /// socket-major with per-socket line padding, and readers also keep one
+  /// count per socket, which is all the commit scan reads (S lines instead
+  /// of ceil(T/8)). Only Tracking::kFlags shards; the SNZI trackers reject
+  /// it at construction.
   bool socket_sharded_tracking = false;
-  /// The machine shape the sharding follows (socket-major dense tids, like
-  /// sim::SimConfig::topology); one socket degenerates to a single shard.
+  /// The machine shape the sharding follows (socket-major dense tids, as
+  /// sim::Topology maps them); one socket degenerates to a single shard.
   sim::Topology topology{};
 
   // --- BRAVO global reader bias (DESIGN.md §12) ---------------------------
@@ -67,29 +66,23 @@ struct Config {
   /// workload; locks register for a dense id at construction.
   std::shared_ptr<bravo::ReaderTable> bravo_table;
 
-  // --- MVCC snapshot readers (DESIGN.md §14) ------------------------------
-  /// read_snapshot() pins the engine's version clock and registers nothing
-  /// a writer could wait on (SpRWLock::read_snapshot). Needs an engine with
-  /// EngineConfig::retain_versions > 0; otherwise, or with this off,
-  /// read_snapshot() is a plain read().
-  bool snapshot_readers = false;
+  /// Alg. 2: readers wait for the active writer expected to finish last.
+  bool reader_sync() const noexcept {
+    return scheduling >= SchedulingVariant::kRWait;
+  }
+  /// Alg. 2: readers also join already-waiting readers.
+  bool reader_join() const noexcept {
+    return scheduling >= SchedulingVariant::kRSync;
+  }
+  /// Alg. 3: a writer aborted by a reader times its retry.
+  bool writer_sync() const noexcept {
+    return scheduling == SchedulingVariant::kFull;
+  }
 
   static Config variant(SchedulingVariant v, int max_threads) {
     Config c;
     c.max_threads = max_threads;
-    switch (v) {
-      case SchedulingVariant::kNoSched:
-        c.reader_sync = c.reader_join = c.writer_sync = false;
-        break;
-      case SchedulingVariant::kRWait:
-        c.reader_join = c.writer_sync = false;
-        break;
-      case SchedulingVariant::kRSync:
-        c.writer_sync = false;
-        break;
-      case SchedulingVariant::kFull:
-        break;
-    }
+    c.scheduling = v;
     return c;
   }
 };

@@ -15,10 +15,10 @@
 //
 //  * reader synchronization (Alg. 2): readers wait for the active writer
 //    expected to finish last, and join already-waiting readers so their
-//    start times align (Config::reader_sync / reader_join);
+//    start times align (Config::scheduling at kRWait / kRSync);
 //  * writer synchronization (Alg. 3): a writer aborted by a reader delays
 //    its retry so its commit lands δ cycles after the last active reader
-//    ends (Config::writer_sync, delta_fraction);
+//    ends (Config::scheduling at kFull, delta_fraction);
 //  * reader-HTM-first (§3.4): readers optimistically try one-shot HTM and
 //    fall back to the uninstrumented path on capacity/exhaustion
 //    (Config::reader_htm_first);
@@ -32,7 +32,9 @@
 //    DESIGN.md §12): biased readers publish into a shared
 //    bravo::ReaderTable instead of the per-lock tracker, which writers
 //    drain on revocation. With the lazy plane below, a cold lock costs
-//    O(1) words (workloads/lock_table.h depends on it).
+//    O(1) words (workloads/lock_table.h depends on it);
+//  * MVCC snapshot readers (read_snapshot, DESIGN.md §14) whenever the
+//    installed engine retains versions.
 //
 // The degradation rules of DESIGN.md §8 (backoff, retry budget,
 // stalled-reader watchdog, lemming avoidance) are always on, tuned by the
@@ -46,7 +48,7 @@
 // statistics counters, and one line per thread (the words other threads
 // poll). Those lines come in blocks of two, each installed on the first
 // store of either of its threads: a 28-thread variant(kFull) lock takes
-// 960 bytes with the shell and its plane, plus 128 per block (2,752 with
+// 952 bytes with the shell and its plane, plus 128 per block (2,744 with
 // all 14). The shell points to its Config, which a lock table's locks
 // share.
 //
@@ -178,20 +180,20 @@ class alignas(kCacheLineSize) SpRWLock {
                       std::forward<F>(f));
   }
 
-  /// Executes f as a *snapshot* read section (Config::snapshot_readers,
-  /// DESIGN.md §14): pins the engine's version clock at entry and routes
-  /// every Shared<T> load inside f through the multi-version lookup, so f
-  /// observes the committed state as of the pin no matter how long it
-  /// runs — and registers nothing a writer could wait on. f must be
-  /// read-only and re-runnable: when the pinned version leaves the bounded
-  /// version ring mid-section (htm::SnapshotMiss) the section re-runs as a
-  /// normal registered read, the same re-execution contract the HTM-first
-  /// reader path already imposes.
+  /// Executes f as a *snapshot* read section (DESIGN.md §14) when the
+  /// installed engine retains versions (EngineConfig::retain_versions > 0),
+  /// and as a plain read() otherwise: pins the engine's version clock at
+  /// entry and routes every Shared<T> load inside f through the
+  /// multi-version lookup, so f observes the committed state as of the pin
+  /// no matter how long it runs — and registers nothing a writer could wait
+  /// on. f must be read-only and re-runnable: when the pinned version
+  /// leaves the bounded version ring mid-section (htm::SnapshotMiss) the
+  /// section re-runs as a normal registered read, the same re-execution
+  /// contract the HTM-first reader path already imposes.
   template <class F>
   void read_snapshot(int cs_id, F&& f) {
     htm::Engine* engine = htm::Engine::current();
-    if (!cfg_->snapshot_readers || engine == nullptr ||
-        !engine->retains_versions()) {
+    if (engine == nullptr || !engine->retains_versions()) {
       read(cs_id, std::forward<F>(f));
       return;
     }
@@ -275,10 +277,11 @@ class alignas(kCacheLineSize) SpRWLock {
       // Between iterations nothing is advertised, so expiry needs no
       // unwind here (waiting_ver is cleared before each defer exit).
       if (locks::deadline_expired(deadline)) return timed_out();
-      if (cfg_->reader_sync && !have_pass && !readers_wait(p, tid, deadline)) {
+      if (cfg_->reader_sync() && !have_pass &&
+          !readers_wait(p, tid, deadline)) {
         return timed_out();
       }
-      if (cfg_->writer_sync) {
+      if (cfg_->writer_sync()) {
         p.own(tid).clock_r.store(platform::now() + read_estimate(p, cs_id),
                                  std::memory_order_relaxed);
       }
@@ -361,8 +364,8 @@ class alignas(kCacheLineSize) SpRWLock {
     // eagerly: under bias a cold lock has no plane and therefore no
     // slow-path readers to schedule against — forcing a plane here would
     // defeat the O(1)-word cold footprint.
-    const bool flagged =
-        cfg_->reader_sync && !(bias_.defers_plane() && plane_peek() == nullptr);
+    const bool flagged = cfg_->reader_sync() &&
+                         !(bias_.defers_plane() && plane_peek() == nullptr);
     Plane* wp = flagged ? &plane() : plane_peek();
     if (flagged) {
       // Advertise the writer and its expected end time (Alg. 2).
@@ -489,7 +492,7 @@ class alignas(kCacheLineSize) SpRWLock {
           if (!escalate(locks::Escalation::kStalledReader)) return timed_out();
           break;
         }
-        if (cfg_->writer_sync) {
+        if (cfg_->writer_sync()) {
           trace::emit(trace::Event::kWriterWait);
           writer_wait(cs_id, tid, deadline);
         }
@@ -748,6 +751,20 @@ class alignas(kCacheLineSize) SpRWLock {
   static const Config& checked(const std::shared_ptr<const Config>& p) {
     if (p == nullptr) throw std::invalid_argument("SpRWLock: null Config");
     const Config& cfg = *p;
+    if (cfg.max_threads < 1) {
+      throw std::invalid_argument("SpRWLock: max_threads must be >= 1");
+    }
+    if (cfg.snzi_levels < 0 || cfg.snzi_levels > snzi::Snzi::kMaxLevels) {
+      throw std::invalid_argument(
+          "SpRWLock: snzi_levels outside [0, Snzi::kMaxLevels]");
+    }
+    if (!(cfg.delta_fraction >= 0.0 && cfg.delta_fraction <= 1.0)) {
+      throw std::invalid_argument("SpRWLock: delta_fraction outside [0, 1]");
+    }
+    if (cfg.socket_sharded_tracking && cfg.tracking != Tracking::kFlags) {
+      throw std::invalid_argument(
+          "SpRWLock: socket_sharded_tracking shards the flags tracker only");
+    }
     const sim::Topology& t = cfg.topology;
     if (cfg.socket_sharded_tracking && t.sockets > 1 &&
         (t.cores_per_socket <= 0 ||
@@ -888,7 +905,7 @@ class alignas(kCacheLineSize) SpRWLock {
           max_end = end;
           wait_for = t;
         }
-      } else if (cfg_->reader_join) {
+      } else if (cfg_->reader_join()) {
         const int other = p.peer(t).waiting_for.load(std::memory_order_acquire);
         if (other != -1) {
           wait_for = other;  // align our start with that reader's

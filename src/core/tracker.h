@@ -2,11 +2,12 @@
 // makes itself visible to writers, and how writers look for it. A lock
 // builds one ReaderTracker in its lazily allocated plane, chosen once from
 // Config::tracking when the lock is constructed: FlagsTracker (the paper's
-// state[] flags, flat or socket-major with per-socket reader counts),
-// SnziTracker (§3.4), or AdaptiveTracker (both, plus a mode word and a
-// transition word). Every operation charges exactly the engine accesses of
-// the structure it touches, and a reader's registration store bumps a line
-// that any writer past subscribe() has in its read set. The checker
+// state[] flags, flat with a line-OR commit scan, or socket-major with
+// per-socket reader counts), SnziTracker (§3.4, one flat tree), or
+// AdaptiveTracker (both, plus a mode word and a transition word). Every
+// operation charges exactly the engine accesses of the structure it
+// touches, and a reader's registration store bumps a line that any writer
+// past subscribe() has in its read set. The checker
 // substitutes mutants (src/check/mutants.h) through the tracker factory.
 #pragma once
 
@@ -140,12 +141,11 @@ class ReaderTracker {
 /// (word 0 of its own line), which is all the commit scan reads.
 class FlagsTracker : public ReaderTracker {
  public:
-  FlagsTracker(const Config& cfg, StateArray& state)
+  FlagsTracker(const Config&, StateArray& state)
       : ReaderTracker(state),
         counts_(StateArray::kSlotsPerLine *
                 static_cast<std::size_t>(state.socket_major() ? state.sockets()
-                                                              : 0)),
-        batched_(cfg.batched_reader_scan) {}
+                                                              : 0)) {}
 
   int arrive(int tid) override {
     state_[tid].store(StateArray::kReader);  // strong isolation
@@ -158,7 +158,10 @@ class FlagsTracker : public ReaderTracker {
     if (state_.socket_major()) count_add(tid, -1);
   }
 
-  bool subscribe(htm::Engine& e, int tid) override {
+  /// One OR-summary read per line of 8 flags (ceil(T/8) line reads);
+  /// writers' kWriter (bit 1) never trips it, so a writer's own slot needs
+  /// no skip.
+  bool subscribe(htm::Engine& e, int) override {
     if (state_.socket_major()) {
       for (int s = 0; s < state_.sockets(); ++s) {
         if (count(s).load() != 0) return true;
@@ -166,18 +169,10 @@ class FlagsTracker : public ReaderTracker {
       return false;
     }
     const auto n = static_cast<std::size_t>(state_.threads());
-    if (batched_) {
-      // One OR-summary read per line of 8 flags; writers' kWriter (bit 1)
-      // never trips it.
-      for (std::size_t base = 0; base < n; base += StateArray::kSlotsPerLine) {
-        const std::size_t len = std::min(StateArray::kSlotsPerLine, n - base);
-        const std::uint64_t any = htm::line_or(e, state_.slots() + base, len);
-        if ((any & StateArray::kReader) != 0) return true;
-      }
-      return false;
-    }
-    for (int t = 0; t < state_.threads(); ++t) {
-      if (t != tid && state_[t].load() == StateArray::kReader) return true;
+    for (std::size_t base = 0; base < n; base += StateArray::kSlotsPerLine) {
+      const std::size_t len = std::min(StateArray::kSlotsPerLine, n - base);
+      const std::uint64_t any = htm::line_or(e, state_.slots() + base, len);
+      if ((any & StateArray::kReader) != 0) return true;
     }
     return false;
   }
@@ -227,7 +222,6 @@ class FlagsTracker : public ReaderTracker {
   }
 
   mutable aligned_vector<htm::Shared<std::uint64_t>> counts_;
-  bool batched_;
 };
 
 class SnziTracker : public ReaderTracker {
@@ -262,11 +256,6 @@ class SnziTracker : public ReaderTracker {
              sc.levels < snzi::Snzi::kMaxLevels) {
         ++sc.levels;
       }
-    }
-    if (cfg.socket_sharded_tracking) {
-      // Socket-major leaves keep arrive/depart traffic socket-local.
-      sc.sockets = cfg.topology.sockets;
-      sc.cores_per_socket = cfg.topology.cores_per_socket;
     }
     return sc;
   }

@@ -220,7 +220,6 @@ inline DistChaosResult run_dist_chaos(dist::Shard& shard, htm::Engine& engine,
 
   sim::SimConfig scfg;
   scfg.max_virtual_time = cfg.max_virtual_time;
-  scfg.topology = cfg.topology;
   sim::Simulator sim(scfg);
   FaultInjector injector(plan, &sim, &engine);
   FaultScope fscope(injector);
@@ -356,7 +355,6 @@ inline TornOracleResult run_torn_oracle(dist::Shard& shard,
   const std::size_t cells = shard.config().cells;
   sim::SimConfig scfg;
   scfg.max_virtual_time = cfg.max_virtual_time;
-  scfg.topology = shard.config().topology;
   sim::Simulator sim(scfg);
   htm::EngineScope escope(engine);
   engine.reset_stats();

@@ -99,12 +99,6 @@ struct SimConfig {
   /// Explicit values are honoured unchanged (livelock tests pin small ones).
   int no_progress_bound = 0;
 
-  /// Simulated machine shape (sockets × cores-per-socket). Fiber tid = core
-  /// id, socket-major. Consumed by the HTM engine's coherence model and the
-  /// topology-aware lock layouts; the simulator itself schedules purely by
-  /// virtual time, so the default 1-socket topology changes nothing.
-  Topology topology{};
-
   /// The no-progress bound a run over `nthreads` fibers actually uses.
   int resolved_no_progress_bound(int nthreads) const noexcept {
     if (no_progress_bound > 0) return no_progress_bound;

@@ -5,15 +5,15 @@
 // existed. Real multi-socket parts pay a steep premium when a cache line's
 // home moves across the interconnect (~3-10x an LLC hit on the paper's
 // Broadwell and POWER8 boxes), and that asymmetry is exactly what NUMA-aware
-// reader-indicator layouts (BRAVO-style sharding, socket-major SNZI trees)
+// reader-indicator layouts (BRAVO-style sharding, socket-major reader flags)
 // exist to exploit.
 //
-// Topology is the one struct both the simulator and the HTM engine agree on:
-// the engine maps a dense thread id to a socket to decide whether an access
-// migrated a line across sockets (htm/engine.h, coherence_extra), and locks
-// use it to shard their reader-tracking planes per socket (core/sprwl.h,
-// snzi/snzi.h). It is a plain value type with no dependencies so every layer
-// can include it.
+// Topology is the one struct the HTM engine, the locks and the fault and
+// lease layers agree on: the engine maps a dense thread id to a socket to
+// decide whether an access migrated a line across sockets (htm/engine.h,
+// coherence_extra), and locks use it to shard their reader flags and
+// reader tables per socket (core/tracker.h, core/bravo.h). It is a plain
+// value type with no dependencies so every layer can include it.
 //
 // Thread ids map to cores in socket-major order: threads [0, C) are socket
 // 0, [C, 2C) socket 1, and so on — matching how the benchmarks pin fibers.

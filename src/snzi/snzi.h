@@ -31,6 +31,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/cacheline.h"
@@ -45,16 +46,6 @@ class Snzi {
   struct Config {
     /// Number of tree levels; 1 means a single (root) counter.
     int levels = 3;
-    /// Socket-major leaf layout (topology-aware reader tracking, DESIGN.md
-    /// §11): with sockets > 1 the leaf row is partitioned into `sockets`
-    /// contiguous blocks and slot s (socket-major dense tid, see
-    /// sim::Topology) maps into its own socket's block — so the leaf RMWs
-    /// of same-socket arrivals share socket-local lines and never ping-pong
-    /// across the interconnect. Zero-to-nonzero transitions still propagate
-    /// to the shared root, which is the only word writers query. The
-    /// defaults reproduce the flat slot-modulo-leaves layout bit for bit.
-    int sockets = 1;
-    int cores_per_socket = 0;
   };
 
   /// Deepest supported tree. 16 levels = 32768 leaves, enough for any
@@ -64,19 +55,16 @@ class Snzi {
 
   Snzi() : Snzi(Config{}) {}
 
+  /// Throws std::invalid_argument for levels outside [1, kMaxLevels].
   explicit Snzi(Config cfg) {
-    assert(cfg.levels >= 1 && cfg.levels <= kMaxLevels);
+    if (cfg.levels < 1 || cfg.levels > kMaxLevels) {
+      throw std::invalid_argument("Snzi: levels outside [1, kMaxLevels]");
+    }
     std::size_t count = 0;
     for (int l = 0; l < cfg.levels; ++l) count += std::size_t{1} << l;
     nodes_ = std::vector<CacheLinePadded<htm::Shared<std::uint64_t>>>(count);
     first_leaf_ = count - (std::size_t{1} << (cfg.levels - 1));
     leaves_ = count - first_leaf_;
-    if (cfg.sockets > 1 && cfg.cores_per_socket > 0 &&
-        static_cast<std::size_t>(cfg.sockets) <= leaves_) {
-      sockets_ = static_cast<std::size_t>(cfg.sockets);
-      cores_per_socket_ = static_cast<std::size_t>(cfg.cores_per_socket);
-      block_ = leaves_ / sockets_;
-    }
   }
 
   /// Register one arrival for `slot` (typically a thread id; mapped onto a
@@ -111,11 +99,9 @@ class Snzi {
            nodes_.capacity() * sizeof(CacheLinePadded<htm::Shared<std::uint64_t>>);
   }
 
-  /// Leaf row index (0-based) that `slot` arrives at — the layout contract
-  /// the socket-major tests pin. Departures use the same mapping, so a slot
-  /// that migrates sockets between arrive and depart still matches its own
-  /// arrival (the mapping depends only on the slot id, never on where the
-  /// call runs).
+  /// Leaf row index (0-based) that `slot` arrives at: slot modulo the leaf
+  /// count. Departures use the same mapping, which depends only on the slot
+  /// id, never on where the call runs.
   std::size_t leaf_index(int slot) const noexcept {
     return leaf_of(slot) - first_leaf_;
   }
@@ -152,13 +138,7 @@ class Snzi {
   }
 
   std::size_t leaf_of(int slot) const noexcept {
-    const auto s = static_cast<std::size_t>(slot);
-    if (sockets_ <= 1) return first_leaf_ + s % leaves_;
-    // Socket-major: the slot's socket selects a contiguous leaf block, the
-    // within-socket index folds into it.
-    const std::size_t socket = (s / cores_per_socket_) % sockets_;
-    const std::size_t local = s % cores_per_socket_;
-    return first_leaf_ + socket * block_ + local % block_;
+    return first_leaf_ + static_cast<std::size_t>(slot) % leaves_;
   }
   static bool is_root(std::size_t i) noexcept { return i == 0; }
   static std::size_t parent_of(std::size_t i) noexcept { return (i - 1) / 2; }
@@ -214,10 +194,6 @@ class Snzi {
   std::vector<CacheLinePadded<htm::Shared<std::uint64_t>>> nodes_;
   std::size_t first_leaf_ = 0;
   std::size_t leaves_ = 0;
-  // Socket-major layout (1/0/0 = flat slot-modulo-leaves, the default).
-  std::size_t sockets_ = 1;
-  std::size_t cores_per_socket_ = 0;
-  std::size_t block_ = 0;
   mutable std::atomic<int> in_update_{0};
 };
 

@@ -51,9 +51,8 @@ TEST(Bravo, RequiresTable) {
 TEST(Bravo, TableAutoSizeAndRegistration) {
   bravo::ReaderTable::Config tc;
   tc.max_threads = 64;
-  tc.slots_per_thread = 4;
   bravo::ReaderTable t(tc);
-  EXPECT_GE(t.slot_count(), 256u);
+  EXPECT_GE(t.slot_count(), 64 * bravo::ReaderTable::kSlotsPerThread);
   EXPECT_EQ(t.slot_count() % bravo::ReaderTable::kSlotsPerLine, 0u);
   EXPECT_EQ(t.register_lock(), 0u);
   EXPECT_EQ(t.register_lock(), 1u);
@@ -387,7 +386,7 @@ TEST(Bravo, FullVariantPlaneFootprint) {
   EXPECT_EQ(lock.footprint_bytes(), sizeof(SpRWLock));
   (void)lock.snzi_leaf_count();  // builds the plane; no engine access
   ASSERT_TRUE(lock.has_plane());
-  EXPECT_EQ(lock.footprint_bytes(), 960u);
+  EXPECT_EQ(lock.footprint_bytes(), 952u);
   htm::Engine engine{htm::EngineConfig{}};
   htm::EngineScope scope(engine);
   const auto read_from = [&](int threads) {
@@ -395,9 +394,9 @@ TEST(Bravo, FullVariantPlaneFootprint) {
     sim.run(threads, [&](int) { lock.read(0, [] {}); });
   };
   read_from(1);
-  EXPECT_EQ(lock.footprint_bytes(), 960u + 128);  // thread 0's block
+  EXPECT_EQ(lock.footprint_bytes(), 952u + 128);  // thread 0's block
   read_from(28);
-  EXPECT_EQ(lock.footprint_bytes(), 960u + 14 * 128);  // all 14 blocks
+  EXPECT_EQ(lock.footprint_bytes(), 952u + 14 * 128);  // all 14 blocks
 }
 
 // Real threads race the first stores into one fresh plane's blocks (also

@@ -50,13 +50,13 @@ Config sharded_bravo_config(int threads,
 }
 
 // Shard geometry follows the topology: one shard per socket, sized from
-// that socket's core count (slots_per_thread per core), each starting on
+// that socket's core count (kSlotsPerThread per core), each starting on
 // its own cache line; slot_of confines every (lock, tid) hash to the
 // acquirer's socket's shard.
 TEST(BravoNuma, ShardGeometryFromTopology) {
+  static_assert(bravo::ReaderTable::kSlotsPerThread == 4);
   bravo::ReaderTable::Config tc;
   tc.max_threads = 16;
-  tc.slots_per_thread = 4;
   tc.shard_by_socket = true;
   tc.topology = sim::Topology::split(16, 4);  // 4 sockets x 4 cores
   bravo::ReaderTable t(tc);
@@ -95,7 +95,7 @@ TEST(BravoNuma, EmptyShardRejected) {
 TEST(BravoNuma, OneCorePerSocketShardsStayValid) {
   bravo::ReaderTable::Config tc;
   tc.max_threads = 4;
-  tc.slots_per_thread = 2;
+  tc.slots = 2;  // per shard
   tc.shard_by_socket = true;
   tc.topology = sim::Topology::split(4, 4);  // 4 sockets x 1 core
   bravo::ReaderTable t(tc);
@@ -137,6 +137,22 @@ TEST(BravoNuma, CleanDrainReadsOneLinePerSocket) {
             (global.slot_count() + bravo::ReaderTable::kSlotsPerLine - 1) /
                 bravo::ReaderTable::kSlotsPerLine * g_costs.load);
   EXPECT_LT(sharded_cost, global_cost);
+}
+
+// A clear period below 1 has no meaning; the table refuses it instead of
+// rounding it up to 1.
+TEST(BravoNuma, SummaryClearPeriodBelowOneRejected) {
+  bravo::ReaderTable::Config tc;
+  tc.max_threads = 4;
+  tc.shard_by_socket = true;
+  tc.topology = sim::Topology::split(4, 2);
+  for (int period : {0, -1}) {
+    tc.summary_clear_period = period;
+    EXPECT_THROW(bravo::ReaderTable{tc}, std::invalid_argument)
+        << "period " << period;
+  }
+  tc.summary_clear_period = 1;
+  EXPECT_NO_THROW(bravo::ReaderTable{tc});
 }
 
 // The sticky amortization (summary_clear_period, the product default):

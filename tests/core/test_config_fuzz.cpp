@@ -1,5 +1,5 @@
 // Configuration fuzz: SpRWL's safety properties must hold for EVERY
-// combination of its knobs (scheduling toggles, tracking scheme, retry
+// combination of its knobs (scheduling variant, tracking scheme, retry
 // count, versioned SGL, δ, SNZI depth) under every capacity profile.
 // Each fuzz case derives a random-but-deterministic Config from its index
 // and runs the torn-read + lost-update workload.
@@ -25,9 +25,15 @@ Config fuzz_config(std::uint64_t index, int threads) {
   cfg.max_threads = threads;
   cfg.max_retries = static_cast<int>(rng.next_in(1, 20));
   rng.next_in(1, 10);  // unused draw: keeps each index's config stable
-  cfg.reader_sync = rng.next_bool(0.7);
-  cfg.reader_join = cfg.reader_sync && rng.next_bool(0.7);
-  cfg.writer_sync = rng.next_bool(0.5);
+  // One draw per scheduling mechanism keeps every index's other fields;
+  // the first mechanism drawn off picks the variant that lacks it.
+  const bool reader_sync = rng.next_bool(0.7);
+  const bool reader_join = reader_sync && rng.next_bool(0.7);
+  const bool writer_sync = rng.next_bool(0.5);
+  cfg.scheduling = !reader_sync   ? SchedulingVariant::kNoSched
+                   : !reader_join ? SchedulingVariant::kRWait
+                   : !writer_sync ? SchedulingVariant::kRSync
+                                  : SchedulingVariant::kFull;
   cfg.reader_htm_first = rng.next_bool(0.5);
   const bool snzi = rng.next_bool(0.3);
   cfg.tracking = snzi                  ? Tracking::kSnzi

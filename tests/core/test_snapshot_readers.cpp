@@ -1,12 +1,12 @@
-// SpRWLock::read_snapshot (Config::snapshot_readers, DESIGN.md §14): the
-// third acquisition mode. A snapshot reader pins the engine's version
-// clock and registers NOTHING — no flag plane, no SNZI arrival, no bravo
-// slot — so writers commit as if the reader did not exist; consistency
-// comes from the multi-version lookup, not from mutual exclusion. Covers
-// the no-registration invariant, writer invisibility, the SnapshotMiss
-// fallback to a registered read, the SGL pin guard, graceful degradation
-// when the feature is off, and pin hygiene under fault injection
-// (preemption mid-section) and exceptions.
+// SpRWLock::read_snapshot (DESIGN.md §14): the third acquisition mode,
+// taken whenever the installed engine retains versions. A snapshot reader
+// pins the engine's version clock and registers NOTHING — no flag plane,
+// no SNZI arrival, no bravo slot — so writers commit as if the reader did
+// not exist; consistency comes from the multi-version lookup, not from
+// mutual exclusion. Covers the no-registration invariant, writer
+// invisibility, the SnapshotMiss fallback to a registered read, the SGL
+// pin guard, graceful degradation on an engine without retention, and pin
+// hygiene under fault injection (preemption mid-section) and exceptions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,7 +37,6 @@ htm::EngineConfig engine_cfg(std::uint32_t retain) {
 Config snap_config(int threads) {
   Config cfg = Config::variant(SchedulingVariant::kFull, threads);
   cfg.reader_htm_first = false;  // exercise the snapshot path itself
-  cfg.snapshot_readers = true;
   return cfg;
 }
 
@@ -99,45 +98,25 @@ TEST(SnapshotReaders, ParkedReaderNeverAbortsWriters) {
   EXPECT_EQ(lock.reader_abort_count(), 0u);
 }
 
-// Graceful degradation: with the config flag off, or without an engine
-// that retains versions, read_snapshot() is a plain read() — the body runs
-// exactly once and no snapshot counter moves.
+// Graceful degradation: without an engine that retains versions,
+// read_snapshot() is a plain read() — the body runs exactly once and no
+// snapshot counter moves.
 TEST(SnapshotReaders, DegradesToPlainReadWithoutSupport) {
-  {  // flag off
-    htm::Engine engine{engine_cfg(4)};
-    htm::EngineScope scope(engine);
-    Config cfg = snap_config(2);
-    cfg.snapshot_readers = false;
-    SpRWLock lock{cfg};
-    Cell x;
-    int runs = 0;
-    sim::Simulator sim;
-    sim.run(1, [&](int) {
-      lock.read_snapshot(0, [&] {
-        ++runs;
-        (void)x.v.load();
-      });
+  htm::Engine engine{htm::EngineConfig{}};
+  htm::EngineScope scope(engine);
+  SpRWLock lock{snap_config(2)};
+  Cell x;
+  int runs = 0;
+  sim::Simulator sim;
+  sim.run(1, [&](int) {
+    lock.read_snapshot(0, [&] {
+      ++runs;
+      (void)x.v.load();
     });
-    EXPECT_EQ(runs, 1);
-    EXPECT_EQ(lock.snapshot_read_count(), 0u);
-  }
-  {  // engine without retention
-    htm::Engine engine{htm::EngineConfig{}};
-    htm::EngineScope scope(engine);
-    SpRWLock lock{snap_config(2)};
-    Cell x;
-    int runs = 0;
-    sim::Simulator sim;
-    sim.run(1, [&](int) {
-      lock.read_snapshot(0, [&] {
-        ++runs;
-        (void)x.v.load();
-      });
-    });
-    EXPECT_EQ(runs, 1);
-    EXPECT_EQ(lock.snapshot_read_count(), 0u);
-    EXPECT_EQ(lock.snapshot_fallback_count(), 0u);
-  }
+  });
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(lock.snapshot_read_count(), 0u);
+  EXPECT_EQ(lock.snapshot_fallback_count(), 0u);
 }
 
 // The bounded-ring escape hatch: a section so long (relative to

@@ -1,11 +1,13 @@
 // Hierarchical per-socket reader tracking (Config::socket_sharded_tracking,
 // DESIGN.md §11) and the lock's entry-point guards: construction rejects
-// topologies too small for the shard layout, out-of-range thread ids throw
-// instead of corrupting a neighbour's flag slot, SNZI auto-sizing follows
-// max_threads, and the sharded layout preserves the base algorithm's
-// safety scenarios unchanged.
+// topologies too small for the shard layout, sharding with a SNZI tracker
+// and out-of-range numbers, out-of-range thread ids throw instead of
+// corrupting a neighbour's flag slot, SNZI auto-sizing follows max_threads,
+// and the sharded layout preserves the base algorithm's safety scenarios
+// unchanged.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -42,6 +44,43 @@ TEST(SpRWLGuards, ThreadIdOutOfRangeThrows) {
   EXPECT_THROW(lock.write(1, [] {}), std::out_of_range);
   ThreadIdScope far(1000);
   EXPECT_THROW(lock.read(0, [] {}), std::out_of_range);
+}
+
+// Numbers the lock cannot honour fail at construction, not at first use:
+// a thread count below 1 (no thread could enter; a negative one fails
+// only when the plane is built), a SNZI depth outside [0, kMaxLevels] (the
+// tree is built lazily) and a δ fraction outside [0, 1] or NaN
+// (writer_wait casts it to an integer).
+TEST(SpRWLGuards, OutOfRangeNumbersAreRejected) {
+  for (int threads : {0, -1}) {
+    Config c;
+    c.max_threads = threads;
+    EXPECT_THROW(SpRWLock{c}, std::invalid_argument) << "threads " << threads;
+  }
+  Config one;
+  one.max_threads = 1;
+  EXPECT_NO_THROW(SpRWLock{one});
+  for (int levels : {-1, snzi::Snzi::kMaxLevels + 1}) {
+    Config c;
+    c.snzi_levels = levels;
+    EXPECT_THROW(SpRWLock{c}, std::invalid_argument) << "levels " << levels;
+  }
+  for (int levels : {0, snzi::Snzi::kMaxLevels}) {
+    Config c;
+    c.snzi_levels = levels;
+    EXPECT_NO_THROW(SpRWLock{c}) << "levels " << levels;
+  }
+  for (double delta :
+       {-0.1, 1.1, std::numeric_limits<double>::quiet_NaN()}) {
+    Config c;
+    c.delta_fraction = delta;
+    EXPECT_THROW(SpRWLock{c}, std::invalid_argument) << "delta " << delta;
+  }
+  for (double delta : {0.0, 1.0}) {
+    Config c;
+    c.delta_fraction = delta;
+    EXPECT_NO_THROW(SpRWLock{c}) << "delta " << delta;
+  }
 }
 
 TEST(SpRWLGuards, ValidThreadIdStillWorks) {
@@ -177,40 +216,18 @@ TEST(SpRWLSharded, NoTornReadsAcrossSockets) {
   EXPECT_EQ(a.v.raw_load(), b.v.raw_load());
 }
 
-// Sharded tracking composes with the SNZI indicator (the tree goes
-// socket-major, see snzi/snzi.h): same atomicity guarantee.
-TEST(SpRWLSharded, ComposesWithSocketMajorSnzi) {
-  htm::Engine engine{htm::EngineConfig{}};
-  htm::EngineScope scope(engine);
+// Only the flags tracker shards: a SNZI-backed tracker on a sharded
+// Config is refused, and the flags tracker on the same topology builds.
+TEST(SpRWLSharded, SnziTrackersAreRejected) {
   Config cfg = Config::variant(SchedulingVariant::kFull, 8);
   cfg.socket_sharded_tracking = true;
   cfg.topology = sim::Topology::split(8, 2);
-  cfg.tracking = Tracking::kSnzi;
-  SpRWLock lock{cfg};
-  EXPECT_GT(lock.snzi_leaf_count(), 0u);
-  Cell a, b;
-  std::uint64_t torn = 0;
-  sim::Simulator sim;
-  sim.run(8, [&](int tid) {
-    for (int op = 0; op < 10; ++op) {
-      if (tid == 0) {
-        lock.write(1, [&] {
-          const std::uint64_t n = a.v.load() + 1;
-          a.v.store(n);
-          b.v.store(n);
-        });
-      } else {
-        lock.read(0, [&] {
-          const std::uint64_t x = a.v.load();
-          platform::advance(150);
-          if (x != b.v.load()) ++torn;
-        });
-      }
-      platform::advance(70 * static_cast<std::uint64_t>(tid) + 30);
-    }
-  });
-  EXPECT_EQ(torn, 0u);
-  EXPECT_EQ(a.v.raw_load(), 10u);
+  for (Tracking t : {Tracking::kSnzi, Tracking::kAdaptive}) {
+    cfg.tracking = t;
+    EXPECT_THROW(SpRWLock{cfg}, std::invalid_argument);
+  }
+  cfg.tracking = Tracking::kFlags;
+  EXPECT_NO_THROW(SpRWLock{cfg});
 }
 
 }  // namespace

@@ -84,13 +84,17 @@ TEST(TrackerMatrix, EveryCombinationRunsCleanOrIsRejected) {
                        std::to_string(static_cast<int>(bias)) + " sockets " +
                        std::to_string(sockets));
           const Config cfg = matrix_config(tracking, sharded, bias, sockets);
+          // Only the flags tracker shards.
+          const bool refused = sharded && tracking != Tracking::kFlags;
           std::unique_ptr<SpRWLock> lock;
           try {
             lock = std::make_unique<SpRWLock>(cfg);
           } catch (const std::invalid_argument&) {
+            EXPECT_TRUE(refused);
             ++rejected;
             continue;
           }
+          EXPECT_FALSE(refused);
           // Nothing was rewritten: the lock runs the configuration asked for.
           EXPECT_EQ(lock->config().tracking, tracking);
           EXPECT_EQ(lock->config().socket_sharded_tracking, sharded);
@@ -115,7 +119,8 @@ TEST(TrackerMatrix, EveryCombinationRunsCleanOrIsRejected) {
       }
     }
   }
-  EXPECT_EQ(ran + rejected, 3 * 2 * 3 * 2);
+  EXPECT_EQ(ran, 24);
+  EXPECT_EQ(rejected, 12);
   ::testing::Test::RecordProperty("ran", ran);
   ::testing::Test::RecordProperty("rejected", rejected);
 }

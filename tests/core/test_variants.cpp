@@ -19,25 +19,26 @@ struct alignas(64) Cell {
 
 TEST(SpRWLVariants, PresetsToggleTheRightKnobs) {
   const Config nosched = Config::variant(SchedulingVariant::kNoSched, 8);
-  EXPECT_FALSE(nosched.reader_sync);
-  EXPECT_FALSE(nosched.reader_join);
-  EXPECT_FALSE(nosched.writer_sync);
+  EXPECT_FALSE(nosched.reader_sync());
+  EXPECT_FALSE(nosched.reader_join());
+  EXPECT_FALSE(nosched.writer_sync());
 
   const Config rwait = Config::variant(SchedulingVariant::kRWait, 8);
-  EXPECT_TRUE(rwait.reader_sync);
-  EXPECT_FALSE(rwait.reader_join);
-  EXPECT_FALSE(rwait.writer_sync);
+  EXPECT_TRUE(rwait.reader_sync());
+  EXPECT_FALSE(rwait.reader_join());
+  EXPECT_FALSE(rwait.writer_sync());
 
   const Config rsync = Config::variant(SchedulingVariant::kRSync, 8);
-  EXPECT_TRUE(rsync.reader_sync);
-  EXPECT_TRUE(rsync.reader_join);
-  EXPECT_FALSE(rsync.writer_sync);
+  EXPECT_TRUE(rsync.reader_sync());
+  EXPECT_TRUE(rsync.reader_join());
+  EXPECT_FALSE(rsync.writer_sync());
 
   const Config full = Config::variant(SchedulingVariant::kFull, 8);
-  EXPECT_TRUE(full.reader_sync);
-  EXPECT_TRUE(full.reader_join);
-  EXPECT_TRUE(full.writer_sync);
+  EXPECT_TRUE(full.reader_sync());
+  EXPECT_TRUE(full.reader_join());
+  EXPECT_TRUE(full.writer_sync());
   EXPECT_EQ(full.max_threads, 8);
+  EXPECT_EQ(full.scheduling, SchedulingVariant::kFull);
 }
 
 TEST(SpRWLVariants, SnziVariantPreservesSafety) {

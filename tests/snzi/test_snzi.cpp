@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -111,23 +112,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SnziProperty,
                          ::testing::Combine(::testing::Values(1, 2, 3, 5),
                                             ::testing::Values(1, 2, 8, 32)));
 
-// Socket-major layout (DESIGN.md §11): with a topology configured, the
-// leaf row is partitioned into one contiguous block per socket, so a
-// socket's readers fold into their own leaves instead of striping across
-// the row. levels=3 -> 4 leaves; 2 sockets of 8 cores -> blocks of 2.
-TEST(SnziSocketMajor, LeavesPartitionBySocket) {
-  Snzi s(Snzi::Config{3, /*sockets=*/2, /*cores_per_socket=*/8});
-  ASSERT_EQ(s.leaf_count(), 4u);
-  for (int slot = 0; slot < 8; ++slot) {
-    EXPECT_LT(s.leaf_index(slot), 2u) << "slot " << slot;  // socket 0 block
-  }
-  for (int slot = 8; slot < 16; ++slot) {
-    const std::size_t leaf = s.leaf_index(slot);
-    EXPECT_GE(leaf, 2u) << "slot " << slot;  // socket 1 block
-    EXPECT_LT(leaf, 4u) << "slot " << slot;
-  }
-}
-
+// Slots stripe over the leaf row modulo the leaf count: levels=3 -> 4
+// leaves.
 TEST(SnziSocketMajor, FlatDefaultKeepsModuloStriping) {
   Snzi s(Snzi::Config{3});
   ASSERT_EQ(s.leaf_count(), 4u);
@@ -136,35 +122,16 @@ TEST(SnziSocketMajor, FlatDefaultKeepsModuloStriping) {
   }
 }
 
-// The leaf is chosen by the slot id, not by where the caller currently
-// runs: a thread that migrated sockets between arrive and depart still
-// departs the leaf it arrived on, so the surplus balances to zero.
-TEST(SnziSocketMajor, DepartAfterMigrationBalances) {
-  Snzi s(Snzi::Config{3, 2, 8});
-  {
-    ThreadIdScope tid(3);  // socket 0
-    s.arrive(3);
-    EXPECT_TRUE(s.query());
-  }
-  {
-    ThreadIdScope tid(12);  // same logical slot departing from socket 1
-    s.depart(3);
-  }
-  EXPECT_FALSE(s.query());
-  EXPECT_EQ(s.root_count_raw(), 0u);
-}
-
-TEST(SnziSocketMajor, OversizedSocketCountFallsBackToFlat) {
-  // More sockets than leaves cannot be partitioned; the layout degrades to
-  // the flat stripe rather than handing sockets empty blocks.
-  Snzi s(Snzi::Config{1, /*sockets=*/4, /*cores_per_socket=*/2});
-  ASSERT_EQ(s.leaf_count(), 1u);
-  for (int slot = 0; slot < 8; ++slot) EXPECT_EQ(s.leaf_index(slot), 0u);
-  ThreadIdScope tid(0);
-  s.arrive(5);
-  EXPECT_TRUE(s.query());
-  s.depart(5);
-  EXPECT_FALSE(s.query());
+// A depth outside [1, kMaxLevels] would shift by a negative count or
+// allocate 2^levels padded nodes; the constructor refuses it.
+TEST(Snzi, RejectsLevelsOutsideRange) {
+  EXPECT_THROW(Snzi{Snzi::Config{0}}, std::invalid_argument);
+  EXPECT_THROW(Snzi{Snzi::Config{-1}}, std::invalid_argument);
+  EXPECT_THROW(Snzi{Snzi::Config{Snzi::kMaxLevels + 1}},
+               std::invalid_argument);
+  EXPECT_EQ(Snzi{Snzi::Config{1}}.leaf_count(), 1u);
+  EXPECT_EQ(Snzi{Snzi::Config{Snzi::kMaxLevels}}.leaf_count(),
+            std::size_t{1} << (Snzi::kMaxLevels - 1));
 }
 
 TEST(SnziRealThreads, NeverFalseNegativeUnderContention) {
