@@ -100,6 +100,41 @@ TEST(Driver, TleRunMatchesPinnedDigest) {
             0xd91c015381cae42dULL);
 }
 
+// The fig3 shape: 28 fibers on a Broadwell-capacity engine, with readers of
+// 10 lookups over ~128-entry chains, so every read overflows HTM and runs
+// uninstrumented while almost every charged access switches fibers. The
+// window is short; the digest pins the simulator's and the engine's host
+// paths, which must not move a virtual cycle.
+TEST(Driver, LongReaderFig3ShapeMatchesPinnedDigest) {
+  constexpr int kThreads = 28;
+  htm::EngineConfig ec;
+  ec.capacity = htm::kBroadwell;
+  ec.max_threads = kThreads;
+  htm::Engine engine{ec};
+  HashMap::Config mc;
+  mc.buckets = 256;
+  mc.capacity = 65536;
+  mc.max_threads = kThreads;
+  HashMap map(mc);
+  Rng rng(1);
+  map.populate(32768, 65536, rng);
+  core::SpRWLock lock{
+      core::Config::variant(core::SchedulingVariant::kFull, kThreads)};
+  DriverConfig cfg;
+  cfg.threads = kThreads;
+  cfg.update_ratio = 0.1;
+  cfg.lookups_per_read = 10;
+  cfg.key_space = 65536;
+  cfg.warmup_cycles = 20'000;
+  cfg.measure_cycles = 1'000'000;
+  cfg.seed = 1;
+  sim::Simulator sim;
+  const RunResult r = run_hashmap(sim, engine, lock, map, cfg);
+  EXPECT_GT(r.reads, 0u);
+  EXPECT_EQ(r.lock_stats.reads.htm, 0u);  // every read overflows capacity
+  EXPECT_EQ(testutil::run_digest(r), 0x2bc12b54f707ff3bULL);
+}
+
 TEST(Driver, DifferentSeedsProduceDifferentRuns) {
   htm::Engine engine{htm::EngineConfig{}};
   HashMap map = make_map(2);
