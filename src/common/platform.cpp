@@ -11,6 +11,7 @@ namespace sprwl::platform::detail {
 
 constinit thread_local ExecutionContext* t_context = nullptr;
 constinit thread_local int t_thread_id = -1;
+constinit thread_local int t_os_thread_id = -1;
 
 std::uint64_t real_now() noexcept {
 #if defined(__x86_64__) || defined(__i386__)

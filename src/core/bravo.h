@@ -125,8 +125,6 @@ class ReaderTable {
                               : (cfg.max_threads < 1 ? 1 : cfg.max_threads);
         per_shard = static_cast<std::size_t>(cores) * kSlotsPerThread;
       }
-      if (per_shard == 0)
-        throw std::invalid_argument("ReaderTable: empty shard");
       shard_slots_ = per_shard;
       shard_stride_ =
           (per_shard + kSlotsPerLine - 1) / kSlotsPerLine * kSlotsPerLine;
@@ -162,7 +160,6 @@ class ReaderTable {
       n = static_cast<std::size_t>(cores) * kSlotsPerThread;
       n = (n + kSlotsPerLine - 1) / kSlotsPerLine * kSlotsPerLine;
     }
-    if (n == 0) throw std::invalid_argument("ReaderTable needs >= 1 slot");
     shard_slots_ = n;
     shard_stride_ = n;
     slots_ = aligned_vector<htm::Shared<std::uint64_t>>(n);

@@ -265,6 +265,9 @@ std::uint64_t Engine::tx_read(const std::atomic<std::uint64_t>& cell) {
 
 std::uint64_t Engine::tx_read_line_or(const std::atomic<std::uint64_t>* first,
                                       std::size_t n) {
+  // The charge below may switch fibers; request the line first, as
+  // Shared<T> does for tx_read and tx_write.
+  __builtin_prefetch(first);
   Descriptor& d = self();
   assert(d.depth > 0 && "tx_read_line_or outside a transaction");
   assert(n >= 1 && n <= 8 && "a 64-byte line holds at most 8 words");

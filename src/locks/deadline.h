@@ -13,7 +13,8 @@
 // that call such a body are [[gnu::flatten]]: in the larger merged body GCC
 // stops inlining the mutex and platform hooks, and forcing only the body
 // or only the hooks inline still left an uncontended untimed section
-// 12-27% slower on the host (bench/micro_lock_ops, RWL and PRWL reads).
+// 12-27% slower on the host (RWL and PRWL reads; perf_pipeline's read/
+// loops time the same sections).
 //
 // kShed is never produced by a lock itself: it is the admission-control
 // outcome of the open-loop queue layer (sim/arrivals.h), which shares this

@@ -53,13 +53,13 @@ TEST(Platform, WaitUntilReturnsOnceReached) {
 
 class FakeContext final : public ExecutionContext {
  public:
+  FakeContext() : ExecutionContext(42) {}
   std::uint64_t now() override { return time_; }
   void advance(std::uint64_t c) override { time_ += c; }
   void pause() override { time_ += 1; }
   void wait_until(std::uint64_t t) override {
     if (t > time_) time_ = t;
   }
-  int thread_id() override { return 42; }
 
  private:
   std::uint64_t time_ = 0;

@@ -99,11 +99,11 @@ TEST(SharedString, TransactionalUpdateIsAtomic) {
 TEST(MemoryFence, ChargesVirtualTimeUnderContext) {
   class CountingCtx final : public ExecutionContext {
    public:
+    CountingCtx() : ExecutionContext(0) {}
     std::uint64_t now() override { return time; }
     void advance(std::uint64_t c) override { time += c; }
     void pause() override {}
     void wait_until(std::uint64_t) override {}
-    int thread_id() override { return 0; }
     std::uint64_t time = 0;
   };
   CountingCtx ctx;
