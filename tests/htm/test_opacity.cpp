@@ -5,6 +5,7 @@
 // crashing, exactly like hardware transactions.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <tuple>
 #include <vector>
 
@@ -133,6 +134,51 @@ TEST(OpacityRealThreads, InvariantHolds) {
   std::int64_t final_sum = 0;
   for (auto& c : cells) final_sum += c.v.raw_load();
   EXPECT_EQ(final_sum, 0);
+}
+
+// A read-only transaction never validates at commit (it has nothing to
+// publish), so its snapshot rests on the read-set extension alone, and that
+// extension must validate the line whose read triggered it. Otherwise a
+// writer that overwrites that line between the stable read and the
+// extension's clock read gets a version at or below the new rv, and the
+// reader then takes that writer's other line without extending again while
+// it keeps the stale value. The simulated sweep above cannot reach this
+// window: nothing charges virtual time between the stable read and the
+// extension, so there is no decision point there and no other fiber runs.
+// Three real writer threads on two lines open it tens of times per
+// 100,000 reads when the extension skips that line.
+TEST(OpacityRealThreads, ExtensionValidatesTheLineItRead) {
+  EngineConfig cfg;
+  cfg.capacity = kUnbounded;
+  Engine engine(cfg);
+  EngineScope scope(engine);
+  std::vector<Slot> cells(2);
+  std::atomic<bool> done{false};
+  std::atomic<std::int64_t> torn{0};
+  constexpr int kReads = 100'000;
+  sim::run_real_threads(4, [&](int tid) {
+    if (tid == 0) {
+      for (int r = 0; r < kReads; ++r) {
+        std::int64_t sum = 0;
+        const TxStatus st = engine.try_transaction(
+            [&] { sum = cells[0].v.load() + cells[1].v.load(); });
+        if (st.committed() && sum != 0) torn.fetch_add(1);
+      }
+      done.store(true);
+      return;
+    }
+    const std::int64_t unit = tid % 2 == 0 ? 1 : -1;
+    while (!done.load()) {
+      engine.try_transaction([&] {
+        const std::int64_t a = cells[0].v.load();
+        const std::int64_t b = cells[1].v.load();
+        cells[0].v.store(a - unit);
+        cells[1].v.store(b + unit);
+      });
+    }
+  });
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(cells[0].v.raw_load() + cells[1].v.raw_load(), 0);
 }
 
 }  // namespace
