@@ -18,7 +18,7 @@ class BlindScanFlags : public core::FlagsTracker {
   static constexpr int kBlindTid = 0;
   using FlagsTracker::FlagsTracker;
 
-  bool subscribe(htm::Engine&, int tid) override {
+  bool subscribe(int tid) override {
     if (state_.socket_major()) {
       for (int s = 0; s < state_.sockets(); ++s) {
         if (s == state_.socket_of(kBlindTid)) continue;

@@ -261,7 +261,7 @@ class ReaderTable {
   }
 
   /// Revocation drain: wait until no slot holds `lock_id`'s tag. Reads one
-  /// line at a time with a single load charge (line_or_plain) and spins
+  /// line at a time with a single load charge (htm::line_or) and spins
   /// per slot only on non-empty lines; a slot of a *different* lock costs
   /// one word compare, never a wait. Sharded tables are walked in socket
   /// order, and a shard whose summary reads 0 costs only its summary line
@@ -350,7 +350,7 @@ class ReaderTable {
          b += kSlotsPerLine) {
       const std::size_t count =
           std::min(kSlotsPerLine, summary_stride_ - b);
-      occupied |= htm::line_or_plain(&summary_[sb + b], count);
+      occupied |= htm::line_or(&summary_[sb + b], count);
     }
     const std::size_t base = static_cast<std::size_t>(sh) * shard_stride_;
     const bool drained =
@@ -366,7 +366,7 @@ class ReaderTable {
     for (std::size_t base = first; base < limit; base += kSlotsPerLine) {
       const std::size_t count =
           limit - base < kSlotsPerLine ? limit - base : kSlotsPerLine;
-      if (htm::line_or_plain(&slots_[base], count) == 0) continue;
+      if (htm::line_or(&slots_[base], count) == 0) continue;
       for (std::size_t s = base; s < base + count; ++s) {
         while (slots_[s].load() == tag) {
           if (deadline != ~std::uint64_t{0} && platform::now() >= deadline) {

@@ -105,7 +105,7 @@ class ReaderTracker {
   virtual void depart(int tid, int token) = 0;
   /// The commit-time check inside the writer's transaction: true iff a
   /// registered reader is visible. Every word read joins the read set.
-  virtual bool subscribe(htm::Engine& e, int tid) = 0;
+  virtual bool subscribe(int tid) = 0;
   /// Alg. 1 wait_for_readers, for the SGL holder `tid`.
   virtual void drain(int tid) = 0;
   /// Uncharged: no reader is registered in this tracker's structures.
@@ -161,7 +161,7 @@ class FlagsTracker : public ReaderTracker {
   /// One OR-summary read per line of 8 flags (ceil(T/8) line reads);
   /// writers' kWriter (bit 1) never trips it, so a writer's own slot needs
   /// no skip.
-  bool subscribe(htm::Engine& e, int) override {
+  bool subscribe(int) override {
     if (state_.socket_major()) {
       for (int s = 0; s < state_.sockets(); ++s) {
         if (count(s).load() != 0) return true;
@@ -171,7 +171,7 @@ class FlagsTracker : public ReaderTracker {
     const auto n = static_cast<std::size_t>(state_.threads());
     for (std::size_t base = 0; base < n; base += StateArray::kSlotsPerLine) {
       const std::size_t len = std::min(StateArray::kSlotsPerLine, n - base);
-      const std::uint64_t any = htm::line_or(e, state_.slots() + base, len);
+      const std::uint64_t any = htm::line_or(state_.slots() + base, len);
       if ((any & StateArray::kReader) != 0) return true;
     }
     return false;
@@ -235,7 +235,7 @@ class SnziTracker : public ReaderTracker {
     return 0;
   }
   void depart(int tid, int) override { snzi_.depart(tid); }
-  bool subscribe(htm::Engine&, int) override { return snzi_.query(); }
+  bool subscribe(int) override { return snzi_.query(); }
   void drain(int) override { while (snzi_.query()) platform::pause(); }
   bool quiescent_raw() const override { return snzi_.root_count_raw() == 0; }
   bool uses_snzi() const override { return true; }
@@ -293,11 +293,11 @@ class AdaptiveTracker : public ReaderTracker {
 
   /// Both words join the read set, so a flip mid-transaction aborts the
   /// writer rather than hiding a reader.
-  bool subscribe(htm::Engine& e, int tid) override {
+  bool subscribe(int tid) override {
     const bool both = words_.transition.load() != 0;
     const std::uint64_t m = words_.mode.load();
-    if ((both || m == kSnzi) && snzi_.subscribe(e, tid)) return true;
-    return (both || m == kFlags) && flags_.subscribe(e, tid);
+    if ((both || m == kSnzi) && snzi_.subscribe(tid)) return true;
+    return (both || m == kFlags) && flags_.subscribe(tid);
   }
   void drain(int tid) override {
     snzi_.drain(tid);

@@ -9,7 +9,17 @@
 //    validated against a global version clock on every read ("extension"),
 //    which guarantees *opacity*: live transactions only ever observe
 //    consistent snapshots, exactly like hardware transactions, so emulated
-//    transactions never crash on torn state.
+//    transactions never crash on torn state. One routine, read_line(),
+//    is the read step of both tx_read and the line-granular
+//    tx_read_line_or: subscribe the line, load it between two equal
+//    unlocked version reads, record the entry, and extend when the line is
+//    newer than rv. The entry is recorded *before* the extension, so the
+//    extension validates the line that triggered it as well: a writer that
+//    overwrites that line after the load gets a version at or below the new
+//    rv, and the transaction would otherwise keep the stale value while
+//    accepting that writer's other lines. Read-only transactions depend on
+//    this entirely, because they commit without validating (they have
+//    nothing to publish).
 //  * Commits are decentralized (TL2 writeback): a committing transaction
 //    CAS-acquires a versioned lock on each written line *individually*, in
 //    sorted line order (no deadlock), validates its read set against
@@ -107,18 +117,7 @@ class Engine {
       --d.depth;
       return {};
     }
-    begin_attempt(d, /*rot=*/false);
-    try {
-      body();
-      commit_attempt(d);
-      return {};
-    } catch (const AbortException& a) {
-      rollback_attempt(d, a);
-      return {a.cause(), a.code()};
-    } catch (...) {
-      rollback_user(d);
-      throw;
-    }
+    return attempt(d, /*rot=*/false, body);
   }
 
   /// Runs `body` as a rollback-only transaction (POWER8 ROT): buffered
@@ -128,18 +127,7 @@ class Engine {
   TxStatus try_rot(F&& body) {
     Descriptor& d = self();
     assert(d.depth == 0 && "ROT cannot nest inside a transaction");
-    begin_attempt(d, /*rot=*/true);
-    try {
-      body();
-      commit_attempt(d);
-      return {};
-    } catch (const AbortException& a) {
-      rollback_attempt(d, a);
-      return {a.cause(), a.code()};
-    } catch (...) {
-      rollback_user(d);
-      throw;
-    }
+    return attempt(d, /*rot=*/true, body);
   }
 
   /// Explicitly aborts the running transaction with a user code
@@ -150,9 +138,8 @@ class Engine {
   /// Inline: Shared<T> consults it on every plain access, which makes it
   /// one of the hottest functions of the whole bench pipeline.
   bool in_tx() noexcept {
-    const int tid = platform::thread_id();
-    if (tid < 0 || tid >= cfg_.max_threads) return false;
-    return descriptors_[static_cast<std::size_t>(tid)]->depth > 0;
+    const Descriptor* d = find_self();
+    return d != nullptr && d->depth > 0;
   }
 
   // --- word accessors (used by Shared<T>; see shared.h) -------------------
@@ -165,9 +152,9 @@ class Engine {
   /// an aligned_vector of Shared words). Costs one load charge and one
   /// read-set entry — the coherence-granularity equivalent of reading the
   /// whole line at once, which is what SpRWL's batched commit-time reader
-  /// scan models. Conflict detection is identical to reading each word with
-  /// tx_read: the line's version is subscribed, so any concurrent publish
-  /// to it (e.g. a reader flag store) aborts this transaction.
+  /// scan models. It is tx_read's read step (read_line) with an OR as the
+  /// load: the line's version is subscribed, so any concurrent publish to
+  /// it (e.g. a reader flag store) aborts this transaction.
   std::uint64_t tx_read_line_or(const std::atomic<std::uint64_t>* first,
                                 std::size_t n);
 
@@ -203,10 +190,9 @@ class Engine {
   /// plain access, and the retain_ test keeps the default path one branch.
   bool in_snapshot() noexcept {
     if (retain_ == 0) return false;
-    const int tid = platform::thread_id();
-    if (tid < 0 || tid >= cfg_.max_threads) return false;
-    return descriptors_[static_cast<std::size_t>(tid)]->snap_pin.load(
-               std::memory_order_relaxed) != kNoSnapshot;
+    const Descriptor* d = find_self();
+    return d != nullptr &&
+           d->snap_pin.load(std::memory_order_relaxed) != kNoSnapshot;
   }
 
   /// The calling thread's current pin (kNoSnapshot when none).
@@ -399,16 +385,22 @@ class Engine {
   /// last_commit_version().
   void note_publish(std::uint64_t wv) noexcept;
 
-  // Inline for the same reason as in_tx(): every tx_read/tx_write starts
-  // by resolving the calling thread's descriptor.
-  Descriptor& self() {
+  /// The calling thread's descriptor, or null when its dense id lies
+  /// outside [0, max_threads). Inline: in_tx() and in_snapshot() run it on
+  /// every Shared<T> access.
+  Descriptor* find_self() noexcept {
     const int tid = platform::thread_id();
-    if (tid < 0 || tid >= cfg_.max_threads) {
-      throw std::logic_error(
-          "htm::Engine: calling thread has no dense id (use ThreadIdScope "
-          "or run under sim::Simulator), or id >= EngineConfig::max_threads");
-    }
-    return *descriptors_[static_cast<std::size_t>(tid)];
+    if (tid < 0 || tid >= cfg_.max_threads) return nullptr;
+    return descriptors_[static_cast<std::size_t>(tid)].get();
+  }
+
+  /// find_self() for callers that require a descriptor (every transactional
+  /// access starts here).
+  Descriptor& self() {
+    if (Descriptor* d = find_self()) return *d;
+    throw std::logic_error(
+        "htm::Engine: calling thread has no dense id (use ThreadIdScope "
+        "or run under sim::Simulator), or id >= EngineConfig::max_threads");
   }
 
   /// Cache-line → version-table index: dense ids handed out in first-touch
@@ -457,13 +449,40 @@ class Engine {
     if (extra > 0) platform::advance(extra);
   }
 
+  /// The attempt body of try_transaction and try_rot: begin, run `body`,
+  /// commit. An abort rolls back and is returned; a user exception rolls
+  /// back, counted as no abort, and propagates.
+  template <class F>
+  TxStatus attempt(Descriptor& d, bool rot, F& body) {
+    begin_attempt(d, rot);
+    try {
+      body();
+      commit_attempt(d);
+      return {};
+    } catch (const AbortException& a) {
+      rollback(d, a.cause());
+      return {a.cause(), a.code()};
+    } catch (...) {
+      rollback(d, AbortCause::kNone);
+      throw;
+    }
+  }
+
   void begin_attempt(Descriptor& d, bool rot);
   void commit_attempt(Descriptor& d);  // throws AbortException on conflict
   void commit_publish(Descriptor& d);
-  void rollback_attempt(Descriptor& d, const AbortException& a);
-  void rollback_user(Descriptor& d);
+  /// Ends an attempt without publishing: counts `cause` (kNone counts
+  /// nothing), releases a ROT, charges the abort.
+  void rollback(Descriptor& d, AbortCause cause);
   void maybe_spurious(Descriptor& d);
   void extend(Descriptor& d);  // throws AbortException on failure
+
+  /// The transactional read step of tx_read and tx_read_line_or: returns
+  /// `load()` (the value of the line owning `addr`, as the transaction
+  /// sees it) at a version consistent with the read set, and subscribes
+  /// the line. Defined in engine.cpp, its only user.
+  template <class Load>
+  std::uint64_t read_line(Descriptor& d, std::uintptr_t addr, Load load);
   [[noreturn]] void abort_internal(AbortCause cause, std::uint8_t code = 0);
 
   /// CAS-acquires the lock bit on `line`, spinning while it is held

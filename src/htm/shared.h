@@ -39,9 +39,7 @@ namespace sprwl::htm {
 template <class T>
 class Shared;
 
-std::uint64_t line_or(Engine& e, const Shared<std::uint64_t>* first,
-                      std::size_t n);
-std::uint64_t line_or_plain(const Shared<std::uint64_t>* first, std::size_t n);
+std::uint64_t line_or(const Shared<std::uint64_t>* first, std::size_t n);
 
 template <class T>
 class Shared {
@@ -116,10 +114,8 @@ class Shared {
   void raw_store(T v) noexcept { cell_.store(encode(v), std::memory_order_relaxed); }
 
  private:
-  friend std::uint64_t line_or(Engine& e, const Shared<std::uint64_t>* first,
+  friend std::uint64_t line_or(const Shared<std::uint64_t>* first,
                                std::size_t n);
-  friend std::uint64_t line_or_plain(const Shared<std::uint64_t>* first,
-                                     std::size_t n);
 
   // Every access path charges its cost before it touches the cell, and
   // under the simulator the charge usually switches fibers: the cell is
@@ -189,33 +185,29 @@ class SharedString {
   Shared<std::uint64_t> words_[kWords];
 };
 
-/// Transactional OR-summary of `n` consecutive Shared<uint64_t> cells that
-/// share one 64-byte cache line (n <= 8; e.g. a 64-byte-aligned
-/// aligned_vector of per-thread state words). One load charge, one
-/// read-set entry — SpRWL's batched commit-time reader scan reads a whole
-/// line of flags per step instead of one word. Must be called inside a
-/// transaction on `e`. Shared<uint64_t> is exactly its 8-byte cell, so
-/// consecutive elements map to consecutive words of the line.
-inline std::uint64_t line_or(Engine& e, const Shared<std::uint64_t>* first,
+/// OR-summary of `n` consecutive Shared<uint64_t> cells that share one
+/// 64-byte cache line (n <= 8; e.g. a 64-byte-aligned aligned_vector of
+/// per-thread state words), for one load charge. Dispatches like
+/// Shared<T>::load, without its snapshot routing:
+///  * inside a transaction it is one read-set entry (tx_read_line_or):
+///    SpRWL's batched commit-time reader scan reads a whole line of flags
+///    per step instead of one word;
+///  * outside one it is a plain read that creates no read-set entry: the
+///    BRAVO revocation drain skips empty reader-table lines with it. A
+///    reader arriving after the scan is caught by the writer's
+///    in-transaction bias subscription, not by this read (DESIGN.md §12).
+/// Shared<uint64_t> is exactly its 8-byte cell, so consecutive elements map
+/// to consecutive words of the line.
+inline std::uint64_t line_or(const Shared<std::uint64_t>* first,
                              std::size_t n) {
   static_assert(sizeof(Shared<std::uint64_t>) == sizeof(std::uint64_t),
                 "Shared<uint64_t> must be exactly its cell");
-  return e.tx_read_line_or(&first->cell_, n);
-}
-
-/// Plain (non-transactional) OR-summary of `n` consecutive cells sharing
-/// one 64-byte line (n <= 8) — the coherence-granular read the BRAVO
-/// revocation drain uses to skip empty reader-table lines in one load
-/// charge. Unlike line_or no read-set entry is created: the caller runs
-/// outside any transaction (revocation happens before the writer's HTM
-/// attempt), so a concurrently arriving reader is caught by the writer's
-/// in-transaction bias subscription, not by this scan (DESIGN.md §12).
-inline std::uint64_t line_or_plain(const Shared<std::uint64_t>* first,
-                                   std::size_t n) {
-  static_assert(sizeof(Shared<std::uint64_t>) == sizeof(std::uint64_t),
-                "Shared<uint64_t> must be exactly its cell");
+  first->prefetch();
   Engine* e = Engine::current();
-  if (e != nullptr && e->tracks_owners()) e->plain_access(&first->cell_);
+  if (e != nullptr) {
+    if (e->in_tx()) return e->tx_read_line_or(&first->cell_, n);
+    if (e->tracks_owners()) e->plain_access(&first->cell_);
+  }
   platform::advance(g_costs.load);
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) {
