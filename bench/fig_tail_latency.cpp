@@ -84,14 +84,14 @@ PointResult run_point(MakeLock&& make_lock, const std::vector<sim::Request>& req
   }
 
   const auto read_body = [&] {
-    fault::checkpoint(fault::InjectPoint::kReadBody);
+    fault::checkpoint(SchedKind::kReadBody);
     const std::uint64_t a = cells[0].v.load();
     platform::advance(kReaderWork);
     for (std::size_t c = 1; c < kCells; ++c) (void)cells[c].v.load();
     (void)a;
   };
   const auto write_body = [&] {
-    fault::checkpoint(fault::InjectPoint::kWriteBody);
+    fault::checkpoint(SchedKind::kWriteBody);
     const std::uint64_t v = cells[0].v.load() + 1;
     platform::advance(kWriterWork);
     for (std::size_t c = 0; c < kCells; ++c) cells[c].v.store(v);

@@ -153,7 +153,7 @@ RunResult run_controlled(const Workload& w, sim::SchedulePolicy& policy,
           const std::uint64_t invoke = ++clock;
           lock.write(1, [&] {
             v = cells[0].v.load() + 1;
-            fault::checkpoint(fault::InjectPoint::kWriteBody, &lock);
+            fault::checkpoint(SchedKind::kWriteBody, &lock);
             for (int c = 0; c < w.cells; ++c) {
               cells[static_cast<std::size_t>(c)].v.store(v);
             }
@@ -182,7 +182,7 @@ RunResult run_controlled(const Workload& w, sim::SchedulePolicy& policy,
             v = cells[0].v.load();
             torn = false;
             pin = engine.snapshot_version();
-            fault::checkpoint(fault::InjectPoint::kReadBody, &lock);
+            fault::checkpoint(SchedKind::kReadBody, &lock);
             for (int c = 1; c < w.cells; ++c) {
               torn |= cells[static_cast<std::size_t>(c)].v.load() != v;
             }

@@ -25,9 +25,9 @@
 namespace sprwl {
 
 /// Classification of schedule decision points for the simulator's
-/// controlled-scheduler mode (sim::SchedulePolicy). The kReadEnter..
-/// kWriteExit block mirrors fault::InjectPoint one-to-one (static_asserted
-/// in fault.h) so fault::checkpoint() routes here without a table.
+/// controlled-scheduler mode (sim::SchedulePolicy). kReadEnter..kLeaseExpire
+/// are also the fault injector's checkpoints (fault::checkpoint), so one
+/// name serves both.
 enum class SchedKind : std::uint8_t {
   kStart = 0,   ///< fiber has not run yet
   kPause,       ///< one spin-loop iteration

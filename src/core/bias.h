@@ -87,7 +87,7 @@ class BiasFront {
       table.release(slot, tid);
       return Read::kSlow;
     }
-    fault::checkpoint(fault::InjectPoint::kReadEnter, lock);
+    fault::checkpoint(SchedKind::kReadEnter, lock);
     if (locks::deadline_expired(deadline)) {
       // Expired while parked at the checkpoint (the chaos preemption
       // window): the published slot must go, or it wedges every later
@@ -103,7 +103,7 @@ class BiasFront {
         trace::emit(trace::Event::kReadBiasExit);
       });
       f();
-      fault::checkpoint(fault::InjectPoint::kReadExit, lock);
+      fault::checkpoint(SchedKind::kReadExit, lock);
     }
     reads_.fetch_add(1, std::memory_order_relaxed);
     return Read::kDone;

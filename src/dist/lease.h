@@ -102,7 +102,7 @@ class LeaseService {
     if (fresh != nullptr) *fresh = false;
     std::uint64_t backoff = cfg_.backoff_base;
     for (int attempt = 0;; ++attempt) {
-      fault::checkpoint(fault::InjectPoint::kLeaseRenew, this);
+      fault::checkpoint(SchedKind::kLeaseRenew, this);
       stall_for_partition(node);
       svc_.lock();
       const std::uint64_t now = platform::now();
@@ -135,7 +135,7 @@ class LeaseService {
         stats_.grants.fetch_add(1, std::memory_order_relaxed);
         if (over_expired) {
           stats_.expiries.fetch_add(1, std::memory_order_relaxed);
-          fault::checkpoint(fault::InjectPoint::kLeaseExpire, this);
+          fault::checkpoint(SchedKind::kLeaseExpire, this);
         }
         if (fresh != nullptr) *fresh = true;
         return Lease{e, now + cfg_.term, node};
@@ -159,7 +159,7 @@ class LeaseService {
   /// a fresh epoch) or was re-granted. A partition stalls the attempt
   /// until the heal, which is precisely how a renewal "arrives late".
   bool renew(Lease& l) {
-    fault::checkpoint(fault::InjectPoint::kLeaseRenew, this);
+    fault::checkpoint(SchedKind::kLeaseRenew, this);
     stall_for_partition(l.node);
     svc_.lock();
     const std::uint64_t now = platform::now();
@@ -177,7 +177,7 @@ class LeaseService {
     }
     svc_.unlock();
     stats_.renewals_rejected.fetch_add(1, std::memory_order_relaxed);
-    fault::checkpoint(fault::InjectPoint::kLeaseExpire, this);
+    fault::checkpoint(SchedKind::kLeaseExpire, this);
     return false;
   }
 

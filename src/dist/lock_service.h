@@ -266,7 +266,7 @@ class Shard {
     const std::uint64_t v = version_.load();
     if ((v & 1) == 0) return true;
     stats_.recoveries.fetch_add(1, std::memory_order_relaxed);
-    fault::checkpoint(fault::InjectPoint::kLeaseExpire, this);
+    fault::checkpoint(SchedKind::kLeaseExpire, this);
     if (undo_stamp_.load() == v) {
       for (std::size_t i = 0; i < cfg_.cells; ++i) {
         if (!guarded_store(l, cells_[i].v, undo_[i].v.load())) return false;
@@ -298,7 +298,7 @@ class Shard {
     f(nxt.data(), cfg_.cells);
     // Claim: remote readers now reject their copies.
     if (!guarded_store(l, version_, v + 1)) return false;
-    fault::checkpoint(fault::InjectPoint::kWriteBody, this);
+    fault::checkpoint(SchedKind::kWriteBody, this);
     // Undo log, completed before the stamp declares it valid — a crash
     // in between leaves a stale stamp and recovery knows the cells are
     // still clean (the torn-write window, tests/dist/test_lock_service).
@@ -306,11 +306,11 @@ class Shard {
       if (!guarded_store(l, undo_[i].v, cur[i])) return false;
     }
     if (!guarded_store(l, undo_stamp_, v + 1)) return false;
-    fault::checkpoint(fault::InjectPoint::kWriteBody, this);
+    fault::checkpoint(SchedKind::kWriteBody, this);
     for (std::size_t i = 0; i < cfg_.cells; ++i) {
       if (!guarded_store(l, cells_[i].v, nxt[i])) return false;
       if (i + 1 == cfg_.cells / 2) {
-        fault::checkpoint(fault::InjectPoint::kWriteBody, this);
+        fault::checkpoint(SchedKind::kWriteBody, this);
       }
     }
     // Publish: authoritative lease re-validation, then the even version.
@@ -353,14 +353,14 @@ class Shard {
   /// preemptions and node crashes split it — and `mid_copy_stall` lets the
   /// torn-read oracle split it deterministically.
   bool read_attempt(std::uint64_t* out, std::uint64_t mid_copy_stall) {
-    fault::checkpoint(fault::InjectPoint::kReadBody, this);
+    fault::checkpoint(SchedKind::kReadBody, this);
     const std::uint64_t v0 = version_.load();
     if ((v0 & 1) != 0) return false;  // mid-publish
     for (std::size_t i = 0; i < cfg_.cells; ++i) {
       out[i] = cells_[i].v.load();
       if (i + 1 == cfg_.cells / 2) {
         if (mid_copy_stall != 0) platform::advance(mid_copy_stall);
-        fault::checkpoint(fault::InjectPoint::kReadBody, this);
+        fault::checkpoint(SchedKind::kReadBody, this);
       }
     }
     if (cfg_.broken_skip_read_validation) return true;
@@ -451,9 +451,9 @@ class LeasedLock {
         const std::uint64_t v = version_.load();
         if ((v & 1) != 0) return;  // foreign claim (never ours: lease held)
         version_.store(v + 1);
-        fault::checkpoint(fault::InjectPoint::kWriteBody, &version_);
+        fault::checkpoint(SchedKind::kWriteBody, &version_);
         f();
-        fault::checkpoint(fault::InjectPoint::kWriteBody, &version_);
+        fault::checkpoint(SchedKind::kWriteBody, &version_);
         version_.store(v + 2);
         ok = true;
       });

@@ -105,7 +105,7 @@ ChaosResult run_chaos(Lock& lock, htm::Engine& engine, const ChaosConfig& cfg,
       for (int i = 0; i < cfg.ops_per_thread; ++i) {
         if (is_writer) {
           lock.write(1, [&] {
-            checkpoint(InjectPoint::kWriteBody);
+            checkpoint(SchedKind::kWriteBody);
             const std::uint64_t v = cells[0].v.load() + 1;
             platform::advance(kChaosWriterWork);
             for (std::size_t c = 0; c < kCells; ++c) cells[c].v.store(v);
@@ -117,7 +117,7 @@ ChaosResult run_chaos(Lock& lock, htm::Engine& engine, const ChaosConfig& cfg,
           std::uint64_t torn_here = 0;
           lock.read(0, [&] {
             torn_here = 0;
-            checkpoint(InjectPoint::kReadBody);
+            checkpoint(SchedKind::kReadBody);
             const std::uint64_t a = cells[0].v.load();
             platform::advance(kChaosReaderWork);
             for (std::size_t c = 1; c < kCells; ++c) {

@@ -27,9 +27,13 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed, int threads,
   const int n_preempts = static_cast<int>(pick(rng, 2, 6));
   for (int i = 0; i < n_preempts; ++i) {
     PreemptSpec s;
+    // The second draw picks one of the six section points, kReadEnter..
+    // kWriteExit.
     s.point = rng.next_bool(0.5)
-                  ? InjectPoint::kReadBody
-                  : static_cast<InjectPoint>(rng.next_below(6));
+                  ? SchedKind::kReadBody
+                  : static_cast<SchedKind>(
+                        static_cast<std::uint64_t>(SchedKind::kReadEnter) +
+                        rng.next_below(6));
     s.tid = static_cast<int>(rng.next_below(t));
     s.not_before = pick(rng, 0, horizon / 2);
     s.duration = pick(rng, horizon / 64, horizon / 8);
@@ -55,7 +59,7 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed, int threads,
   // One reader that keeps issuing syscalls inside its section for a while.
   if (rng.next_bool(0.5)) {
     SyscallSpec s;
-    s.point = InjectPoint::kReadBody;
+    s.point = SchedKind::kReadBody;
     s.tid = static_cast<int>(rng.next_below(t));
     s.from = pick(rng, 0, horizon / 2);
     s.until = s.from + pick(rng, horizon / 8, horizon / 2);
@@ -99,8 +103,8 @@ FaultPlan FaultPlan::chaos_nodes(std::uint64_t seed, std::uint64_t horizon,
   const int n_preempts = static_cast<int>(pick(rng, 1, 3));
   for (int i = 0; i < n_preempts; ++i) {
     PreemptSpec s;
-    s.point = rng.next_bool(0.5) ? InjectPoint::kLeaseRenew
-                                 : InjectPoint::kLeaseExpire;
+    s.point = rng.next_bool(0.5) ? SchedKind::kLeaseRenew
+                                 : SchedKind::kLeaseExpire;
     s.tid = -1;
     s.not_before = pick(rng, 0, horizon / 2);
     s.duration = pick(rng, horizon / 64, horizon / 16);
@@ -164,7 +168,7 @@ void FaultInjector::apply_jitter(std::uint64_t now, int tid) {
   }
 }
 
-bool FaultInjector::apply_preempts(InjectPoint p, std::uint64_t now, int tid) {
+bool FaultInjector::apply_preempts(SchedKind p, std::uint64_t now, int tid) {
   for (PreemptSpec& s : plan_.preempts) {
     if (s.count <= 0 || s.point != p) continue;
     if (s.tid != -1 && s.tid != tid) continue;
@@ -185,7 +189,7 @@ bool FaultInjector::apply_preempts(InjectPoint p, std::uint64_t now, int tid) {
   return false;
 }
 
-void FaultInjector::apply_syscalls(InjectPoint p, std::uint64_t now, int tid) {
+void FaultInjector::apply_syscalls(SchedKind p, std::uint64_t now, int tid) {
   for (const SyscallSpec& s : plan_.syscalls) {
     if (s.point != p) continue;
     if (s.tid != -1 && s.tid != tid) continue;
@@ -237,7 +241,7 @@ std::uint64_t FaultInjector::partition_heal_time(int node,
   return 0;
 }
 
-void FaultInjector::on_point(InjectPoint p) {
+void FaultInjector::on_point(SchedKind p) {
   const std::uint64_t now = platform::now();
   const int tid = platform::thread_id();
   apply_storm(now);

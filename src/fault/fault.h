@@ -47,44 +47,9 @@
 
 namespace sprwl::fault {
 
-/// Where in a critical section a checkpoint sits. Enter/Exit checkpoints
-/// are emitted by the lock implementations at their dangerous windows
-/// (reader flag raised but body not yet run / body done but flag not yet
-/// cleared); Body checkpoints are emitted by the workload inside the
-/// critical section itself.
-enum class InjectPoint : std::uint8_t {
-  kReadEnter = 0,
-  kReadBody,
-  kReadExit,
-  kWriteEnter,
-  kWriteBody,
-  kWriteExit,
-  /// Distributed-tier lease decision points (src/dist/lease.h): emitted at
-  /// every acquire/renew attempt and at every expiry observation
-  /// (grant-over-expired, renewal rejection), so DFS/PCT interleave lease
-  /// handoffs like any other lock-API hook and node faults land exactly in
-  /// the renewal/expiry windows.
-  kLeaseRenew,
-  kLeaseExpire,
-};
-
-inline const char* to_string(InjectPoint p) noexcept {
-  switch (p) {
-    case InjectPoint::kReadEnter: return "read-enter";
-    case InjectPoint::kReadBody: return "read-body";
-    case InjectPoint::kReadExit: return "read-exit";
-    case InjectPoint::kWriteEnter: return "write-enter";
-    case InjectPoint::kWriteBody: return "write-body";
-    case InjectPoint::kWriteExit: return "write-exit";
-    case InjectPoint::kLeaseRenew: return "lease-renew";
-    case InjectPoint::kLeaseExpire: return "lease-expire";
-  }
-  return "?";
-}
-
 /// Deschedule a fiber at a checkpoint for a bounded virtual interval.
 struct PreemptSpec {
-  InjectPoint point = InjectPoint::kReadBody;
+  SchedKind point = SchedKind::kReadBody;
   int tid = -1;                    ///< fiber to preempt; -1 = any fiber
   std::uint64_t not_before = 0;    ///< fire only at now() >= not_before
   std::uint64_t duration = 200'000;  ///< descheduled interval, cycles
@@ -95,7 +60,7 @@ struct PreemptSpec {
 /// Window semantics (not a count) so that each HTM retry of the same
 /// section hits the syscall again — which is what defeats speculation.
 struct SyscallSpec {
-  InjectPoint point = InjectPoint::kReadBody;
+  SchedKind point = SchedKind::kReadBody;
   int tid = -1;
   std::uint64_t from = 0;
   std::uint64_t until = std::numeric_limits<std::uint64_t>::max();
@@ -205,7 +170,7 @@ class FaultInjector {
   /// and may throw htm::AbortException (via Engine) when the modelled event
   /// kills an in-flight transaction — callers inside transactional code
   /// must let that propagate, exactly as for any transactional access.
-  void on_point(InjectPoint p);
+  void on_point(SchedKind p);
 
   /// True once a NodeCrashSpec for `node` has fired. The dist layer also
   /// checks this directly (e.g. before serving a cross-node read from a
@@ -233,8 +198,8 @@ class FaultInjector {
  private:
   void apply_storm(std::uint64_t now);
   void apply_jitter(std::uint64_t now, int tid);
-  bool apply_preempts(InjectPoint p, std::uint64_t now, int tid);
-  void apply_syscalls(InjectPoint p, std::uint64_t now, int tid);
+  bool apply_preempts(SchedKind p, std::uint64_t now, int tid);
+  void apply_syscalls(SchedKind p, std::uint64_t now, int tid);
   void apply_crashes(std::uint64_t now, int tid);
 
   FaultPlan plan_;
@@ -250,29 +215,21 @@ class FaultInjector {
   static inline std::atomic<FaultInjector*> g_current{nullptr};
 };
 
-// InjectPoint rides on the tail block of SchedKind so checkpoint() can
-// route to the controlled scheduler with a single add.
-static_assert(static_cast<int>(SchedKind::kWriteExit) -
-                      static_cast<int>(SchedKind::kReadEnter) ==
-                  static_cast<int>(InjectPoint::kWriteExit),
-              "SchedKind kReadEnter..kWriteExit must mirror InjectPoint");
-static_assert(static_cast<int>(SchedKind::kLeaseExpire) -
-                      static_cast<int>(SchedKind::kReadEnter) ==
-                  static_cast<int>(InjectPoint::kLeaseExpire),
-              "SchedKind kLeaseRenew/kLeaseExpire must mirror InjectPoint");
-
-/// Checkpoint hook called by lock implementations and chaos workloads.
-/// One predictable branch when no injector is installed. `obj` identifies
-/// the lock instance for the controlled scheduler's independence analysis
-/// (src/check/); it is ignored by the fault injector.
-inline void checkpoint(InjectPoint p, const void* obj) {
-  platform::sched_point(
-      static_cast<SchedKind>(static_cast<std::uint8_t>(SchedKind::kReadEnter) +
-                             static_cast<std::uint8_t>(p)),
-      obj);
+/// Checkpoint hook called by lock implementations and chaos workloads at
+/// the decision points kReadEnter..kLeaseExpire of SchedKind. Enter/Exit
+/// points sit at a lock's dangerous windows (reader flag raised but body
+/// not yet run / body done but flag not yet cleared), Body points inside
+/// the critical section itself, and the lease points at every dist lease
+/// acquire/renew attempt and expiry observation (src/dist/lease.h). Each is
+/// a controlled-scheduler decision point, then one predictable branch when
+/// no injector is installed. `obj` identifies the lock instance for the
+/// controlled scheduler's independence analysis (src/check/); it is
+/// ignored by the fault injector.
+inline void checkpoint(SchedKind p, const void* obj) {
+  platform::sched_point(p, obj);
   if (FaultInjector* f = FaultInjector::current()) f->on_point(p);
 }
-inline void checkpoint(InjectPoint p) { checkpoint(p, nullptr); }
+inline void checkpoint(SchedKind p) { checkpoint(p, nullptr); }
 
 /// Dist-layer queries against the installed injector; benign no-ops when
 /// none is installed (the common, fault-free case).

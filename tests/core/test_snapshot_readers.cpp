@@ -205,7 +205,7 @@ TEST(SnapshotReaders, PreemptedReaderKeepsItsPin) {
   sim::Simulator sim;
   fault::FaultPlan plan;
   plan.preempts.push_back(fault::PreemptSpec{
-      fault::InjectPoint::kReadEnter, /*tid=*/0, /*not_before=*/0,
+      SchedKind::kReadEnter, /*tid=*/0, /*not_before=*/0,
       /*duration=*/200'000, /*count=*/1});
   fault::FaultInjector inj(plan, &sim, &engine);
   fault::FaultScope fscope(inj);

@@ -152,7 +152,7 @@ TEST(Shard, WriteAbandonedWhenLeaseExpiresMidSection) {
   fault::FaultPlan plan;
   plan.topology = cfg.topology;
   fault::PreemptSpec s;
-  s.point = fault::InjectPoint::kWriteBody;
+  s.point = SchedKind::kWriteBody;
   s.tid = 0;
   s.not_before = 0;
   s.duration = 2 * cfg.lease.term;  // sleeps through its own expiry

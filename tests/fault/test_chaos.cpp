@@ -79,7 +79,7 @@ TEST(Chaos, StalledReaderEscalationFiresAndIsCounted) {
   cfg.ops_per_thread = 40;
   FaultPlan plan;
   PreemptSpec s;
-  s.point = InjectPoint::kReadEnter;
+  s.point = SchedKind::kReadEnter;
   s.tid = 0;
   s.not_before = 10'000;
   s.duration = 1'500'000;  // far past the watchdog threshold
@@ -107,7 +107,7 @@ TEST(Chaos, RetryLimitEscalatesBeforeTheWatchdog) {
   cfg.ops_per_thread = 40;
   FaultPlan plan;
   PreemptSpec s;
-  s.point = InjectPoint::kReadEnter;
+  s.point = SchedKind::kReadEnter;
   s.tid = 0;
   s.not_before = 10'000;
   s.duration = 1'500'000;

@@ -62,7 +62,7 @@ TEST(Preempt, FiresAtMatchingPointAndTidOnly) {
   sim::Simulator sim;
   FaultPlan plan;
   PreemptSpec s;
-  s.point = InjectPoint::kReadBody;
+  s.point = SchedKind::kReadBody;
   s.tid = 1;
   s.duration = 30'000;
   s.count = 1;
@@ -72,9 +72,9 @@ TEST(Preempt, FiresAtMatchingPointAndTidOnly) {
 
   std::vector<std::uint64_t> after(2, 0);
   sim.run(2, [&](int tid) {
-    checkpoint(InjectPoint::kWriteBody);  // wrong point: must not fire
-    checkpoint(InjectPoint::kReadBody);   // fires for tid 1 only
-    checkpoint(InjectPoint::kReadBody);   // count spent: must not fire again
+    checkpoint(SchedKind::kWriteBody);  // wrong point: must not fire
+    checkpoint(SchedKind::kReadBody);   // fires for tid 1 only
+    checkpoint(SchedKind::kReadBody);   // count spent: must not fire again
     after[static_cast<std::size_t>(tid)] = platform::now();
   });
   EXPECT_LT(after[0], 30'000u);
@@ -91,7 +91,7 @@ TEST(Preempt, AbortsAnInFlightTransaction) {
   sim::Simulator sim;
   FaultPlan plan;
   PreemptSpec s;
-  s.point = InjectPoint::kWriteBody;
+  s.point = SchedKind::kWriteBody;
   s.duration = 10'000;
   plan.preempts.push_back(s);
   FaultInjector injector(plan, &sim, &engine);
@@ -104,7 +104,7 @@ TEST(Preempt, AbortsAnInFlightTransaction) {
     for (int i = 0; i < 3; ++i) {
       const htm::TxStatus st = engine.try_transaction([&] {
         cell.store(cell.load() + 1);
-        checkpoint(InjectPoint::kWriteBody);
+        checkpoint(SchedKind::kWriteBody);
       });
       if (i == 0) first = st;
       if (st.committed()) ++commits;
@@ -129,13 +129,13 @@ TEST(AbortStorm, RampsUpAndRestoresTheBaseRate) {
 
   double before = -1.0, mid = -1.0, after = -1.0;
   sim.run(1, [&](int) {
-    checkpoint(InjectPoint::kReadBody);
+    checkpoint(SchedKind::kReadBody);
     before = engine.spurious_abort_rate();
     platform::advance(15'000);  // exact midpoint of the window
-    checkpoint(InjectPoint::kReadBody);
+    checkpoint(SchedKind::kReadBody);
     mid = engine.spurious_abort_rate();
     platform::advance(15'000);
-    checkpoint(InjectPoint::kReadBody);
+    checkpoint(SchedKind::kReadBody);
     after = engine.spurious_abort_rate();
   });
   EXPECT_DOUBLE_EQ(before, 0.01);
@@ -162,12 +162,12 @@ TEST(CapacityJitter, ShrinksCapacityInsideTheWindowOnly) {
   std::vector<Cell> cells(4);
   htm::TxStatus inside{}, outside{};
   sim.run(1, [&](int) {
-    checkpoint(InjectPoint::kWriteBody);  // applies the jitter
+    checkpoint(SchedKind::kWriteBody);  // applies the jitter
     inside = engine.try_transaction([&] {
       for (auto& c : cells) c.v.store(1);  // 4 lines > jittered capacity
     });
     platform::advance(60'000);            // leave the window
-    checkpoint(InjectPoint::kWriteBody);  // restores the base profile
+    checkpoint(SchedKind::kWriteBody);  // restores the base profile
     outside = engine.try_transaction([&] {
       for (auto& c : cells) c.v.store(2);  // 4 lines <= 8: fits again
     });
@@ -218,11 +218,11 @@ TEST(Syscall, WindowForcesHtmFirstReadersUninstrumented) {
   sim.run(1, [&](int) {
     for (int i = 0; i < 20; ++i) {
       sprwl.read(0, [&] {
-        checkpoint(InjectPoint::kReadBody);
+        checkpoint(SchedKind::kReadBody);
         seen += cell.load();
       });
       tle.read(0, [&] {
-        checkpoint(InjectPoint::kReadBody);
+        checkpoint(SchedKind::kReadBody);
         seen += cell.load();
       });
     }

@@ -81,7 +81,7 @@ TimedChaosResult run_timed_chaos(core::SpRWLock& lock, htm::Engine& engine,
         const std::uint64_t budget = (i % 2 == 0) ? kTinyBudget : kFatBudget;
         if (is_writer) {
           const auto r = lock.try_write_for(1, budget, [&] {
-            checkpoint(InjectPoint::kWriteBody);
+            checkpoint(SchedKind::kWriteBody);
             const std::uint64_t v = cells[0].v.load() + 1;
             platform::advance(200);
             for (std::size_t c = 0; c < kCells; ++c) cells[c].v.store(v);
@@ -92,7 +92,7 @@ TimedChaosResult run_timed_chaos(core::SpRWLock& lock, htm::Engine& engine,
           std::uint64_t torn_here = 0;
           const auto r = lock.try_read_for(0, budget, [&] {
             torn_here = 0;
-            checkpoint(InjectPoint::kReadBody);
+            checkpoint(SchedKind::kReadBody);
             const std::uint64_t a = cells[0].v.load();
             platform::advance(400);
             for (std::size_t c = 1; c < kCells; ++c) {
