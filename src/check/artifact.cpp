@@ -174,9 +174,7 @@ std::string write_artifact(const ReproArtifact& a, const std::string& dir) {
   os << "],\n"
      << "    \"snapshot_reads\": "
      << (a.workload.snapshot_reads ? "true" : "false") << ",\n"
-     << "    \"retain_versions\": " << a.workload.retain_versions << ",\n"
-     << "    \"broken_snapshot\": "
-     << (a.workload.broken_snapshot ? "true" : "false") << "\n"
+     << "    \"retain_versions\": " << a.workload.retain_versions << "\n"
      << "  },\n"
      << "  \"violation\": \"" << escape(a.violation) << "\",\n"
      << "  \"choices\": [";
@@ -223,7 +221,6 @@ bool read_artifact(const std::string& path, ReproArtifact* out) {
   if (parse_u64(s, "retain_versions", &rv)) {
     a.workload.retain_versions = static_cast<std::uint32_t>(rv);
   }
-  parse_bool(s, "broken_snapshot", &a.workload.broken_snapshot);
   if (!parse_string(s, "violation", &a.violation)) return false;
   if (!parse_int_array(s, "choices", &a.choices)) return false;
   *out = a;

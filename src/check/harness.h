@@ -58,11 +58,6 @@ struct Workload {
   /// the SI spec (si.h) instead of Wing–Gong.
   bool snapshot_reads = false;
   std::uint32_t retain_versions = 0;
-  /// Checker self-validation ONLY: forwards
-  /// EngineConfig::broken_snapshot_too_new — snapshot reads return current
-  /// memory even when the line is newer than the pin, the too-new read the
-  /// SI checker must catch.
-  bool broken_snapshot = false;
 };
 
 struct RunResult {
@@ -112,7 +107,9 @@ Verdict evaluate(const RunResult& r);
 /// Runs the workload once under `policy`. `make_lock` constructs a fresh
 /// lock instance (returned by value; C++17 elision supports non-movable
 /// locks) and is invoked once per run after the engine is installed.
-template <class MakeLock>
+/// `EngineT` is the engine built for the run: htm::Engine, or a checker
+/// mutant of it (mutants.h).
+template <class EngineT = htm::Engine, class MakeLock>
 RunResult run_controlled(const Workload& w, sim::SchedulePolicy& policy,
                          MakeLock&& make_lock) {
   struct alignas(64) Cell {
@@ -126,8 +123,7 @@ RunResult run_controlled(const Workload& w, sim::SchedulePolicy& policy,
   // default 2^20-entry version table.
   ec.table_bits = 10;
   ec.retain_versions = w.retain_versions;
-  ec.broken_snapshot_too_new = w.broken_snapshot;
-  htm::Engine engine(ec);
+  EngineT engine(ec);
   htm::EngineScope escope(engine);
 
   auto lock = make_lock();

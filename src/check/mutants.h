@@ -1,13 +1,19 @@
-// Deliberately broken parts of SpRWLock for the checker's self-validation.
-// Each overrides one operation of a reader tracker or a bravo::ReaderTable;
-// the registry builds it under the "-broken" name the checker must catch.
-// No Config field reaches them.
+// Deliberately broken parts of the library for the checker's
+// self-validation. Each overrides one operation of a reader tracker, a
+// bravo::ReaderTable, the HTM engine or the lease tier's lock; the registry
+// builds it under the "-broken" name the checker must catch. No production
+// config field, Workload field or repro-artifact key reaches them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
+#include "common/costs.h"
+#include "common/platform.h"
 #include "core/bravo.h"
 #include "core/tracker.h"
+#include "dist/lock_service.h"
+#include "htm/engine.h"
 
 namespace sprwl::check {
 
@@ -68,6 +74,32 @@ class LeakOnCancelTable : public bravo::ReaderTable {
  public:
   using ReaderTable::ReaderTable;
   void cancel(std::size_t, int) override {}
+};
+
+/// SpRWL-mvcc-broken: snapshot reads skip the version lookup and serve
+/// current memory whatever the pin, so a pinned reader racing a commit
+/// observes the post-commit value (a too-new read). Charges one load, as
+/// the healthy read of an unchanged line does.
+class TooNewSnapshotEngine : public htm::Engine {
+ public:
+  using Engine::Engine;
+
+ protected:
+  std::uint64_t snapshot_lookup(
+      const std::atomic<std::uint64_t>& cell) override {
+    platform::advance(g_costs.load);
+    return cell.load(std::memory_order_acquire);
+  }
+};
+
+/// SpRWL-lease-broken: the optimistic reader accepts its copy without the
+/// version re-read, so a read straddling a claim/publish window is accepted.
+class SkipValidationLease : public dist::LeasedLock {
+ public:
+  using LeasedLock::LeasedLock;
+
+ protected:
+  bool validate_copy(std::uint64_t) override { return true; }
 };
 
 }  // namespace sprwl::check

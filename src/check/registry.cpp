@@ -55,10 +55,10 @@ core::Config bravo_cfg(const Workload& w, std::size_t slots,
   return c;
 }
 
-template <class MakeLock>
+template <class EngineT = htm::Engine, class MakeLock>
 RunFn bind(const Workload& w, MakeLock make_lock) {
   return [w, make_lock](sim::SchedulePolicy& policy) {
-    return run_controlled(w, policy, make_lock);
+    return run_controlled<EngineT>(w, policy, make_lock);
   };
 }
 
@@ -215,33 +215,29 @@ RunFn make_runner(const std::string& name, const Workload& w) {
   }
   if (name == "SpRWL-mvcc-broken") {
     // SI-checker self-validation: the engine's snapshot lookup is blinded
-    // (broken_snapshot_too_new) — a pinned reader racing a commit observes
+    // (TooNewSnapshotEngine) — a pinned reader racing a commit observes
     // the post-commit value, a too-new read that violates
     // read-your-snapshot. Accepted by make_runner only, never listed as
     // healthy.
     Workload sw = mvcc_workload(w);
-    sw.broken_snapshot = true;
     // One cell: a blinded reader that straddles a multi-cell commit also
     // produces a torn view, which evaluate() would classify ahead of the
     // SI check. A single word leaves exactly one reachable anomaly — the
     // too-new read — so the run validates the SI checker specifically.
     sw.cells = 1;
-    return bind(sw, [sw] { return core::SpRWLock(mvcc_cfg(sw)); });
+    return bind<TooNewSnapshotEngine>(
+        sw, [sw] { return core::SpRWLock(mvcc_cfg(sw)); });
   }
   if (name == "SpRWL-lease") {
     return bind(w, [w] { return dist::LeasedLock(lease_cfg(w)); });
   }
   if (name == "SpRWL-lease-broken") {
     // Stale-lease-read self-validation: the optimistic reader skips the
-    // version re-validation after its copy, so a read straddling a claim/
-    // publish window is accepted — the torn/stale observation the lease
-    // tier's whole read protocol exists to reject. Accepted by make_runner
-    // only, never listed as healthy.
-    return bind(w, [w] {
-      dist::LeasedLock::Config c = lease_cfg(w);
-      c.broken_skip_read_validation = true;
-      return dist::LeasedLock(c);
-    });
+    // version re-validation after its copy (SkipValidationLease), so a
+    // read straddling a claim/publish window is accepted — the torn/stale
+    // observation the lease tier's whole read protocol exists to reject.
+    // Accepted by make_runner only, never listed as healthy.
+    return bind(w, [w] { return SkipValidationLease(lease_cfg(w)); });
   }
   if (name == "SpRWL-sharded-broken") {
     // The broken scan under the socket-major layout: BlindScanFlags skips

@@ -25,9 +25,11 @@ std::vector<std::string> checked_locks();
 /// self-validation tests and `check_schedules --lock SpRWL-broken` use it
 /// to prove the pipeline catches a real atomicity bug. The other
 /// make_runner-only broken variants follow the same convention:
-/// "SpRWL-sharded-broken", "SpRWL-bravo-broken", "SpRWL-timeout-broken"
-/// (timeout unwind leaks its ReaderTable slot), and "SpRWL-mvcc-broken"
-/// (snapshot lookup blinded: pinned readers observe too-new values).
+/// "SpRWL-sharded-broken", "SpRWL-bravo-broken", "SpRWL-bravo-numa-broken",
+/// "SpRWL-timeout-broken" (timeout unwind leaks its ReaderTable slot),
+/// "SpRWL-mvcc-broken" (snapshot lookup blinded: pinned readers observe
+/// too-new values) and "SpRWL-lease-broken" (optimistic reads skip the
+/// version re-read). Each is built from a mutant in mutants.h.
 inline const char* broken_lock_name() noexcept { return "SpRWL-broken"; }
 
 /// Builds a runner executing `w` over a fresh instance of the named lock

@@ -12,7 +12,7 @@
 //  * read-your-snapshot: a snapshot read pinned at S observes exactly the
 //    writes with commit version <= S, i.e. its value equals
 //    |{w : w.version <= S}|. A too-new value is the bug the
-//    broken_snapshot variant plants (version lookup skipped); a too-old
+//    SpRWL-mvcc-broken mutant plants (version lookup skipped); a too-old
 //    value means a write with wv <= S was invisible at the pin.
 //
 // Non-snapshot operations (writers and registered reads, including a

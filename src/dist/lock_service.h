@@ -76,10 +76,6 @@ struct ShardConfig {
   /// Template for the per-node local SpRWLs (max_threads and max_retries
   /// are overridden; see kCodePlainOnly).
   core::Config local;
-  /// Checker/oracle self-validation ONLY: the optimistic read skips the
-  /// version re-validation — a stale-lease/torn read the checker and the
-  /// torn-read oracle must catch. Never set in production.
-  bool broken_skip_read_validation = false;
 };
 
 struct ShardStats {
@@ -124,6 +120,7 @@ class Shard {
     for (auto& b : nxt_) b.assign(cfg.cells, 0);
   }
 
+  virtual ~Shard() = default;
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
@@ -216,6 +213,14 @@ class Shard {
   /// Raw payload word (test/bench assertions outside any run).
   std::uint64_t raw_cell(std::size_t i) const { return cells_[i].v.raw_load(); }
   std::uint64_t raw_version() const { return version_.raw_load(); }
+
+ protected:
+  /// The seqlock re-read that accepts an optimistic copy: true when the
+  /// version still reads `v0`, the even value read before the copy.
+  /// Virtual so the torn-read oracle's self-check can skip it.
+  virtual bool validate_copy(std::uint64_t v0) {
+    return version_.load() == v0;
+  }
 
  private:
   struct alignas(64) Line {
@@ -363,8 +368,7 @@ class Shard {
         fault::checkpoint(SchedKind::kReadBody, this);
       }
     }
-    if (cfg_.broken_skip_read_validation) return true;
-    return version_.load() == v0;
+    return validate_copy(v0);
   }
 
   ShardConfig cfg_;
@@ -411,8 +415,6 @@ class LockService {
 /// "SpRWL-lease"). The reader wraps f in the optimistic validation loop —
 /// like an HTM-first reader, f must be re-runnable — and the writer runs f
 /// between claim and publish under the node's lease and local SpRWL.
-/// broken_skip_read_validation reproduces the stale-lease read the checker
-/// must catch ("SpRWL-lease-broken").
 class LeasedLock {
  public:
   struct Config {
@@ -420,7 +422,6 @@ class LeasedLock {
     int max_threads = 8;
     LeaseConfig lease;
     core::Config local;
-    bool broken_skip_read_validation = false;
   };
 
   explicit LeasedLock(const Config& cfg) : cfg_(cfg), lease_(cfg.lease) {
@@ -434,6 +435,7 @@ class LeasedLock {
     }
   }
 
+  virtual ~LeasedLock() = default;
   LeasedLock(const LeasedLock&) = delete;
   LeasedLock& operator=(const LeasedLock&) = delete;
 
@@ -472,10 +474,17 @@ class LeasedLock {
         continue;
       }
       f();
-      if (cfg_.broken_skip_read_validation) return;
-      if (version_.load() == v0) return;
+      if (validate_copy(v0)) return;
       platform::pause();
     }
+  }
+
+ protected:
+  /// The seqlock re-read that accepts the section's copy: true when the
+  /// version still reads `v0`. Virtual so the checker can plant a reader
+  /// that skips it (check/mutants.h).
+  virtual bool validate_copy(std::uint64_t v0) {
+    return version_.load() == v0;
   }
 
  private:

@@ -318,8 +318,8 @@ inline DistChaosResult run_dist_chaos(dist::Shard& shard, htm::Engine& engine,
 // continuously — so the copy's two halves deliberately straddle commits.
 // Every attempt whose copied data disagrees across cells must have been
 // rejected by the validation; one accepted torn copy is an oracle failure.
-// With ShardConfig::broken_skip_read_validation the same harness must see
-// accepted torn copies — the oracle validating itself.
+// With a Shard whose validate_copy() skips the version re-read the same
+// harness must see accepted torn copies — the oracle validating itself.
 // ---------------------------------------------------------------------------
 
 /// Virtual cycles between the two halves of a stalled copy, and the

@@ -39,7 +39,6 @@ const EngineConfig& checked(const EngineConfig& cfg) {
 
 Engine::Engine(EngineConfig cfg)
     : cfg_(checked(cfg)),
-      spurious_rate_(cfg.spurious_abort_rate),
       table_mask_((1ULL << cfg.table_bits) - 1),
       table_(std::size_t{1} << cfg.table_bits),
       line_ids_(cfg.table_bits),
@@ -638,18 +637,26 @@ std::uint64_t Engine::snapshot_version() noexcept {
                       : kNoSnapshot;
 }
 
-std::uint64_t Engine::last_commit_version() noexcept { return self().last_wv; }
+std::uint64_t Engine::last_commit_version() noexcept {
+  const Descriptor* d = find_self();
+  return d != nullptr ? d->last_wv : 0;
+}
 
 void Engine::note_section_version() noexcept {
-  Descriptor& d = self();
-  d.last_section_wv = d.last_wv;
+  if (Descriptor* d = find_self()) d->last_section_wv = d->last_wv;
 }
 
 std::uint64_t Engine::last_section_version() noexcept {
-  return self().last_section_wv;
+  const Descriptor* d = find_self();
+  return d != nullptr ? d->last_section_wv : 0;
 }
 
 std::uint64_t Engine::snapshot_read(const std::atomic<std::uint64_t>& cell) {
+  return snapshot_lookup(cell);
+}
+
+std::uint64_t Engine::snapshot_lookup(
+    const std::atomic<std::uint64_t>& cell) {
   Descriptor& d = self();
   const std::uint64_t snap = d.snap_pin.load(std::memory_order_relaxed);
   assert(snap != kNoSnapshot && "snapshot_read without snapshot_begin");
@@ -664,10 +671,6 @@ std::uint64_t Engine::snapshot_read(const std::atomic<std::uint64_t>& cell) {
       const std::uint64_t val = cell.load(std::memory_order_acquire);
       if (table_.at(line).load(std::memory_order_acquire) == v1) return val;
       continue;  // raced a publish; reinspect
-    }
-    if (cfg_.broken_snapshot_too_new) {  // checker self-validation only
-      ++d.snap_hits;
-      return cell.load(std::memory_order_acquire);
     }
     // The line is newer than the pin (or mid-publish). One seqlock pass
     // over its ring, charged as one extra line read; the writer holding

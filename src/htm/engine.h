@@ -98,7 +98,7 @@ class SnapshotMiss {};
 class Engine {
  public:
   explicit Engine(EngineConfig cfg = {});
-  ~Engine();
+  virtual ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -203,11 +203,16 @@ class Engine {
   /// value when it is newer. Throws SnapshotMiss when the pinned version
   /// left the bounded ring. Never blocks on a writer whose commit version
   /// is newer than the pin.
+  ///
+  /// A direct call to snapshot_lookup(), kept out of line and non-virtual:
+  /// Shared<T>::load inlines the call to it, and an indirect call there
+  /// grows every inlined load enough to change the compiler's inlining of
+  /// the lock paths (hashmap-long-readers ran ~15 % slower on the host).
   std::uint64_t snapshot_read(const std::atomic<std::uint64_t>& cell);
 
   /// Version drawn by the calling thread's most recent successful publish
   /// (commit or nontx store). The SI checker records it as the write's
-  /// commit timestamp.
+  /// commit timestamp. 0 on a thread without a dense id.
   std::uint64_t last_commit_version() noexcept;
 
   /// Marks the end of a lock section's data publishes: copies the calling
@@ -216,10 +221,11 @@ class Engine {
   /// do not disturb. The lock layer calls this at its commit points; the
   /// SI checker reads the pinned value via last_section_version() so a
   /// writer's recorded commit timestamp is the version that actually
-  /// stamped its data lines.
+  /// stamped its data lines. Does nothing on a thread without a dense id.
   void note_section_version() noexcept;
 
-  /// The value pinned by the calling thread's last note_section_version().
+  /// The value pinned by the calling thread's last note_section_version()
+  /// (0 on a thread without a dense id).
   std::uint64_t last_section_version() noexcept;
 
   /// Current global version clock (free read; the checker and tests use it
@@ -245,8 +251,9 @@ class Engine {
   void plain_access(const void* addr);
 
   // --- fault-injection surface (src/fault) --------------------------------
-  /// Dynamically overrides EngineConfig::spurious_abort_rate; the fault
-  /// injector uses this to ramp interrupt storms over a virtual-time window.
+  /// Probability, per transactional access, of a modelled interrupt abort
+  /// (0 until set). The fault injector ramps it over a virtual-time window
+  /// to model interrupt storms.
   void set_spurious_abort_rate(double rate) noexcept {
     spurious_rate_.store(rate, std::memory_order_relaxed);
   }
@@ -287,6 +294,13 @@ class Engine {
     t_current = e;
     g_current.store(e, std::memory_order_release);
   }
+
+ protected:
+  /// The read behind snapshot_read(). Virtual so the checker can plant a
+  /// too-new read (check/mutants.h); no other engine member is virtual
+  /// but the destructor.
+  virtual std::uint64_t snapshot_lookup(
+      const std::atomic<std::uint64_t>& cell);
 
  private:
   struct ReadEntry {
@@ -504,7 +518,7 @@ class Engine {
                      std::uint64_t desired, const std::uint64_t* expected);
 
   EngineConfig cfg_;
-  std::atomic<double> spurious_rate_;
+  std::atomic<double> spurious_rate_{0.0};
   std::uint64_t table_mask_;
   // The per-line tables (versions here, owners and MVCC rings below) are
   // zero pages committed on first touch (common/zero_pages.h): an engine

@@ -65,8 +65,6 @@ inline constexpr CapacityProfile kUnbounded{"unbounded", ~0u, ~0u};
 
 struct EngineConfig {
   CapacityProfile capacity = kBroadwell;
-  /// Probability, per transactional access, of a modelled interrupt abort.
-  double spurious_abort_rate = 0.0;
   /// Dense thread ids must be < max_threads.
   int max_threads = 128;
   /// log2 of the version/lock table size; aliasing between distinct lines
@@ -92,10 +90,6 @@ struct EngineConfig {
   /// (snapshot_begin/snapshot_read, see engine.h) serve reads at their
   /// pinned version from the ring instead of waiting out writers.
   std::uint32_t retain_versions = 0;
-  /// Checker self-validation ONLY: snapshot reads skip the version-buffer
-  /// lookup and return current memory even when the line is newer than the
-  /// reader's pin — a too-new read the SI checker must catch.
-  bool broken_snapshot_too_new = false;
 };
 
 /// Per-engine event counters (aggregated over all threads).

@@ -108,7 +108,7 @@ TEST(SiSpec, AcceptanceDfsSpRWLMvccTwoThreads) {
 }
 
 // Self-validation: an engine whose snapshot lookup is blinded
-// (broken_snapshot_too_new serves current memory past the pin) produces a
+// (TooNewSnapshotEngine serves current memory past the pin) produces a
 // too-new read on some interleaving. The checker must catch it as an SI
 // violation, ddmin must minimize it, the artifact must round-trip with the
 // snapshot workload fields intact, and the file-driven replay must
@@ -119,11 +119,10 @@ TEST(SiSpec, MvccBrokenCaughtWithDeterministicRepro) {
   w.writers = 1;
   // The artifact records the workload as handed to the explorer, so spell
   // out what the registry would derive: a single-cell snapshot workload
-  // over a 2-deep ring with the blinded lookup on.
+  // over a 2-deep ring. The lock name alone selects the blinded lookup.
   w.cells = 1;
   w.snapshot_reads = true;
   w.retain_versions = 2;
-  w.broken_snapshot = true;
   ExploreOptions opt;
   opt.lock_name = "SpRWL-mvcc-broken";
   opt.artifact_dir = testutil::artifact_dir();
@@ -146,7 +145,6 @@ TEST(SiSpec, MvccBrokenCaughtWithDeterministicRepro) {
   EXPECT_EQ(a.choices, rep.repro);
   EXPECT_TRUE(a.workload.snapshot_reads);
   EXPECT_EQ(a.workload.retain_versions, 2u);
-  EXPECT_TRUE(a.workload.broken_snapshot);
   const Verdict from_file =
       replay_trace(make_runner(a.lock, a.workload), a.choices);
   EXPECT_EQ(from_file.kind, Verdict::kSiViolation) << from_file.detail;
@@ -164,14 +162,12 @@ TEST(SiSpec, ArtifactRoundTripsSnapshotWorkloadFields) {
   a.seed = 42;
   a.workload.snapshot_reads = true;
   a.workload.retain_versions = 3;
-  a.workload.broken_snapshot = false;
   a.violation = "none";
   const std::string path = write_artifact(a, testutil::artifact_dir());
   ReproArtifact b;
   ASSERT_TRUE(read_artifact(path, &b)) << path;
   EXPECT_TRUE(b.workload.snapshot_reads);
   EXPECT_EQ(b.workload.retain_versions, 3u);
-  EXPECT_FALSE(b.workload.broken_snapshot);
   std::remove(path.c_str());
 }
 

@@ -74,8 +74,8 @@ TEST_P(SpRWLConfigFuzz, SafetyHoldsForArbitraryConfigs) {
   htm::EngineConfig ec;
   ec.capacity = fuzz_capacity(index);
   ec.max_threads = threads;
-  ec.spurious_abort_rate = (index % 5 == 0) ? 0.001 : 0.0;
   htm::Engine engine(ec);
+  engine.set_spurious_abort_rate((index % 5 == 0) ? 0.001 : 0.0);
   htm::EngineScope scope(engine);
   SpRWLock lock{fuzz_config(index, threads)};
 

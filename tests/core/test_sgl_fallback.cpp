@@ -26,9 +26,8 @@ struct alignas(64) Cell {
 TEST(SglFallback, RetryExhaustionUnderPermanentSpuriousAborts) {
   // Every transactional access aborts: each write must burn exactly
   // max_retries attempts and then complete pessimistically.
-  htm::EngineConfig ecfg;
-  ecfg.spurious_abort_rate = 1.0;
-  htm::Engine engine{ecfg};
+  htm::Engine engine{htm::EngineConfig{}};
+  engine.set_spurious_abort_rate(1.0);
   htm::EngineScope scope(engine);
   Config cfg = Config::variant(SchedulingVariant::kNoSched, 1);
   cfg.max_retries = 4;
@@ -83,9 +82,8 @@ TEST(SglFallback, CapacityAbortFallsBackImmediately) {
 TEST(SglFallback, RetryBudgetBoundsAStorm) {
   // With the attempt counter effectively unlimited, the virtual-time budget
   // is what stops a writer from spinning through a storm forever.
-  htm::EngineConfig ecfg;
-  ecfg.spurious_abort_rate = 1.0;
-  htm::Engine engine{ecfg};
+  htm::Engine engine{htm::EngineConfig{}};
+  engine.set_spurious_abort_rate(1.0);
   htm::EngineScope scope(engine);
   Config cfg = Config::variant(SchedulingVariant::kNoSched, 1);
   cfg.max_retries = 1'000'000;

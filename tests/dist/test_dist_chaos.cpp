@@ -119,10 +119,16 @@ TEST(TornOracle, RejectsEveryManufacturedSplitCopy) {
 }
 
 TEST(TornOracle, CatchesTheBrokenValidationItGuardsAgainst) {
-  // Oracle self-check: with the version re-validation skipped
-  // (broken_skip_read_validation) the very same harness must observe
-  // accepted torn copies — proving the oracle can see the failure it
-  // exists to rule out.
+  // Oracle self-check: with the version re-validation skipped the very
+  // same harness must observe accepted torn copies — proving the oracle
+  // can see the failure it exists to rule out.
+  class SkipValidationShard : public dist::Shard {
+   public:
+    using Shard::Shard;
+
+   protected:
+    bool validate_copy(std::uint64_t) override { return true; }
+  };
   const std::uint64_t seed = env_seed(11);
   SCOPED_TRACE(testutil::seed_replay(seed));
   DistChaosConfig shape;
@@ -130,8 +136,7 @@ TEST(TornOracle, CatchesTheBrokenValidationItGuardsAgainst) {
   shape.threads = 2;
   dist::ShardConfig sc = shard_config(shape);
   sc.lease.term = 1'000'000'000;
-  sc.broken_skip_read_validation = true;
-  dist::Shard shard(sc);
+  SkipValidationShard shard(sc);
   htm::Engine engine(engine_config(shape));
   TornOracleConfig cfg;
   cfg.seed = seed;

@@ -116,9 +116,8 @@ TEST(Preempt, AbortsAnInFlightTransaction) {
 }
 
 TEST(AbortStorm, RampsUpAndRestoresTheBaseRate) {
-  htm::EngineConfig ecfg;
-  ecfg.spurious_abort_rate = 0.01;  // configured base rate
-  htm::Engine engine{ecfg};
+  htm::Engine engine{htm::EngineConfig{}};
+  engine.set_spurious_abort_rate(0.01);  // configured base rate
   sim::Simulator sim;
   FaultPlan plan;
   plan.storm.from = 10'000;

@@ -179,9 +179,8 @@ TEST_F(EngineBasic, TransactionalCasSemantics) {
 }
 
 TEST_F(EngineBasic, SpuriousAbortsFireAtConfiguredRate) {
-  EngineConfig cfg;
-  cfg.spurious_abort_rate = 0.2;
-  Engine noisy(cfg);
+  Engine noisy(EngineConfig{});
+  noisy.set_spurious_abort_rate(0.2);
   EngineScope scope(noisy);
   Shared<int> x(0);
   int aborts = 0;
@@ -249,6 +248,16 @@ TEST_F(EngineBasic, ThreadWithoutIdIsRejectedInsideTx) {
   platform::set_thread_id(-1);
   EXPECT_THROW(engine_.try_transaction([&] {}), std::logic_error);
   platform::set_thread_id(0);
+}
+
+// The version accessors are noexcept: a thread without a dense id gets "no
+// publish" from them, not std::terminate from a throw inside.
+TEST(EngineVersions, ThreadWithoutIdReadsNoPublish) {
+  Engine e{EngineConfig{}};
+  ASSERT_LT(platform::thread_id(), 0);
+  e.note_section_version();
+  EXPECT_EQ(e.last_commit_version(), 0u);
+  EXPECT_EQ(e.last_section_version(), 0u);
 }
 
 TEST(EngineCurrent, ScopeInstallsAndRestores) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "check/mutants.h"
 #include "common/platform.h"
 #include "htm/engine.h"
 #include "htm/shared.h"
@@ -219,9 +220,7 @@ TEST_F(Mvcc, RingOccupancyReportsUsedDepthNotConfigured) {
 }
 
 TEST_F(Mvcc, BrokenTooNewServesCurrentMemory) {
-  EngineConfig cfg = mvcc_cfg(4);
-  cfg.broken_snapshot_too_new = true;  // checker self-validation knob
-  Engine broken(cfg);
+  check::TooNewSnapshotEngine broken(mvcc_cfg(4));  // SpRWL-mvcc-broken
   EngineScope scope(broken);
   Shared<std::uint64_t> x(0);
   x.store(10);

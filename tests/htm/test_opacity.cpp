@@ -30,10 +30,10 @@ class OpacityProperty : public ::testing::TestWithParam<Params> {};
 TEST_P(OpacityProperty, InvariantNeverObservedBroken) {
   const auto [threads, ncells, spurious, table_bits] = GetParam();
   EngineConfig cfg;
-  cfg.spurious_abort_rate = spurious;
   cfg.table_bits = table_bits;
   cfg.capacity = kUnbounded;
   Engine engine(cfg);
+  engine.set_spurious_abort_rate(spurious);
   EngineScope scope(engine);
 
   // Invariant: sum over all cells == 0. Every writer moves value between

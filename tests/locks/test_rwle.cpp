@@ -209,8 +209,8 @@ struct WriteTimeoutRun {
 WriteTimeoutRun run_write_timeout(double spurious_rate) {
   htm::EngineConfig ecfg;
   ecfg.capacity = htm::CapacityProfile{"tiny", 4, 64};  // writers -> ROT
-  ecfg.spurious_abort_rate = spurious_rate;
   htm::Engine engine(ecfg);
+  engine.set_spurious_abort_rate(spurious_rate);
   htm::EngineScope scope(engine);
   RWLELock lock{config(2)};
   std::vector<Cell> cells(8);
